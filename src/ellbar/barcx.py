@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import itertools
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DimensionBound, UnknownSymbol
@@ -271,33 +271,51 @@ def deconcat(w):
 # exact kernel of d_B on bar degree 0
 
 
-def _rref(rows, ncols):
-    """In-place RREF of dense Fraction rows; returns pivot column list."""
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        pr = None
-        for i in range(r, len(rows)):
-            if rows[i][c] != 0:
-                pr = i
-                break
-        if pr is None:
+def _subtract(dst: dict, f, src: dict):
+    """dst -= f * src on sparse rows, dropping entries that cancel."""
+    for c, v in src.items():
+        x = dst.get(c, 0) - f * v
+        if x:
+            dst[c] = x
+        else:
+            dst.pop(c, None)
+
+
+def _rref(rows):
+    """Exact reduced row echelon form of sparse rows.
+
+    Each row is a dict {column: coefficient} over mutually comparable
+    columns; the input rows are not modified.  Returns the nonzero rows of
+    the RREF of their span, sorted by pivot: each row's pivot is its
+    smallest column, with coefficient 1, and no other row has an entry in
+    a pivot column.  The RREF of a span is unique, so the result does not
+    depend on the order of the input rows; its length is the rank.
+    """
+    reduced = {}  # pivot column -> row, kept fully reduced against each other
+    for row in rows:
+        r = {c: Fraction(v) for c, v in row.items() if v}
+        for p in [c for c in r if c in reduced]:
+            # reduced rows hold no other pivot column, so r[p] is unchanged
+            # until its own turn
+            _subtract(r, r[p], reduced[p])
+        if not r:
             continue
-        rows[r], rows[pr] = rows[pr], rows[r]
-        pv = rows[r][c]
-        if pv != 1:
-            rows[r] = [x / pv for x in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][c] != 0:
-                f = rows[i][c]
-                ri, rr = rows[i], rows[r]
-                rows[i] = [ri[j] - f * rr[j] for j in range(ncols)]
-        pivots.append(c)
-        r += 1
-        if r == len(rows):
-            break
-    del rows[r:]
-    return pivots
+        p = min(r)
+        if r[p] != 1:
+            inv = 1 / r[p]
+            r = {c: v * inv for c, v in r.items()}
+        for other in reduced.values():
+            f = other.get(p)
+            if f is not None:
+                _subtract(other, f, r)
+        reduced[p] = r
+    return [reduced[p] for p in sorted(reduced)]
+
+
+def _in_span(basis, target) -> bool:
+    """Exact membership of a bar element in the span of bar elements."""
+    rows = [el.terms for el in basis]
+    return len(_rref(rows + [target.terms])) == len(_rref(rows))
 
 
 def h0_basis(P: DGAPresentation, lmax: int, dim_bound: int = 50000):
@@ -305,7 +323,9 @@ def h0_basis(P: DGAPresentation, lmax: int, dim_bound: int = 50000):
 
     Deterministic: columns are the degree-0 words in graded-lex order (using
     the presentation's letter order), the kernel basis is returned in reduced
-    row echelon form over that column order.
+    row echelon form over that column order.  The constraints are eliminated
+    as sparse exact rows; d_B preserves the weight and the number of w-type
+    letters, so rows never mix those blocks and stay short.
     """
     k = len(P.deg1)
     nwords = lmax + 1 if k == 1 else (k ** (lmax + 1) - 1) // (k - 1)
@@ -317,36 +337,19 @@ def h0_basis(P: DGAPresentation, lmax: int, dim_bound: int = 50000):
     col_idx = {w: i for i, w in enumerate(cols)}
     # constraint rows: one per degree-1 word appearing in any image
     constraints = {}
-    for w in cols:
-        if not w:
-            continue
+    for w in cols[1:]:
         img = bar_differential(P, BarElement({w: Fraction(1)}))
         for rw, c in img.terms.items():
             constraints.setdefault(rw, {})[col_idx[w]] = c
-    ncols = len(cols)
-    if not constraints:
-        basis_rows = [[Fraction(0)] * ncols for _ in range(ncols)]
-        for i in range(ncols):
-            basis_rows[i][i] = Fraction(1)
-    else:
-        rows = []
-        for rw in sorted(constraints, key=lambda t: (len(t), t)):
-            row = [Fraction(0)] * ncols
-            for ci, c in constraints[rw].items():
-                row[ci] = c
-            rows.append(row)
-        pivots = _rref(rows, ncols)
-        pivset = set(pivots)
-        free = [c for c in range(ncols) if c not in pivset]
-        basis_rows = []
-        for fc in free:
-            vec = [Fraction(0)] * ncols
-            vec[fc] = Fraction(1)
-            for ri, pc in enumerate(pivots):
-                vec[pc] = -rows[ri][fc]
-            basis_rows.append(vec)
-        _rref(basis_rows, ncols)
+    order = sorted(constraints, key=lambda t: (len(t), t))
+    pivot_rows = {min(r): r for r in _rref(constraints[rw] for rw in order)}
+    # kernel vector of free column f: e_f - sum over pivots p of row_p[f] e_p
+    kernel = {c: {c: Fraction(1)} for c in range(len(cols)) if c not in pivot_rows}
+    for p, r in pivot_rows.items():
+        for c, v in r.items():
+            if c != p:
+                kernel[c][p] = -v
     return [
-        BarElement({cols[i]: v for i, v in enumerate(row) if v != 0})
-        for row in basis_rows
+        BarElement({cols[i]: row[i] for i in sorted(row)})
+        for row in _rref(kernel.values())
     ]

@@ -9,8 +9,6 @@ named by --json.  Exit codes: 0 pass, 1 check failure, 2 input error.
 from __future__ import annotations
 
 import argparse
-import contextlib
-import io
 import json
 import math
 import sys

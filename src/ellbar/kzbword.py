@@ -24,7 +24,6 @@ from fractions import Fraction
 
 from .barcx import BarElement
 from .errors import TruncationExceeded
-from .logforms import letters as form_letters
 
 __all__ = [
     "NCPoly",

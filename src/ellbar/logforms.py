@@ -22,7 +22,7 @@ in the presentation returned by :func:`dga_presentation`.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np

@@ -17,6 +17,8 @@ import numpy as np
 
 from .barcx import (
     BarElement,
+    _in_span,
+    _rref,
     bar_differential,
     h0_basis,
     shuffle,
@@ -25,7 +27,6 @@ from .barcx import (
 from .chenint import (
     EdaggerModel,
     LineSeg,
-    P1Model,
     PathSpec,
     _word_table,
     chen_transport,
@@ -58,7 +59,6 @@ from .wlattice import (
     lattice_from_curve,
     latsum_weierstrass,
     wp,
-    wzeta,
 )
 
 __all__ = ["run_criteria", "assemble_report", "report_json", "CRITERIA"]
@@ -225,30 +225,6 @@ def crit_form_identities(cfg):
     )
 
 
-def _in_span(basis, target):
-    """Exact membership of a bar element in the span of closed elements."""
-    table = {}
-    for el in basis:
-        red = BarElement()
-        for w, c in el.terms.items():
-            red.add_term(w, c)
-        for piv, pel in table.items():
-            c = red.terms.get(piv)
-            if c is not None:
-                red = red + pel.scale(-c)
-        if red.terms:
-            piv = min(red.terms, key=lambda w: (len(w), w))
-            table[piv] = red.scale(Fraction(1, 1) / red.terms[piv])
-    red = BarElement()
-    for w, c in target.terms.items():
-        red.add_term(w, c)
-    for piv, pel in table.items():
-        c = red.terms.get(piv)
-        if c is not None:
-            red = red + pel.scale(-c)
-    return red.is_zero()
-
-
 def crit_bar_exactness(cfg):
     P = dga_presentation(5)
     rng = np.random.default_rng(23)
@@ -329,22 +305,7 @@ def crit_canonical_closedness(cfg):
     P4 = dga_presentation(4)
     kernel = h0_basis(P4, 3)
     contained = all(_in_span(kernel, el) for el in elems)
-    # independence: greedy pivot elimination must never annihilate an element
-    indep = True
-    table = {}
-    for el in elems:
-        red = BarElement()
-        for w, c in el.terms.items():
-            red.add_term(w, c)
-        for piv, pel in table.items():
-            c = red.terms.get(piv)
-            if c is not None:
-                red = red + pel.scale(-c)
-        if red.is_zero():
-            indep = False
-        else:
-            piv = min(red.terms, key=lambda w: (len(w), w))
-            table[piv] = red.scale(Fraction(1, 1) / red.terms[piv])
+    indep = len(_rref(el.terms for el in elems)) == len(elems)
     excess = len(kernel) - len(elems)
     ok = closed_ok and contained and indep
     return _res(

@@ -17,6 +17,7 @@ from ellbar.barcx import (
 )
 from ellbar.errors import DimensionBound, UnknownSymbol
 from ellbar.logforms import dga_presentation
+from ellbar.p1model import p1_dga
 
 P1 = DGAPresentation(deg1=("om0", "om1"), deg2=(), diff={}, wedge={})
 
@@ -182,6 +183,85 @@ class TestKernel:
         a = h0_basis(P, 2)
         b = h0_basis(P, 2)
         assert a == b
+
+    def test_length4_three_forms(self):
+        # 781 columns: too slow for the suite with a dense elimination
+        P = dga_presentation(3)
+        basis = h0_basis(P, 4)
+        assert len(basis) == 31
+        for e in basis:
+            assert bar_differential(P, e).is_zero()
+
+    @pytest.mark.parametrize(
+        "model,N,lmax",
+        [("p1", None, ell) for ell in range(8)]
+        + [("edagger", N, ell) for N, ell in ((2, 2), (3, 2), (4, 2), (4, 3), (5, 3))],
+    )
+    def test_matches_dense_reference(self, model, N, lmax):
+        P = p1_dga() if model == "p1" else dga_presentation(N)
+        got = [e.to_json() for e in h0_basis(P, lmax)]
+        assert got == [e.to_json() for e in _dense_h0_basis(P, lmax)]
+
+
+def _dense_rref(rows, ncols):
+    """In-place RREF of dense Fraction rows; returns pivot column list."""
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        pr = None
+        for i in range(r, len(rows)):
+            if rows[i][c] != 0:
+                pr = i
+                break
+        if pr is None:
+            continue
+        rows[r], rows[pr] = rows[pr], rows[r]
+        pv = rows[r][c]
+        if pv != 1:
+            rows[r] = [x / pv for x in rows[r]]
+        for i in range(len(rows)):
+            if i != r and rows[i][c] != 0:
+                f = rows[i][c]
+                ri, rr = rows[i], rows[r]
+                rows[i] = [ri[j] - f * rr[j] for j in range(ncols)]
+        pivots.append(c)
+        r += 1
+        if r == len(rows):
+            break
+    del rows[r:]
+    return pivots
+
+
+def _dense_h0_basis(P, lmax):
+    """Reference kernel of d_B: one dense Fraction matrix over all words."""
+    cols = words_upto(P.deg1, lmax)
+    col_idx = {w: i for i, w in enumerate(cols)}
+    constraints = {}
+    for w in cols[1:]:
+        img = bar_differential(P, BarElement({w: Fraction(1)}))
+        for rw, c in img.terms.items():
+            constraints.setdefault(rw, {})[col_idx[w]] = c
+    ncols = len(cols)
+    rows = []
+    for rw in sorted(constraints, key=lambda t: (len(t), t)):
+        row = [Fraction(0)] * ncols
+        for ci, c in constraints[rw].items():
+            row[ci] = c
+        rows.append(row)
+    pivots = _dense_rref(rows, ncols)
+    free = [c for c in range(ncols) if c not in set(pivots)]
+    basis_rows = []
+    for fc in free:
+        vec = [Fraction(0)] * ncols
+        vec[fc] = Fraction(1)
+        for ri, pc in enumerate(pivots):
+            vec[pc] = -rows[ri][fc]
+        basis_rows.append(vec)
+    _dense_rref(basis_rows, ncols)
+    return [
+        BarElement({cols[i]: v for i, v in enumerate(row) if v != 0})
+        for row in basis_rows
+    ]
 
 
 def _in_span(basis, target, P, lmax):

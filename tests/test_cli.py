@@ -1,5 +1,6 @@
 """Command-line interface: exit codes, JSON reports, determinism."""
 
+import hashlib
 import json
 import math
 import subprocess
@@ -133,9 +134,25 @@ class TestBarCommand:
             for el in load_json(out)["report"]["basis"]
         ]
         target = BarElement({("nu", "w0"): Fraction(1), ("w1",): Fraction(-1)})
-        from ellbar.verify import _in_span
+        from ellbar.barcx import _in_span
 
         assert _in_span(basis, target)
+
+    @pytest.mark.parametrize(
+        "argv,sha256",
+        [
+            (("--model", "edagger", "--N", "4", "--ell", "3"),
+             "4e2cc3aa8b0dd4e756126db6e73b044609c2185fc5b1e8190af244cb168bb90e"),
+            (("--model", "p1", "--ell", "6"),
+             "fd7eef4d2eeb63223431356bc2aabd3bf50ab4732bf01f8da08a114c7ba441f5"),
+        ],
+    )
+    def test_report_bytes_pinned(self, tmp_path, argv, sha256):
+        # hashes of the report block recorded from the dense-elimination kernel
+        out = tmp_path / "b.json"
+        assert run_cli("bar", *argv, "--json", str(out)).returncode == 0
+        report = json.dumps(load_json(out)["report"], sort_keys=True, indent=2)
+        assert hashlib.sha256(report.encode()).hexdigest() == sha256
 
 
 class TestFlatnessCommand:
