@@ -1,27 +1,19 @@
 """Hot numerical kernels: direct lattice sums and panel transport.
 
-Each kernel exists twice: a pure-numpy implementation and a numba-jitted
-loop version.  The jitted path is the default; set the environment variable
-``ELLBAR_NO_NUMBA=1`` before import to force the numpy fallback (the two
-paths agree to floating-point rounding; ``benchmarks/bench_kernels.py``
-compares their speed).
+One numpy implementation per kernel.  The lattice sums walk the index box
+in blocks of ``_ROW_BLOCK`` rows; the panel kernel builds the word series
+one word length at a time, in blocks of ``_WORD_BLOCK`` words.
 """
-
-import os
 
 import numpy as np
 
-USE_NUMBA = os.environ.get("ELLBAR_NO_NUMBA", "").lower() not in ("1", "true", "yes")
-if USE_NUMBA:
-    try:
-        from numba import njit
-    except ImportError:  # pragma: no cover - numba is a declared dependency
-        USE_NUMBA = False
-
 _ROW_BLOCK = 32
+_WORD_BLOCK = 256
 
 
-def _eis_sum_numpy(w1, w2, M, k):
+def eis_sum(w1, w2, M, k):
+    """Partial Eisenstein sum of exponent k over the centered index box M."""
+    w1, w2 = complex(w1), complex(w2)
     # sum over the centered index box minus the origin, using the
     # lam -> -lam pairing: 2 * (rows n > 0, plus the half row n = 0, m > 0)
     m_half = np.arange(1, M + 1)
@@ -37,23 +29,9 @@ def _eis_sum_numpy(w1, w2, M, k):
     return 2.0 * acc
 
 
-def _eis_sum_loop(w1, w2, M, k):
-    acc = 0.0 + 0.0j
-    h = k // 2
-    for n in range(0, M + 1):
-        mlo = 1 if n == 0 else -M
-        nw2 = n * w2
-        for m in range(mlo, M + 1):
-            lam = m * w1 + nw2
-            il2 = 1.0 / (lam * lam)
-            t = il2
-            for _ in range(h - 1):
-                t = t * il2
-            acc += t
-    return 2.0 * acc
-
-
-def _latsum_partials_numpy(w1, w2, M):
+def latsum_partials(w1, w2, M):
+    """Partial sums (P4, P6, P8, P10) over the truncation box."""
+    w1, w2 = complex(w1), complex(w2)
     m_half = np.arange(1, M + 1)
     lam = m_half * w1
     il2 = 1.0 / (lam * lam)
@@ -73,26 +51,10 @@ def _latsum_partials_numpy(w1, w2, M):
     return 2.0 * p4, 2.0 * p6, 2.0 * p8, 2.0 * p10
 
 
-def _latsum_partials_loop(w1, w2, M):
-    p4 = 0.0 + 0.0j
-    p6 = 0.0 + 0.0j
-    p8 = 0.0 + 0.0j
-    p10 = 0.0 + 0.0j
-    for n in range(0, M + 1):
-        mlo = 1 if n == 0 else -M
-        nw2 = n * w2
-        for m in range(mlo, M + 1):
-            lam = m * w1 + nw2
-            il2 = 1.0 / (lam * lam)
-            t4 = il2 * il2
-            p4 += t4
-            p6 += t4 * il2
-            p8 += t4 * t4
-            p10 += t4 * t4 * il2
-    return 2.0 * p4, 2.0 * p6, 2.0 * p8, 2.0 * p10
-
-
-def _latsum_eval_numpy(zs, w1, w2, M):
+def latsum_eval(zs, w1, w2, M):
+    """Primed lattice sums (S2, S3, S1, S0) at each z; see the oracle layer."""
+    zs = np.ascontiguousarray(zs, dtype=np.complex128)
+    w1, w2 = complex(w1), complex(w2)
     m_all = np.arange(-M, M + 1)
     mm, nn = np.meshgrid(m_all, m_all, indexing="ij")
     sel = (mm != 0) | (nn != 0)
@@ -115,121 +77,43 @@ def _latsum_eval_numpy(zs, w1, w2, M):
     return s2, s3, s1, s0
 
 
-def _latsum_eval_loop(zs, w1, w2, M):
-    nz = len(zs)
-    s2 = np.zeros(nz, dtype=np.complex128)
-    s3 = np.zeros(nz, dtype=np.complex128)
-    s1 = np.zeros(nz, dtype=np.complex128)
-    s0 = np.zeros(nz, dtype=np.complex128)
-    for i in range(nz):
-        z = zs[i]
-        a2 = 0.0 + 0.0j
-        a3 = 0.0 + 0.0j
-        a1 = 0.0 + 0.0j
-        a0 = 0.0 + 0.0j
-        for n in range(-M, M + 1):
-            nw2 = n * w2
-            for m in range(-M, M + 1):
-                if m == 0 and n == 0:
-                    continue
-                lam = m * w1 + nw2
-                il = 1.0 / lam
-                il2 = il * il
-                d = 1.0 / (z - lam)
-                d2 = d * d
-                a2 += d2 - il2
-                a3 += d2 * d
-                a1 += d + il + z * il2
-                a0 += np.log(1.0 - z * il) + z * il + 0.5 * z * z * il2
-        s2[i] = a2
-        s3[i] = a3
-        s1[i] = a1
-        s0[i] = a0
-    return s2, s3, s1, s0
-
-
-def _panel_transport_numpy(first, suffix, phi, Q, wts):
-    W = len(first)
-    d = phi.shape[1]
-    V = np.empty((W + 1, d), dtype=complex)
-    V[0] = 1.0
-    out = np.empty(W + 1, dtype=complex)
-    out[0] = 1.0
-    for wi in range(1, W + 1):
-        g = phi[first[wi - 1]] * V[suffix[wi - 1]]
-        V[wi] = Q @ g
-        out[wi] = wts @ g
-    return out
-
-
-def _panel_transport_loop(first, suffix, phi, Q, wts):
-    W = len(first)
-    d = phi.shape[1]
-    V = np.empty((W + 1, d), dtype=np.complex128)
-    out = np.empty(W + 1, dtype=np.complex128)
-    for j in range(d):
-        V[0, j] = 1.0 + 0.0j
-    out[0] = 1.0 + 0.0j
-    for wi in range(1, W + 1):
-        f = first[wi - 1]
-        s = suffix[wi - 1]
-        acc_out = 0.0 + 0.0j
-        for j in range(d):
-            g = phi[f, j] * V[s, j]
-            acc_out += wts[j] * g
-        for r in range(d):
-            acc = 0.0 + 0.0j
-            for j in range(d):
-                acc += Q[r, j] * (phi[f, j] * V[s, j])
-            V[wi, r] = acc
-        out[wi] = acc_out
-    return out
-
-
-if USE_NUMBA:
-    _eis_sum_jit = njit(cache=True)(_eis_sum_loop)
-    _latsum_partials_jit = njit(cache=True)(_latsum_partials_loop)
-    _latsum_eval_jit = njit(cache=True)(_latsum_eval_loop)
-    _panel_transport_jit = njit(cache=True)(_panel_transport_loop)
-
-
-def eis_sum(w1, w2, M, k):
-    """Partial Eisenstein sum of exponent k over the centered index box M."""
-    if USE_NUMBA:
-        return _eis_sum_jit(complex(w1), complex(w2), M, k)
-    return _eis_sum_numpy(complex(w1), complex(w2), M, k)
-
-
-def latsum_partials(w1, w2, M):
-    """Partial sums (P4, P6, P8, P10) over the truncation box."""
-    if USE_NUMBA:
-        return _latsum_partials_jit(complex(w1), complex(w2), M)
-    return _latsum_partials_numpy(complex(w1), complex(w2), M)
-
-
-def latsum_eval(zs, w1, w2, M):
-    """Primed lattice sums (S2, S3, S1, S0) at each z; see the oracle layer."""
-    zs = np.ascontiguousarray(zs, dtype=np.complex128)
-    if USE_NUMBA:
-        return _latsum_eval_jit(zs, complex(w1), complex(w2), M)
-    return _latsum_eval_numpy(zs, complex(w1), complex(w2), M)
-
-
 def panel_transport(first, suffix, phi, Q, wts):
     """Iterated integrals of all table words over one quadrature panel.
 
     first/suffix encode the word table: word i+1 has first letter
     ``first[i]`` and its length-minus-one suffix at table index ``suffix[i]``
-    (index 0 is the empty word).  phi[k, j] is the pulled-back letter k at
-    node j, already multiplied by the parametrization derivative and panel
-    jacobian; Q is the node-to-node cumulative integration matrix and wts the
-    full-panel weights.  Returns the panel value for every word.
+    (index 0 is the empty word).  The table lists the words by length, the
+    n**l words of length l in one block (n = ``phi.shape[0]``), so every
+    suffix of a block lies in the block before it.  phi[k, j] is the
+    pulled-back letter k at node j, already multiplied by the
+    parametrization derivative and panel jacobian; Q is the node-to-node
+    cumulative integration matrix and wts the full-panel weights.  Returns
+    the panel value for every word.
+
+    A word's node values are phi[first] times its suffix's cumulative
+    integral; one product per block of words gives both the panel values
+    (with wts) and the cumulative integrals the next length needs (with Q).
     """
-    first = np.ascontiguousarray(first, dtype=np.int64)
-    suffix = np.ascontiguousarray(suffix, dtype=np.int64)
-    phi = np.ascontiguousarray(phi, dtype=np.complex128)
-    Q = np.ascontiguousarray(Q, dtype=np.complex128)
-    wts = np.ascontiguousarray(wts, dtype=np.complex128)
-    if USE_NUMBA:
-        return _panel_transport_jit(first, suffix, phi, Q, wts)
-    return _panel_transport_numpy(first, suffix, phi, Q, wts)
+    n, d = phi.shape
+    W = len(first)
+    phi = np.asarray(phi, dtype=np.complex128)
+    QT = np.ascontiguousarray(np.transpose(Q), dtype=np.complex128)
+    wts = np.asarray(wts, dtype=np.complex128)
+    out = np.empty(W + 1, dtype=np.complex128)
+    out[0] = 1.0
+    V = None  # the one-letter words' suffix is the empty word, integral 1
+    prev, lo, size = 0, 1, n
+    while lo <= W:
+        hi = lo + size
+        longest = hi > W  # no word's suffix: needs no cumulative integral
+        Vnext = None if longest else np.empty((size, d), dtype=np.complex128)
+        for b in range(lo, hi, _WORD_BLOCK):
+            e = min(b + _WORD_BLOCK, hi)
+            G = phi[first[b - 1:e - 1]]
+            if V is not None:
+                G *= V[suffix[b - 1:e - 1] - prev]
+            out[b:e] = G @ wts
+            if not longest:
+                Vnext[b - lo:e - lo] = G @ QT
+        V, prev, lo, size = Vnext, lo, hi, size * n
+    return out

@@ -623,8 +623,11 @@ class _SegmentTransport:
             self.table.first, self.table.suffix, phi, self.Q, self.w
         )
 
-    def run(self, t0=0.0, t1=1.0, depth=0):
-        whole = self.panel(t0, t1)
+    def run(self, t0=0.0, t1=1.0, depth=0, whole=None):
+        # ``whole`` is this interval's panel when the parent has already
+        # evaluated it as one of its halves
+        if whole is None:
+            whole = self.panel(t0, t1)
         tm = 0.5 * (t0 + t1)
         left = self.panel(t0, tm)
         right = self.panel(tm, t1)
@@ -644,8 +647,8 @@ class _SegmentTransport:
                 f"panel [{t0:.6f}, {t1:.6f}] still off by {np.max(err):.3e} "
                 f"(budget {budget:.3e}) at depth {depth}"
             )
-        a = self.run(t0, tm, depth + 1)
-        b = self.run(tm, t1, depth + 1)
+        a = self.run(t0, tm, depth + 1, left)
+        b = self.run(tm, t1, depth + 1, right)
         return compose_series(b, a, self.table)
 
 

@@ -29,7 +29,8 @@ import numpy as np
 
 from .barcx import DGAPresentation
 from .errors import TruncationExceeded
-from .wlattice import LatticeData, eisenstein_from_invariants, wp, wsigma, wzeta
+from .wlattice import LatticeData, _wp_zeta, eisenstein_from_invariants, wsigma
+from .wlattice import wp, wzeta  # noqa: F401  (perfbench/tracing.py wraps them here)
 
 __all__ = [
     "ExtLattice",
@@ -89,10 +90,9 @@ def _g_coeffs(E: ExtLattice, z):
     # wp derivative tower p_j = wp^{(j)}, j = 0..N-2
     C = np.zeros((N + 1, P), dtype=complex)  # series exponent coefficients
     if N >= 1:
-        C[1] = wzeta(L, z)
+        p0, p1, C[1] = _wp_zeta(L, z, "f_batch")
     if N >= 2:
         p = np.zeros((max(N - 1, 2), P), dtype=complex)
-        p0, p1 = wp(L, z)
         p[0] = p0
         if N - 2 >= 1:
             p[1] = p1

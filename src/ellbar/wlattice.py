@@ -401,14 +401,19 @@ def _reduced_point(L, z, what):
 # primary evaluators
 
 
+def _wp_zeta(L, z, what):
+    """(wp, wp', zeta) at z from one reduction and one theta_1 evaluation;
+    zeta by quasi-periodic transport on the reduced basis."""
+    z0, m, n = _reduced_point(L, z, what)
+    u = z0 / L._w1r
+    _, zet, p, pp = _norm_funcs(u, L._cache)
+    return p / L._w1r ** 2, pp / L._w1r ** 3, zet / L._w1r + m * L._H1r + n * L._H2r
+
+
 def wp(L: LatticeData, z):
     """(wp(z), wp'(z)); scalar in, scalar out, arrays broadcast."""
-    z0, _, _ = _reduced_point(L, z, "wp")
-    u = z0 / L._w1r
-    _, _, p, pp = _norm_funcs(u, L._cache)
-    p = p / L._w1r ** 2
-    pp = pp / L._w1r ** 3
-    if np.ndim(z0) == 0:
+    p, pp, _ = _wp_zeta(L, z, "wp")
+    if np.ndim(p) == 0:
         return complex(p), complex(pp)
     return p, pp
 
@@ -416,11 +421,8 @@ def wp(L: LatticeData, z):
 def wzeta(L: LatticeData, z):
     """Weierstrass zeta via theta_1, quasi-periodic transport on the
     reduced basis."""
-    z0, m, n = _reduced_point(L, z, "wzeta")
-    u = z0 / L._w1r
-    _, zet, _, _ = _norm_funcs(u, L._cache)
-    val = zet / L._w1r + m * L._H1r + n * L._H2r
-    if np.ndim(z0) == 0:
+    _, _, val = _wp_zeta(L, z, "wzeta")
+    if np.ndim(val) == 0:
         return complex(val)
     return val
 

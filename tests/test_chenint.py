@@ -13,6 +13,7 @@ from ellbar.chenint import (
     LineSeg,
     P1Model,
     PathSpec,
+    _SegmentTransport,
     _word_table,
     chen_transport,
     compose_paths,
@@ -322,6 +323,55 @@ class TestGuardsAndFailure:
         )
         for w in tab.words:
             assert abs(r0.values[w] - r1.values[w]) < 1e-13
+
+
+class _WholeEveryCall(_SegmentTransport):
+    """Adaptive transport that evaluates every interval's whole panel itself,
+    even when the parent has already evaluated it as a half."""
+
+    def run(self, t0=0.0, t1=1.0, depth=0, whole=None):
+        whole = self.panel(t0, t1)
+        tm = 0.5 * (t0 + t1)
+        left = self.panel(t0, tm)
+        right = self.panel(tm, t1)
+        comp = compose_series(right, left, self.table)
+        err = np.abs(comp - whole)
+        scale = max(1.0, float(np.max(np.abs(whole))))
+        budget = self.tol * ((t1 - t0) + 0.01 * scale)
+        if np.max(err) <= budget:
+            self.err += err
+            return comp
+        if depth >= self.max_depth:
+            raise QuadratureFailure("depth exhausted")
+        a = self.run(t0, tm, depth + 1)
+        b = self.run(tm, t1, depth + 1)
+        return compose_series(b, a, self.table)
+
+
+class TestHalfPanelReuse:
+    @staticmethod
+    def _both(model, seg, letters, lmax, tol, guard, max_depth):
+        table = _word_table(letters, lmax)
+        args = (model, seg, table, tol, 24, guard, max_depth)
+        new, old = _SegmentTransport(*args), _WholeEveryCall(*args)
+        vals_new, vals_old = new.run(), old.run()
+        assert np.array_equal(vals_new, vals_old)
+        assert np.array_equal(new.err, old.err)
+        # three panels per run call before; reuse saves one per child call
+        calls = old.npanels // 3
+        assert old.npanels == 3 * calls
+        assert calls > 1
+        assert new.npanels == old.npanels - (calls - 1)
+
+    def test_steep_edagger_line(self, ext, model):
+        L = ext.lattice
+        d = 3e-3 * L.min_period()
+        c = L.omega1 + 1j * d * L.omega1 / abs(L.omega1)
+        seg = LineSeg(c - 0.4 * L.omega1, c + 0.4 * L.omega1)
+        self._both(model, seg, ("w1", "w2"), 2, 1e-10, model.guard, 14)
+
+    def test_p1_segment_near_zero(self):
+        self._both(P1Model(guard=0.0), LineSeg(1e-4, 0.5), ("om0", "om1"), 3, 1e-11, 0.0, 16)
 
 
 class TestBarPairing:

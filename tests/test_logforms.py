@@ -9,7 +9,7 @@ residues at the origin, holomorphy in z.
 import numpy as np
 import pytest
 
-from ellbar import CurveSpec, eta_lambda, lattice_from_curve, wp, wzeta
+from ellbar import CurveSpec, eta_lambda, lattice_from_curve, logforms, wp, wzeta
 from ellbar.errors import NearPole, TruncationExceeded
 from ellbar.logforms import (
     ExtLattice,
@@ -23,6 +23,7 @@ from ellbar.logforms import (
     two_form_coeff,
     two_form_letters,
 )
+from ellbar.wlattice import fundamental_points
 
 CURVES = [(4, 0), (5, 2)]
 
@@ -228,3 +229,33 @@ class TestPresentationStructure:
         for n in [0, 1, 2, 5]:
             _, cs = pullback_coeff(ext, f"w{n}", z0, S0)
             assert cs[0] == 0
+
+
+class TestFusedTheta:
+    """f_batch takes wp, wp' and zeta from one theta pass per node set."""
+
+    @pytest.mark.parametrize("nmax", range(7))
+    def test_matches_separate_evaluators(self, ext, nmax, monkeypatch):
+        L = ext.lattice
+        E = ExtLattice(L, nmax=nmax)
+        zz = fundamental_points(L, 16, seed=nmax)
+        rng = np.random.default_rng(nmax)
+        ss = rng.uniform(-1, 1, 16) + 1j * rng.uniform(-1, 1, 16)
+        got = f_batch(E, zz, ss)
+        calls = []
+
+        def separate(L_, z, what):
+            calls.append(what)
+            return (*wp(L_, z), wzeta(L_, z))
+
+        monkeypatch.setattr(logforms, "_wp_zeta", separate)
+        ref = f_batch(E, zz, ss)
+        assert np.all(got == ref)
+        # nmax 0 needs no theta evaluation at all
+        assert len(calls) == (0 if nmax == 0 else 1)
+
+    def test_point_inside_guard_raises(self, ext):
+        L = ext.lattice
+        zz = np.concatenate([fundamental_points(L, 4), [L.omega1 + 0.5 * L.guard]])
+        with pytest.raises(NearPole):
+            f_batch(ext, zz, S0)
