@@ -66,14 +66,23 @@ def latsum_eval(zs, w1, w2, M):
     s3 = np.empty(nz, dtype=complex)
     s1 = np.empty(nz, dtype=complex)
     s0 = np.empty(nz, dtype=complex)
+    # one set of work arrays per call: temporaries of this size would each be
+    # a fresh mmap (and its page faults) under glibc's default threshold
+    d, d2, t = np.empty_like(lam), np.empty_like(lam), np.empty_like(lam)
     for i in range(nz):
         z = zs[i]
-        d = 1.0 / (z - lam)
-        d2 = d * d
-        s2[i] = np.sum(d2 - il2)
-        s3[i] = np.sum(d2 * d)
-        s1[i] = np.sum(d + il + z * il2)
-        s0[i] = np.sum(np.log(1.0 - z * il) + z * il + 0.5 * z * z * il2)
+        np.divide(1.0, np.subtract(z, lam, out=d), out=d)
+        np.multiply(d, d, out=d2)
+        s2[i] = np.sum(np.subtract(d2, il2, out=t))
+        s3[i] = np.sum(np.multiply(d2, d, out=t))
+        np.add(d, il, out=t)
+        t += np.multiply(z, il2, out=d2)
+        s1[i] = np.sum(t)
+        np.multiply(z, il, out=d)
+        np.log(np.subtract(1.0, d, out=t), out=t)
+        t += d
+        t += np.multiply(0.5 * z * z, il2, out=d2)
+        s0[i] = np.sum(t)
     return s2, s3, s1, s0
 
 

@@ -573,7 +573,10 @@ def _ref_quad(order):
 
     The cumulative matrix integrates the interpolating polynomial from -1 to
     each node: values -> Legendre coefficients (discrete orthogonality,
-    exact at this order) -> antiderivative evaluated at the nodes.
+    exact at this order) -> antiderivative evaluated at the nodes.  The
+    weights and the matrix come complex, the matrix in Fortran order, which
+    is the layout ``_kernels.panel_transport`` works in, so a panel copies
+    neither.
     """
     x, w = np.polynomial.legendre.leggauss(order)
     P = np.zeros((order + 1, order))
@@ -587,8 +590,8 @@ def _ref_quad(order):
     anti[:, 0] = x + 1.0
     for m in range(1, order):
         anti[:, m] = (P[m + 1] - P[m - 1]) / (2 * m + 1)
-    Q = anti @ proj
-    return x, w, Q
+    QT = np.ascontiguousarray((anti @ proj).T, dtype=np.complex128)
+    return x, w.astype(np.complex128), QT.T
 
 
 class _SegmentTransport:

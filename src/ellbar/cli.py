@@ -32,7 +32,7 @@ from .logforms import ExtLattice, dga_presentation, f_batch
 from .p1model import MZVIndex, mzv_integral, mzv_series, p1_dga
 from .wlattice import (
     CurveSpec,
-    eisenstein,
+    _eisenstein,
     lattice_from_curve,
     lattice_from_periods,
     wp,
@@ -112,8 +112,8 @@ def cmd_periods(args):
     leg = L.eta1 * L.omega2 - L.eta2 * L.omega1
     leg_err = abs(abs(leg) - 2 * math.pi)
     g2t, g3t = 1e-7, 1e-9
-    G4 = eisenstein(L, 4, tol=g2t)
-    G6 = eisenstein(L, 6, tol=g3t)
+    G4, M4, B4 = _eisenstein(L, 4, g2t)
+    G6, M6, B6 = _eisenstein(L, 6, g3t)
     a_ref = float(ab[0]) if ab else L.g2
     b_ref = float(ab[1]) if ab else L.g3
     rt4 = abs(60 * G4 - a_ref)
@@ -126,7 +126,12 @@ def cmd_periods(args):
         "eta2": _cpair(L.eta2),
         "tau": _cpair(tau),
         "legendre_abs_minus_2pi": leg_err,
-        "eisenstein_round_trip": {"g2_abs": rt4, "g3_abs": rt6},
+        "eisenstein_round_trip": {
+            "g2_abs": rt4,
+            "g3_abs": rt6,
+            "G4": {"box_M": M4, "bound": B4},
+            "G6": {"box_M": M6, "bound": B6},
+        },
     }
     human = [
         f"omega1 = {L.omega1:.12g}",
@@ -136,6 +141,7 @@ def cmd_periods(args):
         f"tau    = {tau:.12g}",
         f"| |eta1 omega2 - eta2 omega1| - 2 pi | = {leg_err:.3e}",
         f"|60 G4 - g2| = {rt4:.3e}   |140 G6 - g3| = {rt6:.3e}",
+        f"G4: box M = {M4}, bound {B4:.3e}   G6: box M = {M6}, bound {B6:.3e}",
     ]
     return report, human, passed
 

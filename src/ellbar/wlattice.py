@@ -3,8 +3,11 @@
 The lattice is computed from the curve by the optimal (complex) AGM and
 verified by an independent q-series round trip of (g2, g3).  The primary
 evaluators for sigma, zeta, wp, wp' go through the Jacobi theta_1 series on a
-Gauss-reduced basis; slow truncated-lattice-sum reference evaluators with
-exact Eisenstein tail assists are shipped alongside as oracles.
+Gauss-reduced basis; truncated-lattice-sum reference evaluators with exact
+Eisenstein tail assists are shipped alongside as oracles.  The Eisenstein
+sums G_k are a direct box sum plus the exact integral of its midpoint-rule
+tail, with the box sized by a proven O(M^-k) remainder bound; they use
+neither theta nor the q-series.
 
 Sign conventions used throughout the package:
 
@@ -17,6 +20,7 @@ Sign conventions used throughout the package:
 from __future__ import annotations
 
 import cmath
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -314,8 +318,6 @@ def lattice_from_curve(curve: CurveSpec, tol: float = 1e-12) -> LatticeData:
     b = float(curve.b)
     roots = np.roots([4.0, 0.0, -a, -b]).astype(complex)
     scale = max(1.0, abs(a), abs(b))
-    import itertools
-
     best = None
     for perm in itertools.permutations(range(3)):
         e1, e2, e3 = (roots[i] for i in perm)
@@ -487,30 +489,118 @@ def eta_lambda(L: LatticeData, lam, tol: float = 1e-9):
 # Eisenstein values and the lattice-sum reference evaluators
 
 
-def _eis_box_size(L, k, tol):
-    # |m w1 + n w2|^2 >= |w1|^2 (m^2+n^2)/2 on the reduced basis, and the
-    # index ring max(|m|,|n|) = j holds 8j points, so the tail beyond M is
-    # bounded by (sqrt2/|w1|)^k * 8 * M^(2-k) / (k-2).
-    c = (math.sqrt(2.0) / abs(L._w1r)) ** k * 8.0 / (k - 2)
-    M = int(math.ceil((c / tol) ** (1.0 / (k - 2)))) + 1
-    return max(M, 8)
+_U = 2.0 ** -53  # unit roundoff of IEEE double
 
 
-def eisenstein(L: LatticeData, k: int, tol: float = 1e-9):
-    """G_k by direct truncated lattice summation, tail bound below tol.
+def _eis_constants(w1, w2, k):
+    """(lam_min, rel) for the basis (w1, w2) and exponent k.
 
-    k must be even, 4 <= k <= 12 (odd sums vanish by symmetry).  This is the
-    slow honest route; the truncation box is chosen from a rigorous bound,
-    not from observed convergence.
+    lam_min is the smallest eigenvalue of the Gram matrix, so that
+    |m w1 + n w2|^2 >= lam_min (m^2 + n^2).  rel bounds the relative
+    rounding error of one computed lambda^-k or tail piece: the point
+    m w1 + n w2 carries 3u (|m w1| + |n w2|) <= 3u kappa |lambda| with
+    kappa^2 = (|w1|^2 + |w2|^2) / lam_min, raised to the power k, plus the
+    products and the division.
     """
+    g11, g22, g12 = abs(w1) ** 2, abs(w2) ** 2, (w1 * w2.conjugate()).real
+    lam = 0.5 * (g11 + g22) - math.hypot(0.5 * (g11 - g22), g12)
+    return lam, k * (3.0 * math.sqrt((g11 + g22) / lam) + 8.0) * _U
+
+
+def _eis_tail(w1, w2, M, k):
+    """Midpoint-rule tail of G_k beyond the index box M: the integral of
+    z^-k over the plane outside the parallelogram (+-(M+1/2)) w1 +
+    (+-(M+1/2)) w2, divided by the cell area A = |Im(conj(w1) w2)|.
+
+    By Green's formula the integral is -(1/2i) times the contour integral of
+    conj(z) z^-k over the counter-clockwise boundary (on a circle at
+    infinity conj(z) = R^2/z, which contributes 0).  On an edge a -> b,
+    conj(z) = (conj(a) - r a) + r z with r = conj(b-a)/(b-a), so each edge
+    is elementary.  Returns the value and a bound on its rounding error.
+    """
+    h = M + 0.5
+    corners = [h * (w1 + w2), h * (w2 - w1), -h * (w1 + w2), h * (w1 - w2)]
+    total = 0j
+    mag = 0.0
+    for a, b in zip(corners, corners[1:] + corners[:1]):
+        r = (b - a).conjugate() / (b - a)
+        c = a.conjugate() - r * a
+        total += c * (b ** (1 - k) - a ** (1 - k)) / (1 - k) + r * (b ** (2 - k) - a ** (2 - k)) / (2 - k)
+        mag += abs(c) * (abs(a) ** (1 - k) + abs(b) ** (1 - k)) / (k - 1)
+        mag += (abs(a) ** (2 - k) + abs(b) ** (2 - k)) / (k - 2)
+    area = abs((w1.conjugate() * w2).imag)
+    return -total / (2j * area), _eis_constants(w1, w2, k)[1] * mag / (2.0 * area)
+
+
+def _eis_bound(w1, w2, M, k):
+    """(remainder, rounding) bounds on |G_k - eis_sum(M) - tail(M)|.
+
+    The midpoint remainder of one cell is at most (k(k+1)/2) K sup|z|^-(k+2)
+    with K = |w1|^2/12 + |w1||w2|/8 + |w2|^2/12 (Taylor to second order
+    about the cell centre).  The ring max(|m|,|n|) = j holds 8j cells, on
+    which |z|^2 >= lam_min (j-1/2)^2; summing over j > M against the
+    integral gives 4(k+1) K lam_min^-(k+2)/2 (M+1)/(M+1/2) (M-1/2)^-k.
+    Rounding: the box sum's n terms added in any order (gamma_n), each with
+    relative error rel, against sum |lambda|^-k <= 8 zeta(3) lam_min^-k/2
+    (zeta(3) < 1.21);
+    plus the tail's own rounding.
+    """
+    lam, rel = _eis_constants(w1, w2, k)
+    K = abs(w1) ** 2 / 12.0 + abs(w1) * abs(w2) / 8.0 + abs(w2) ** 2 / 12.0
+    remainder = 4.0 * (k + 1) * K * lam ** (-(k + 2) / 2.0) * (M + 1.0) / (M + 0.5) * (M - 0.5) ** -k
+    nu = (2.0 * M * (M + 1) + 1) * _U
+    gamma = nu / (1.0 - nu) if nu < 1.0 else math.inf
+    rounding = (math.sqrt(2.0) * gamma + rel) * 8.0 * 1.21 * lam ** (-k / 2.0)
+    return remainder, rounding + _eis_tail(w1, w2, M, k)[1]
+
+
+def _eis_box_size(L, k, tol):
+    """Smallest box M whose proven bound on |G_k - box sum - tail| is <= tol.
+
+    The bound falls with M until rounding takes over, so M is bracketed by
+    doubling and then bisected.  ConvergenceFailure when rounding alone
+    reaches tol.
+    """
+    w1, w2 = L._w1r, L._w2r
+    hi = 1
+    while True:
+        remainder, rounding = _eis_bound(w1, w2, hi, k)
+        if remainder + rounding <= tol:
+            break
+        if rounding >= tol:
+            raise ConvergenceFailure(
+                f"G_{k} to tolerance {tol:g}: rounding bound {rounding:.3g} at box M={hi}"
+            )
+        hi *= 2
+    lo = hi // 2 + 1
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if sum(_eis_bound(w1, w2, mid, k)) <= tol:
+            hi = mid
+        else:
+            lo = mid + 1
+    return hi
+
+
+def _eisenstein(L, k, tol):
+    """(G_k, box M, bound on |error|) from the box sum plus the exact tail."""
     if k % 2 != 0 or not 4 <= k <= 12:
         raise ValueError("k must be even with 4 <= k <= 12")
     M = _eis_box_size(L, k, tol)
-    if M > 200_000:
-        raise ConvergenceFailure(
-            f"tolerance {tol:g} needs truncation box M={M}, beyond budget"
-        )
-    return complex(_kernels.eis_sum(L._w1r, L._w2r, M, k))
+    value = _kernels.eis_sum(L._w1r, L._w2r, M, k) + _eis_tail(L._w1r, L._w2r, M, k)[0]
+    return complex(value), M, sum(_eis_bound(L._w1r, L._w2r, M, k))
+
+
+def eisenstein(L: LatticeData, k: int, tol: float = 1e-9):
+    """G_k to absolute tolerance tol, independent of theta and the q-series.
+
+    k must be even, 4 <= k <= 12 (odd sums vanish by symmetry).  The value
+    is the direct sum over an index box plus the exact integral of the
+    midpoint-rule tail outside it; the box is the smallest whose proven
+    remainder-plus-rounding bound is at most tol, never chosen from
+    observed convergence.  ConvergenceFailure if rounding alone exceeds tol.
+    """
+    return _eisenstein(L, k, tol)[0]
 
 
 def eisenstein_from_invariants(g2, g3, kmax: int = 12):

@@ -1,4 +1,5 @@
-"""The blocked panel kernel against the per-word reference loop."""
+"""The numpy kernels against plain reference loops: the blocked panel kernel
+against the per-word loop, and the lattice sums against array expressions."""
 
 import numpy as np
 import pytest
@@ -50,3 +51,43 @@ def test_six_letter_table_spans_partial_blocks():
     # and ends in a partial one, so block edges are exercised above
     assert 6**4 > 2 * _kernels._WORD_BLOCK
     assert 6**4 % _kernels._WORD_BLOCK != 0
+
+
+def test_real_quadrature_matches_prebuilt():
+    # _ref_quad hands the kernel complex weights and a Fortran-order complex
+    # matrix; plain real arrays must give the same panel
+    table = _word_table(("a", "b"), 3)
+    _, w, Q = _ref_quad(16)
+    assert w.dtype == Q.dtype == np.complex128 and Q.T.flags.c_contiguous
+    rng = np.random.default_rng(3)
+    phi = rng.standard_normal((2, 16)) + 1j * rng.standard_normal((2, 16))
+    got = _kernels.panel_transport(table.first, table.suffix, phi, Q.real.copy(), w.real.copy())
+    assert np.array_equal(got, _kernels.panel_transport(table.first, table.suffix, phi, Q, w))
+
+
+def _latsum_eval_expr(zs, w1, w2, M):
+    """Reference: the primed lattice sums written as plain array expressions."""
+    m_all = np.arange(-M, M + 1)
+    mm, nn = np.meshgrid(m_all, m_all, indexing="ij")
+    sel = (mm != 0) | (nn != 0)
+    lam = (mm[sel] * w1 + nn[sel] * w2).ravel()
+    il = 1.0 / lam
+    il2 = il * il
+    out = []
+    for z in zs:
+        d = 1.0 / (z - lam)
+        out.append((
+            np.sum(d * d - il2),
+            np.sum(d * d * d),
+            np.sum(d + il + z * il2),
+            np.sum(np.log(1.0 - z * il) + z * il + 0.5 * z * z * il2),
+        ))
+    return [np.array(col) for col in zip(*out)]
+
+
+def test_latsum_eval_matches_expression_form():
+    rng = np.random.default_rng(5)
+    zs = rng.uniform(-0.5, 0.5, 12) + 1j * rng.uniform(-0.5, 0.5, 12)
+    got = _kernels.latsum_eval(zs, 1.1, 0.3 + 1.2j, 20)
+    for g, r in zip(got, _latsum_eval_expr(zs, 1.1, 0.3 + 1.2j, 20)):
+        assert np.all(np.abs(g - r) <= 1e-15 * np.maximum(1.0, np.abs(r)))

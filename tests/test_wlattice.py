@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ellbar import (
+    ConvergenceFailure,
     CurveSpec,
     DegenerateCurve,
     LatticeError,
@@ -27,7 +28,14 @@ from ellbar import (
     wsigma,
     wzeta,
 )
-from ellbar.wlattice import eisenstein_from_invariants, fundamental_points
+from ellbar import _kernels
+from ellbar.wlattice import (
+    _eis_bound,
+    _eis_box_size,
+    _eisenstein,
+    eisenstein_from_invariants,
+    fundamental_points,
+)
 
 # Gamma(1/4)^2 / (2 sqrt(2 pi)), the lemniscatic period of y^2 = 4x^3 - 4x
 LEMNISCATIC = 2.6220575542921198
@@ -169,6 +177,63 @@ def test_eisenstein_bad_k():
     for k in (3, 5, 2, 14):
         with pytest.raises(ValueError):
             eisenstein(L, k)
+
+
+EIS_LATTICES = {
+    "curve(5,2)": lambda: lattice_from_curve(CurveSpec(5, 2)),
+    "curve(4,0)": lambda: lattice_from_curve(CurveSpec(4, 0)),
+    "curve(-3,5)": lambda: lattice_from_curve(CurveSpec(-3, 5)),
+    "tau=0.49+3i": lambda: lattice_from_periods(1, 0.49 + 3j),
+    "tau=0.5+0.87i": lambda: lattice_from_periods(1, 0.5 + 0.87j),
+}
+
+
+@pytest.mark.parametrize("k", [4, 6, 8])
+@pytest.mark.parametrize("name", EIS_LATTICES)
+def test_eisenstein_bound_dominates_error(name, k):
+    L = EIS_LATTICES[name]()
+    tol = 1e-8
+    value, M, bound = _eisenstein(L, k, tol)
+    assert M == _eis_box_size(L, k, tol) and bound <= tol
+    ref = eisenstein_from_invariants(L.g2, L.g3, 8)[k]
+    assert abs(value - ref) <= bound
+    if k == 4:
+        # the raw box sum alone misses tol: the tail integral carries it
+        assert abs(_kernels.eis_sum(L._w1r, L._w2r, M, k) - ref) > tol
+
+
+def test_eisenstein_bound_covers_vanishing_g6():
+    # G_6 = 0 on Z + iZ by the symmetry lam -> i lam
+    value, _, bound = _eisenstein(lattice_from_periods(1, 1j), 6, 1e-8)
+    assert abs(value) <= bound
+
+
+@pytest.mark.parametrize("k", [4, 6, 8])
+def test_eisenstein_remainder_is_order_m_minus_k(k):
+    L = lattice_from_periods(1, 0.49 + 3j)
+    for M in (5, 40, 300):
+        ratio = _eis_bound(L._w1r, L._w2r, 2 * M, k)[0] / _eis_bound(L._w1r, L._w2r, M, k)[0]
+        assert ratio <= 2.0**-k * 1.1
+
+
+def test_eisenstein_unreachable_tolerance_fails_before_summing(monkeypatch):
+    L = lattice_from_curve(CurveSpec(5, 2))
+
+    def no_sum(*args):
+        raise AssertionError("box sum started for an unreachable tolerance")
+
+    monkeypatch.setattr(_kernels, "eis_sum", no_sum)
+    with pytest.raises(ConvergenceFailure):
+        eisenstein(L, 4, tol=1e-18)
+
+
+def test_eisenstein_box_stays_small_for_criterion_3():
+    # work guard: criterion 3's G4/G6 tolerances on (5, 2); the absolute
+    # O(M^(2-k)) tail bound this replaced needed M = 7772 for G4
+    L = lattice_from_curve(CurveSpec(5, 2))
+    scale = 5.0
+    assert _eis_box_size(L, 4, 1e-8 * scale / 60) <= 200
+    assert _eis_box_size(L, 6, 1e-8 * scale / 140) <= 200
 
 
 def test_near_pole_guard(lattices):
