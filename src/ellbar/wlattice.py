@@ -490,24 +490,37 @@ def eta_lambda(L: LatticeData, lam, tol: float = 1e-9):
 
 
 _U = 2.0 ** -53  # unit roundoff of IEEE double
+_EIS_CORE = 8  # index box of the directly summed part of sum |lambda|^-k
 
 
 def _eis_constants(w1, w2, k):
-    """(lam_min, rel) for the basis (w1, w2) and exponent k.
+    """(lam_min, K, rel, S) for the basis (w1, w2) and exponent k.
 
     lam_min is the smallest eigenvalue of the Gram matrix, so that
-    |m w1 + n w2|^2 >= lam_min (m^2 + n^2).  rel bounds the relative
-    rounding error of one computed lambda^-k or tail piece: the point
-    m w1 + n w2 carries 3u (|m w1| + |n w2|) <= 3u kappa |lambda| with
+    |m w1 + n w2|^2 >= lam_min (m^2 + n^2).  K = |w1|^2/12 + |w1||w2|/8 +
+    |w2|^2/12 is the midpoint rule's second-order cell constant.  rel bounds
+    the relative rounding error of one computed lambda^-k or tail piece: the
+    point m w1 + n w2 carries 3u (|m w1| + |n w2|) <= 3u kappa |lambda| with
     kappa^2 = (|w1|^2 + |w2|^2) / lam_min, raised to the power k, plus the
-    products and the division.
+    products and the division.  S >= sum over lambda != 0 of |lambda|^-k:
+    the sum over the index box J = _EIS_CORE (each term within rel, the
+    sum within 2 (2J+1)^2 u) plus 8 lam_min^-k/2 J^(2-k)/(k-2) for the rings
+    max(|m|,|n|) = j > J, each of 8j points with |lambda|^2 >= lam_min j^2.
     """
     g11, g22, g12 = abs(w1) ** 2, abs(w2) ** 2, (w1 * w2.conjugate()).real
     lam = 0.5 * (g11 + g22) - math.hypot(0.5 * (g11 - g22), g12)
-    return lam, k * (3.0 * math.sqrt((g11 + g22) / lam) + 8.0) * _U
+    K = g11 / 12.0 + math.sqrt(g11 * g22) / 8.0 + g22 / 12.0
+    rel = k * (3.0 * math.sqrt((g11 + g22) / lam) + 8.0) * _U
+    J = _EIS_CORE
+    idx = np.arange(-J, J + 1)
+    r2 = np.abs(idx[:, None] * w1 + idx[None, :] * w2) ** 2
+    r2[J, J] = np.inf
+    core = float(np.sum(r2 ** (-k / 2.0)))
+    S = core * (1.0 + rel + 2 * (2 * J + 1) ** 2 * _U) + 8.0 * lam ** (-k / 2.0) * J ** (2 - k) / (k - 2)
+    return lam, K, rel, S
 
 
-def _eis_tail(w1, w2, M, k):
+def _eis_tail(w1, w2, M, k, rel):
     """Midpoint-rule tail of G_k beyond the index box M: the integral of
     z^-k over the plane outside the parallelogram (+-(M+1/2)) w1 +
     (+-(M+1/2)) w2, divided by the cell area A = |Im(conj(w1) w2)|.
@@ -529,66 +542,104 @@ def _eis_tail(w1, w2, M, k):
         mag += abs(c) * (abs(a) ** (1 - k) + abs(b) ** (1 - k)) / (k - 1)
         mag += (abs(a) ** (2 - k) + abs(b) ** (2 - k)) / (k - 2)
     area = abs((w1.conjugate() * w2).imag)
-    return -total / (2j * area), _eis_constants(w1, w2, k)[1] * mag / (2.0 * area)
+    return -total / (2j * area), rel * mag / (2.0 * area)
 
 
-def _eis_bound(w1, w2, M, k):
-    """(remainder, rounding) bounds on |G_k - eis_sum(M) - tail(M)|.
+def _eis_sum_adds(M):
+    """Bound on the additions any one term of eis_sum(M) + tail goes through.
 
-    The midpoint remainder of one cell is at most (k(k+1)/2) K sup|z|^-(k+2)
-    with K = |w1|^2/12 + |w1||w2|/8 + |w2|^2/12 (Taylor to second order
-    about the cell centre).  The ring max(|m|,|n|) = j holds 8j cells, on
-    which |z|^2 >= lam_min (j-1/2)^2; summing over j > M against the
-    integral gives 4(k+1) K lam_min^-(k+2)/2 (M+1)/(M+1/2) (M-1/2)^-k.
-    Rounding: the box sum's n terms added in any order (gamma_n), each with
-    relative error rel, against sum |lambda|^-k <= 8 zeta(3) lam_min^-k/2
-    (zeta(3) < 1.21);
-    plus the tail's own rounding.
+    eis_sum starts from np.sum of the M-term half row and adds in sequence
+    the np.sum of each of its ceil(M/32) blocks of at most 32 (2M+1) terms.
+    np.sum with no axis is pairwise -- at most 20 additions below 64 complex
+    values, one more per halving (at most log2(c/64) + 2) -- within chunks
+    of at most B = np.getbufsize() values whose sums are added in sequence;
+    a 2-D block reduced row by row adds at most 32 row sums in sequence.
+    Then the box sum is added to the tail.  A smooth upper bound, linear in
+    M, keeps the box-size bound convex in M.
     """
-    lam, rel = _eis_constants(w1, w2, k)
-    K = abs(w1) ** 2 / 12.0 + abs(w1) * abs(w2) / 8.0 + abs(w2) ** 2 / 12.0
+    B = np.getbufsize()
+    pairwise = 22.0 + math.log2(max(B, 64) / 64.0)
+    chunks = (64.0 * M + 32.0) / B + 1.0
+    return pairwise + chunks + 32.0 + (M / 32.0 + 1.0) + 1.0
+
+
+def _eis_bound(w1, w2, M, k, consts):
+    """(remainder, rounding, tail) for the box M, consts = _eis_constants.
+
+    |G_k - eis_sum(M) - tail| <= remainder + rounding.  The midpoint
+    remainder of one cell is at most (k(k+1)/2) K sup|z|^-(k+2) (Taylor to
+    second order about the cell centre).  The ring max(|m|,|n|) = j holds 8j
+    cells, on which |z|^2 >= lam_min (j-1/2)^2; summing over j > M against
+    the integral gives 4(k+1) K lam_min^-(k+2)/2 (M+1)/(M+1/2) (M-1/2)^-k.
+    Rounding: each term's relative error rel, plus sqrt(2) gamma_d for the
+    real and imaginary sums with d = _eis_sum_adds(M), both against
+    sum |lambda|^-k <= S; plus the tail's own rounding,
+    whose factor rel >= 32u also covers the tail's addition to the box sum.
+    """
+    lam, K, rel, S = consts
+    tail, tail_rounding = _eis_tail(w1, w2, M, k, rel)
     remainder = 4.0 * (k + 1) * K * lam ** (-(k + 2) / 2.0) * (M + 1.0) / (M + 0.5) * (M - 0.5) ** -k
-    nu = (2.0 * M * (M + 1) + 1) * _U
+    nu = _eis_sum_adds(M) * _U
     gamma = nu / (1.0 - nu) if nu < 1.0 else math.inf
-    rounding = (math.sqrt(2.0) * gamma + rel) * 8.0 * 1.21 * lam ** (-k / 2.0)
-    return remainder, rounding + _eis_tail(w1, w2, M, k)[1]
+    rounding = (math.sqrt(2.0) * gamma * (1.0 + rel) + rel) * S
+    return remainder, rounding + tail_rounding, tail
 
 
 def _eis_box_size(L, k, tol):
-    """Smallest box M whose proven bound on |G_k - box sum - tail| is <= tol.
+    """(M, bound, tail): the smallest box M whose proven bound on
+    |G_k - box sum - tail| is <= tol, that bound and the tail.
 
-    The bound falls with M until rounding takes over, so M is bracketed by
-    doubling and then bisected.  ConvergenceFailure when rounding alone
-    reaches tol.
+    The bound is convex in M (a falling remainder plus a rising rounding
+    term), so the boxes meeting tol form an interval.  Doubling brackets its
+    left end while the bound falls; if the bound stops falling first, a
+    ternary search finds its minimum, and ConvergenceFailure is raised only
+    when that minimum exceeds tol.  Bisection on the falling side then finds
+    the left end.
     """
     w1, w2 = L._w1r, L._w2r
+    consts = _eis_constants(w1, w2, k)
+    seen = {}
+
+    def bound(M):
+        if M not in seen:
+            remainder, rounding, tail = _eis_bound(w1, w2, M, k, consts)
+            seen[M] = (remainder + rounding, tail)
+        return seen[M][0]
+
     hi = 1
-    while True:
-        remainder, rounding = _eis_bound(w1, w2, hi, k)
-        if remainder + rounding <= tol:
-            break
-        if rounding >= tol:
-            raise ConvergenceFailure(
-                f"G_{k} to tolerance {tol:g}: rounding bound {rounding:.3g} at box M={hi}"
-            )
+    while bound(hi) > tol and bound(2 * hi) < bound(hi):
         hi *= 2
-    lo = hi // 2 + 1
-    while lo < hi:
+    lo = hi // 2  # bound(lo) > tol; 0 stands for "no box"
+    if bound(hi) > tol:
+        # the bound stopped falling between hi and 2 hi: its minimum lies
+        # in (hi/2, 2 hi)
+        a, b = max(lo, 1), 2 * hi
+        while b - a > 2:
+            m1, m2 = a + (b - a) // 3, b - (b - a) // 3
+            if bound(m1) < bound(m2):
+                b = m2 - 1
+            else:
+                a = m1 + 1
+        hi = min(range(a, b + 1), key=bound)
+        if bound(hi) > tol:
+            raise ConvergenceFailure(
+                f"G_{k} to tolerance {tol:g}: the bound is at least {bound(hi):.3g} (box M={hi})"
+            )
+    while hi - lo > 1:
         mid = (lo + hi) // 2
-        if sum(_eis_bound(w1, w2, mid, k)) <= tol:
+        if bound(mid) <= tol:
             hi = mid
         else:
-            lo = mid + 1
-    return hi
+            lo = mid
+    return (hi,) + seen[hi]
 
 
 def _eisenstein(L, k, tol):
     """(G_k, box M, bound on |error|) from the box sum plus the exact tail."""
     if k % 2 != 0 or not 4 <= k <= 12:
         raise ValueError("k must be even with 4 <= k <= 12")
-    M = _eis_box_size(L, k, tol)
-    value = _kernels.eis_sum(L._w1r, L._w2r, M, k) + _eis_tail(L._w1r, L._w2r, M, k)[0]
-    return complex(value), M, sum(_eis_bound(L._w1r, L._w2r, M, k))
+    M, bound, tail = _eis_box_size(L, k, tol)
+    return complex(_kernels.eis_sum(L._w1r, L._w2r, M, k) + tail), M, bound
 
 
 def eisenstein(L: LatticeData, k: int, tol: float = 1e-9):

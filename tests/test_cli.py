@@ -60,6 +60,16 @@ class TestPeriods:
         rep = load_json(out)["report"]
         assert rep["legendre_abs_minus_2pi"] <= 1e-9
 
+    @pytest.mark.parametrize("args", [("--lattice", "0.5", "0,0.5"), ("--curve", "3000", "0")])
+    def test_short_periods_pass(self, tmp_path, args):
+        # shortest period 0.5: G4, G6 terms near 16 and 64 still meet the
+        # fixed 1e-7 and 1e-9 Eisenstein tolerances with a proven bound
+        out = tmp_path / "p.json"
+        p = run_cli("periods", *args, "--json", str(out))
+        assert p.returncode == 0, p.stderr
+        rt = load_json(out)["report"]["eisenstein_round_trip"]
+        assert rt["G4"]["bound"] <= 1e-7 and rt["G6"]["bound"] <= 1e-9
+
     def test_config_echo_keeps_exact_rationals(self, tmp_path):
         out = tmp_path / "p.json"
         run_cli("periods", "--curve", "9/2", "1/3", "--json", str(out))

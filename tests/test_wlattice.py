@@ -32,6 +32,7 @@ from ellbar import _kernels
 from ellbar.wlattice import (
     _eis_bound,
     _eis_box_size,
+    _eis_constants,
     _eisenstein,
     eisenstein_from_invariants,
     fundamental_points,
@@ -185,21 +186,39 @@ EIS_LATTICES = {
     "curve(-3,5)": lambda: lattice_from_curve(CurveSpec(-3, 5)),
     "tau=0.49+3i": lambda: lattice_from_periods(1, 0.49 + 3j),
     "tau=0.5+0.87i": lambda: lattice_from_periods(1, 0.5 + 0.87j),
+    "tau=i": lambda: lattice_from_periods(1, 1j),
 }
 
 
+@pytest.mark.parametrize("tol", [1e-8, 1e-10])
 @pytest.mark.parametrize("k", [4, 6, 8])
 @pytest.mark.parametrize("name", EIS_LATTICES)
-def test_eisenstein_bound_dominates_error(name, k):
+def test_eisenstein_bound_dominates_error(name, k, tol):
+    # at 1e-10 too: the rounding floor sits well below it on these lattices
     L = EIS_LATTICES[name]()
-    tol = 1e-8
     value, M, bound = _eisenstein(L, k, tol)
-    assert M == _eis_box_size(L, k, tol) and bound <= tol
+    assert (M, bound) == _eis_box_size(L, k, tol)[:2] and bound <= tol
     ref = eisenstein_from_invariants(L.g2, L.g3, 8)[k]
     assert abs(value - ref) <= bound
     if k == 4:
         # the raw box sum alone misses tol: the tail integral carries it
         assert abs(_kernels.eis_sum(L._w1r, L._w2r, M, k) - ref) > tol
+
+
+def test_eisenstein_box_found_next_to_the_floor():
+    # where the bound's minimum over M is only just below tol, the boxes
+    # meeting tol are a narrow window away from any power of two
+    L = lattice_from_curve(CurveSpec(30000, 0))
+    k = 6
+    consts = _eis_constants(L._w1r, L._w2r, k)
+    bounds = {M: sum(_eis_bound(L._w1r, L._w2r, M, k, consts)[:2]) for M in range(1, 1200)}
+    best = min(bounds, key=bounds.get)
+    assert 1 < best < 1199 and best & (best - 1) != 0
+    M, bound, _ = _eis_box_size(L, k, bounds[best] * (1 + 1e-9))
+    assert bound == bounds[M] and bound <= bounds[best] * (1 + 1e-9)
+    assert M <= best and bounds[M - 1] > bounds[best] * (1 + 1e-9)
+    with pytest.raises(ConvergenceFailure):
+        _eis_box_size(L, k, bounds[best] * (1 - 1e-9))
 
 
 def test_eisenstein_bound_covers_vanishing_g6():
@@ -211,8 +230,9 @@ def test_eisenstein_bound_covers_vanishing_g6():
 @pytest.mark.parametrize("k", [4, 6, 8])
 def test_eisenstein_remainder_is_order_m_minus_k(k):
     L = lattice_from_periods(1, 0.49 + 3j)
+    consts = _eis_constants(L._w1r, L._w2r, k)
     for M in (5, 40, 300):
-        ratio = _eis_bound(L._w1r, L._w2r, 2 * M, k)[0] / _eis_bound(L._w1r, L._w2r, M, k)[0]
+        ratio = _eis_bound(L._w1r, L._w2r, 2 * M, k, consts)[0] / _eis_bound(L._w1r, L._w2r, M, k, consts)[0]
         assert ratio <= 2.0**-k * 1.1
 
 
@@ -232,8 +252,8 @@ def test_eisenstein_box_stays_small_for_criterion_3():
     # O(M^(2-k)) tail bound this replaced needed M = 7772 for G4
     L = lattice_from_curve(CurveSpec(5, 2))
     scale = 5.0
-    assert _eis_box_size(L, 4, 1e-8 * scale / 60) <= 200
-    assert _eis_box_size(L, 6, 1e-8 * scale / 140) <= 200
+    assert _eis_box_size(L, 4, 1e-8 * scale / 60)[0] <= 200
+    assert _eis_box_size(L, 6, 1e-8 * scale / 140)[0] <= 200
 
 
 def test_near_pole_guard(lattices):
