@@ -2,13 +2,14 @@
 
 One numpy implementation per kernel.  The lattice sums walk the index box
 in blocks of ``_ROW_BLOCK`` rows; the panel kernel builds the word series
-one word length at a time, in blocks of ``_WORD_BLOCK`` words.
+one word length at a time for a whole row of panels, in blocks of at most
+``_BLOCK_ENTRIES`` word-node entries.
 """
 
 import numpy as np
 
 _ROW_BLOCK = 32
-_WORD_BLOCK = 256
+_BLOCK_ENTRIES = 1 << 13  # word-node entries per panel-kernel product (128 KiB)
 
 
 def eis_sum(w1, w2, M, k):
@@ -87,42 +88,56 @@ def latsum_eval(zs, w1, w2, M):
 
 
 def panel_transport(first, suffix, phi, Q, wts):
-    """Iterated integrals of all table words over one quadrature panel.
+    """Iterated integrals of all table words over a row of quadrature panels.
 
     first/suffix encode the word table: word i+1 has first letter
     ``first[i]`` and its length-minus-one suffix at table index ``suffix[i]``
     (index 0 is the empty word).  The table lists the words by length, the
     n**l words of length l in one block (n = ``phi.shape[0]``), so every
-    suffix of a block lies in the block before it.  phi[k, j] is the
-    pulled-back letter k at node j, already multiplied by the
-    parametrization derivative and panel jacobian; Q is the node-to-node
+    suffix of a block lies in the block before it.  phi[k, p*d + j] is the
+    pulled-back letter k at node j of panel p (d = ``Q.shape[0]``), already
+    multiplied by the parametrization derivative and panel jacobian; the P
+    panels lie one after another along axis 1.  Q is the node-to-node
     cumulative integration matrix and wts the full-panel weights.  Returns
-    the panel value for every word.
+    the (P, words) array of every panel's value for every word.
 
     A word's node values are phi[first] times its suffix's cumulative
     integral; one product per block of words gives both the panel values
     (with wts) and the cumulative integrals the next length needs (with Q).
+    The product runs over (words x panels, nodes), so all panels share one
+    pass, and a block holds about ``_BLOCK_ENTRIES`` word-node entries.
     """
-    n, d = phi.shape
+    n = phi.shape[0]
+    d = Q.shape[0]
+    P = phi.shape[1] // d
     W = len(first)
-    phi = np.asarray(phi, dtype=np.complex128)
+    phi = np.asarray(phi, dtype=np.complex128).reshape(n, P, d)
     QT = np.ascontiguousarray(np.transpose(Q), dtype=np.complex128)
     wts = np.asarray(wts, dtype=np.complex128)
-    out = np.empty(W + 1, dtype=np.complex128)
+    block = max(1, _BLOCK_ENTRIES // (P * d))
+    out = np.empty((W + 1, P), dtype=np.complex128)
     out[0] = 1.0
     V = None  # the one-letter words' suffix is the empty word, integral 1
     prev, lo, size = 0, 1, n
     while lo <= W:
         hi = lo + size
         longest = hi > W  # no word's suffix: needs no cumulative integral
-        Vnext = None if longest else np.empty((size, d), dtype=np.complex128)
-        for b in range(lo, hi, _WORD_BLOCK):
-            e = min(b + _WORD_BLOCK, hi)
+        Vnext = None if longest else np.empty((size, P, d), dtype=np.complex128)
+        b = lo
+        while b < hi:
+            # Rounding: numpy takes a one-row product as a dot or
+            # matrix-vector product, not as a row of a matrix product.  So no
+            # block is a lone word of a longer level, and a one-word level
+            # (one-letter tables) keeps one row per panel: every panel's row
+            # comes out as the same floats as a call for that panel alone.
+            e = hi if hi - b <= block + 1 else b + block
             G = phi[first[b - 1:e - 1]]
             if V is not None:
                 G *= V[suffix[b - 1:e - 1] - prev]
-            out[b:e] = G @ wts
+            G = G.reshape(P, 1, d) if size == 1 else G.reshape(-1, d)
+            out[b:e] = (G @ wts).reshape(e - b, P)
             if not longest:
-                Vnext[b - lo:e - lo] = G @ QT
+                Vnext[b - lo:e - lo] = (G @ QT).reshape(e - b, P, d)
+            b = e
         V, prev, lo, size = Vnext, lo, hi, size * n
-    return out
+    return np.ascontiguousarray(out.T)

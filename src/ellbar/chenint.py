@@ -15,7 +15,12 @@ time-ordered expansion and panels/segments combine by the splitting rule
     I_{AB}(w) = sum_{w = uv} I_B(u) I_A(v)        (B later than A)
 
 which doubles as the accuracy test: one panel versus its composed halves,
-bisecting adaptively until the discrepancy fits the error budget.
+bisecting adaptively until the discrepancy fits the error budget.  The
+bisection is level-synchronous: every interval still open at a depth is
+tested in one batch, one letter evaluation and one panel-kernel call for all
+their halves (the kernel takes the panels side by side), and the accepted
+panels are composed bottom-up in the tree's shape, so the floats are those
+of depth-first recursion.
 
 The genus-zero regularized integrals shrink a cutoff eps toward the
 punctures on a geometric schedule and strip the divergence by a fit against
@@ -25,6 +30,7 @@ regularized value.
 
 from __future__ import annotations
 
+import heapq
 import json
 import math
 from dataclasses import dataclass
@@ -594,8 +600,27 @@ def _ref_quad(order):
     return x, w.astype(np.complex128), QT.T
 
 
+# Open intervals advanced in one batch; wider depths are split, leftmost
+# part first, which bounds memory and keeps the first failure where a
+# depth-first bisection would meet it.
+_MAX_OPEN = 16
+
+
+class _Interval:
+    """A bisection interval: its whole-panel series (None for the root until
+    its batch), its parent and side, and its children's series once known."""
+
+    __slots__ = ("t0", "t1", "depth", "whole", "parent", "side", "kids")
+
+    def __init__(self, t0, t1, depth, whole=None, parent=None, side=0):
+        self.t0, self.t1, self.depth = t0, t1, depth
+        self.whole, self.parent, self.side = whole, parent, side
+        self.kids = [None, None]
+
+
 class _SegmentTransport:
-    """Adaptive panel transport over one segment."""
+    """Adaptive panel transport over one segment, one bisection depth at a
+    time."""
 
     def __init__(self, model, seg, table, tol, order, guard, max_depth):
         self.model = model
@@ -615,44 +640,108 @@ class _SegmentTransport:
         self.x, self.w, self.Q = _ref_quad(order)
         self.err = np.zeros(len(table.words))
         self.npanels = 0
+        self.panels_by_depth = []
+        self.rejected = 0
 
-    def panel(self, t0, t1):
+    def panels(self, t0, t1):
+        """Series of the panels [t0[i], t1[i]], one row each: one letter
+        evaluation and one kernel call for all of them."""
         jac = 0.5 * (t1 - t0)
-        nodes = t0 + (self.x + 1.0) * jac
+        nodes = (t0[:, None] + (self.x + 1.0) * jac[:, None]).ravel()
+        jac = np.repeat(jac, len(self.x))
         z, dz, s, ds = self.seg.at(nodes)
         phi = self.model.phi_rows(self.table.letters, z, s, dz * jac, ds * jac)
-        self.npanels += 1
+        self.npanels += len(t0)
         return _kernels.panel_transport(
             self.table.first, self.table.suffix, phi, self.Q, self.w
         )
 
-    def run(self, t0=0.0, t1=1.0, depth=0, whole=None):
-        # ``whole`` is this interval's panel when the parent has already
-        # evaluated it as one of its halves
-        if whole is None:
-            whole = self.panel(t0, t1)
-        tm = 0.5 * (t0 + t1)
-        left = self.panel(t0, tm)
-        right = self.panel(tm, t1)
-        comp = compose_series(right, left, self.table)
-        err = np.abs(comp - whole)
-        # budget per unit parameter, plus a tolerance-proportional allowance
-        # for roundoff in the panel's own values (keeps deep bisection near
-        # steep-but-legal regions from chasing noise; tolerances below double
-        # precision still fail as they should)
-        scale = max(1.0, float(np.max(np.abs(whole))))
-        budget = self.tol * ((t1 - t0) + 0.01 * scale)
-        if np.max(err) <= budget:
-            self.err += err
-            return comp
-        if depth >= self.max_depth:
-            raise QuadratureFailure(
-                f"panel [{t0:.6f}, {t1:.6f}] still off by {np.max(err):.3e} "
-                f"(budget {budget:.3e}) at depth {depth}"
-            )
-        a = self.run(t0, tm, depth + 1, left)
-        b = self.run(tm, t1, depth + 1, right)
-        return compose_series(b, a, self.table)
+    def panel(self, t0, t1):
+        """Series of the one panel [t0, t1]."""
+        return self.panels(np.array([t0]), np.array([t1]))[0]
+
+    def run(self):
+        """Series of the whole segment.
+
+        Every interval open at a depth has its halves evaluated in one batch
+        (the root its whole panel too).  An interval is accepted when its
+        composed halves match its whole panel within budget; otherwise its
+        halves open at the next depth, their panels serving as their wholes.
+        Accepted series are composed bottom-up in the bisection tree's shape
+        and their error estimates added left to right, so values, errors and
+        panel counts are those of depth-first recursion.
+        """
+        table = self.table
+        root = _Interval(0.0, 1.0, 0)
+        value = None
+        stack = [[root]]
+        pending = []  # (t0, err) of accepted intervals not yet added, a heap
+        while stack:
+            group = stack.pop()
+            if len(group) > _MAX_OPEN:
+                stack += [group[_MAX_OPEN:], group[:_MAX_OPEN]]
+                continue
+            t0 = np.array([iv.t0 for iv in group])
+            t1 = np.array([iv.t1 for iv in group])
+            tm = 0.5 * (t0 + t1)
+            lo, hi = np.repeat(t0, 2), np.repeat(t1, 2)
+            lo[1::2] = hi[0::2] = tm
+            depth = group[0].depth
+            if depth == 0:  # the root, whose whole panel joins its halves
+                lo, hi = np.r_[0.0, lo], np.r_[1.0, hi]
+            vals = self.panels(lo, hi)
+            if depth == 0:
+                root.whole, vals = vals[0], vals[1:]
+            while len(self.panels_by_depth) <= depth:
+                self.panels_by_depth.append(0)
+            self.panels_by_depth[depth] += len(lo)
+            opened = []
+            for k, iv in enumerate(group):
+                left, right = vals[2 * k], vals[2 * k + 1]
+                comp = compose_series(right, left, table)
+                err = np.abs(comp - iv.whole)
+                # budget per unit parameter, plus a tolerance-proportional
+                # allowance for roundoff in the panel's own values (keeps deep
+                # bisection near steep-but-legal regions from chasing noise;
+                # tolerances below double precision still fail as they should)
+                scale = max(1.0, float(np.max(np.abs(iv.whole))))
+                budget = self.tol * ((iv.t1 - iv.t0) + 0.01 * scale)
+                if np.max(err) <= budget:
+                    heapq.heappush(pending, (iv.t0, err))
+                    # the last interval accepted completes the root
+                    value = self._fold(iv, comp)
+                    continue
+                if depth >= self.max_depth:
+                    raise QuadratureFailure(
+                        f"panel [{iv.t0:.6f}, {iv.t1:.6f}] still off by "
+                        f"{np.max(err):.3e} (budget {budget:.3e}) at depth {depth}"
+                    )
+                self.rejected += 1
+                mid = float(tm[k])
+                opened += [
+                    _Interval(iv.t0, mid, depth + 1, left, iv, 0),
+                    _Interval(mid, iv.t1, depth + 1, right, iv, 1),
+                ]
+            if opened:
+                stack.append(opened)
+            # everything left of the leftmost open interval is final
+            edge = stack[-1][0].t0 if stack else math.inf
+            while pending and pending[0][0] < edge:
+                self.err += heapq.heappop(pending)[1]
+        return value
+
+    def _fold(self, iv, value):
+        """Record an accepted interval's series and compose every parent
+        whose halves are now both known, the later half first.  Returns the
+        root's series once it is complete, else None."""
+        while iv.parent is not None:
+            parent = iv.parent
+            parent.kids[iv.side] = value
+            if parent.kids[1 - iv.side] is None:
+                return None
+            value = compose_series(parent.kids[1], parent.kids[0], self.table)
+            iv = parent
+        return value
 
 
 @dataclass(frozen=True)
@@ -665,6 +754,8 @@ class TransportResult:
     values: dict  # word tuple -> complex
     err_by_length: dict  # word length -> summed panel error estimate
     panels_by_segment: tuple
+    panels_by_depth: tuple  # per segment: panels evaluated at each depth
+    rejected_bisections: tuple  # per segment: intervals bisected again
 
     def coeff(self, word) -> complex:
         word = tuple(word)
@@ -698,24 +789,25 @@ def chen_transport(
     guard = model.guard if guard is None else guard
     acc = None
     err = np.zeros(len(table.words))
-    panels = []
+    panels, by_depth, rejected = [], [], []
     for seg in path.segments:
         st = _SegmentTransport(model, seg, table, tol, order, guard, max_depth)
         vals = st.run()
         err += st.err
         panels.append(st.npanels)
+        by_depth.append(tuple(st.panels_by_depth))
+        rejected.append(st.rejected)
         acc = vals if acc is None else compose_series(vals, acc, table)
-    ebl = {}
-    for i, w in enumerate(table.words):
-        n = len(w)
-        ebl[n] = max(ebl.get(n, 0.0), float(err[i]))
+    ebl = {n: float(np.max(err[table.lengths == n])) for n in range(lmax + 1)}
     return TransportResult(
         model=model.name,
         letters=letters,
         lmax=lmax,
-        values={w: complex(acc[i]) for i, w in enumerate(table.words)},
+        values=dict(zip(table.words, acc.tolist())),
         err_by_length=ebl,
         panels_by_segment=tuple(panels),
+        panels_by_depth=tuple(by_depth),
+        rejected_bisections=tuple(rejected),
     )
 
 

@@ -111,11 +111,13 @@ def cmd_periods(args):
     tau = L.omega2 / L.omega1
     leg = L.eta1 * L.omega2 - L.eta2 * L.omega1
     leg_err = abs(abs(leg) - 2 * math.pi)
-    g2t, g3t = 1e-7, 1e-9
-    G4, M4, B4 = _eisenstein(L, 4, g2t)
-    G6, M6, B6 = _eisenstein(L, 6, g3t)
     a_ref = float(ab[0]) if ab else L.g2
     b_ref = float(ab[1]) if ab else L.g3
+    # tolerances relative to the curve's scale, as in criterion 3
+    scale = max(1.0, abs(a_ref), abs(b_ref))
+    g2t, g3t = 1e-7 * scale, 1e-9 * scale
+    G4, M4, B4 = _eisenstein(L, 4, g2t)
+    G6, M6, B6 = _eisenstein(L, 6, g3t)
     rt4 = abs(60 * G4 - a_ref)
     rt6 = abs(140 * G6 - b_ref)
     passed = leg_err <= tol and rt4 <= 65 * g2t and rt6 <= 150 * g3t
@@ -129,8 +131,8 @@ def cmd_periods(args):
         "eisenstein_round_trip": {
             "g2_abs": rt4,
             "g3_abs": rt6,
-            "G4": {"box_M": M4, "bound": B4},
-            "G6": {"box_M": M6, "bound": B6},
+            "G4": {"box_M": M4, "bound": B4, "tol": g2t},
+            "G6": {"box_M": M6, "bound": B6, "tol": g3t},
         },
     }
     human = [

@@ -23,7 +23,7 @@ from mpmath import log as _mplog
 
 from .barcx import DGAPresentation
 from .chenint import regularized_integral_p1
-from .errors import NotAdmissible
+from .errors import ConvergenceFailure, NotAdmissible
 
 __all__ = [
     "MZVIndex",
@@ -240,9 +240,10 @@ def _check_supported(idx: MZVIndex):
 def mzv_series(idx, tol: float = 1e-12) -> float:
     """Nested-series value of the multiple zeta function at the index.
 
-    Two summator configurations of increasing size run until their values
-    agree within tol; the larger is returned.  Accuracy saturates far below
-    any tolerance in the accepted range for supported indices.
+    Summator configurations of increasing size run until two consecutive
+    ones agree within tol; the larger is returned.  Accuracy saturates far
+    below any tolerance in the accepted range for supported indices; if no
+    two configurations agree, ConvergenceFailure is raised.
     """
     idx = idx if isinstance(idx, MZVIndex) else MZVIndex(tuple(idx))
     if not idx.admissible:
@@ -254,10 +255,15 @@ def mzv_series(idx, tol: float = 1e-12) -> float:
         prev = None
         for ntab, jem in ((80, 5), (120, 7), (170, 9)):
             v = _engine(ntab, jem).value(idx.ks)
-            if prev is not None and abs(v - prev) <= tol / 2:
-                return float(v)
+            if prev is not None:
+                gap = float(abs(v - prev))
+                if gap <= tol / 2:
+                    return float(v)
             prev = v
-        return float(prev)
+    raise ConvergenceFailure(
+        f"zeta({idx}): the two largest summator configurations differ by "
+        f"{gap:.3e}, above tol/2 = {tol / 2:.3e}"
+    )
 
 
 def mzv_integral(idx, tol: float = 1e-9) -> float:

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from ellbar import chenint
 from ellbar.barcx import BarElement, shuffle
 from ellbar.chenint import (
     ArcSeg,
@@ -325,12 +326,15 @@ class TestGuardsAndFailure:
             assert abs(r0.values[w] - r1.values[w]) < 1e-13
 
 
-class _WholeEveryCall(_SegmentTransport):
-    """Adaptive transport that evaluates every interval's whole panel itself,
-    even when the parent has already evaluated it as a half."""
+class _Recursive(_SegmentTransport):
+    """The depth-first recursion the level-synchronous run replaced: the
+    oracle for its values, error estimates, panel counts and failures."""
 
     def run(self, t0=0.0, t1=1.0, depth=0, whole=None):
-        whole = self.panel(t0, t1)
+        # ``whole`` is this interval's panel when the parent has already
+        # evaluated it as one of its halves
+        if whole is None:
+            whole = self.panel(t0, t1)
         tm = 0.5 * (t0 + t1)
         left = self.panel(t0, tm)
         right = self.panel(tm, t1)
@@ -342,10 +346,21 @@ class _WholeEveryCall(_SegmentTransport):
             self.err += err
             return comp
         if depth >= self.max_depth:
-            raise QuadratureFailure("depth exhausted")
-        a = self.run(t0, tm, depth + 1)
-        b = self.run(tm, t1, depth + 1)
+            raise QuadratureFailure(
+                f"panel [{t0:.6f}, {t1:.6f}] still off by {np.max(err):.3e} "
+                f"(budget {budget:.3e}) at depth {depth}"
+            )
+        a = self.run(t0, tm, depth + 1, left)
+        b = self.run(tm, t1, depth + 1, right)
         return compose_series(b, a, self.table)
+
+
+class _WholeEveryCall(_Recursive):
+    """Adaptive transport that evaluates every interval's whole panel itself,
+    even when the parent has already evaluated it as a half."""
+
+    def run(self, t0=0.0, t1=1.0, depth=0, whole=None):
+        return super().run(t0, t1, depth)
 
 
 class TestHalfPanelReuse:
@@ -372,6 +387,140 @@ class TestHalfPanelReuse:
 
     def test_p1_segment_near_zero(self):
         self._both(P1Model(guard=0.0), LineSeg(1e-4, 0.5), ("om0", "om1"), 3, 1e-11, 0.0, 16)
+
+
+def _steep_line(L, clearance, point=0, direction=0):
+    """A line along a period passing ``clearance`` (in minimum periods) from
+    a lattice point, as the benchmark's steep requests draw them."""
+    lam = (L.omega1, L.omega2, L.omega1 + L.omega2)[point]
+    along = (L.omega1, L.omega2)[direction]
+    c = lam + 1j * clearance * L.min_period() * along / abs(along)
+    return LineSeg(c - 0.4 * along, c + 0.4 * along)
+
+
+def _readme_path():
+    return path_from_json(json.dumps({
+        "model": "edagger",
+        "segments": [{"kind": "line", "from": [0.70, 0.57, 0.40, -0.10],
+                      "to": [2.97, 0.57, -1.05, -0.10]}],
+    }))
+
+
+@pytest.fixture(scope="module")
+def model4():
+    return EdaggerModel(ExtLattice(lattice_from_curve(CurveSpec(5, 2)), nmax=4))
+
+
+class TestLevelSynchronous:
+    @staticmethod
+    def _against_oracle(model, seg, letters, lmax, tol=1e-10, max_depth=14):
+        table = _word_table(tuple(letters), lmax)
+        args = (model, seg, table, tol, 24, model.guard, max_depth)
+        new, ref = _SegmentTransport(*args), _Recursive(*args)
+        vals, ref_vals = new.run(), ref.run()
+        assert np.array_equal(vals, ref_vals)
+        assert np.array_equal(new.err, ref.err)
+        assert new.npanels == ref.npanels
+        assert sum(new.panels_by_depth) == new.npanels
+        assert new.npanels == 3 + 4 * new.rejected
+        return new
+
+    def test_readme_integrate_path(self, model4):
+        (seg,) = _readme_path().segments
+        self._against_oracle(model4, seg, ("nu", "w0"), 2)
+
+    @pytest.mark.parametrize("pair,which,lmax", [(1, 2, 4), (2, 1, 3), (2, 2, 3)])
+    def test_loop_pair_library_paths(self, model4, pair, which, lmax):
+        # the bulged translate path and the circle and octagon around the
+        # origin, the last two only in lines and an arc
+        path = loop_pair_library(model4.ext)[pair][which]
+        for seg in path.segments:
+            self._against_oracle(model4, seg, model4.letters(), lmax)
+
+    @pytest.mark.parametrize("clearance", [1e-2, 3e-3, 1e-3])
+    @pytest.mark.parametrize("letters", [("w1",), ("w2",), ("w3",), ("w1", "w3"), ("w2", "w3")])
+    def test_steep_lines(self, model4, letters, clearance):
+        seg = _steep_line(model4.ext.lattice, clearance)
+        st = self._against_oracle(model4, seg, letters, 2)
+        assert len(st.panels_by_depth) >= 5  # bisected deep near the pole
+
+    def test_steep_w4_line_fails_as_the_oracle(self):
+        model = EdaggerModel(ExtLattice(lattice_from_curve(CurveSpec(2, 3)), nmax=4))
+        seg = _steep_line(model.ext.lattice, 1e-3)
+        table = _word_table(("w4",), 2)
+        args = (model, seg, table, 1e-10, 24, model.guard, 14)
+        with pytest.raises(QuadratureFailure) as ref:
+            _Recursive(*args).run()
+        with pytest.raises(QuadratureFailure) as got:
+            _SegmentTransport(*args).run()
+        assert str(got.value) == str(ref.value)
+
+    def test_max_depth_failure_is_the_leftmost(self, ext, model):
+        # the steep geometry of test_quadrature_failure_near_pole, cut off
+        # at each depth short of the 6 it needs; two intervals fail at each
+        seg = _steep_line(ext.lattice, 3e-3)
+        table = _word_table(("w1",), 1)
+        for max_depth in range(6):
+            args = (model, seg, table, 1e-13, 24, model.guard, max_depth)
+            with pytest.raises(QuadratureFailure) as ref:
+                _Recursive(*args).run()
+            with pytest.raises(QuadratureFailure) as got:
+                _SegmentTransport(*args).run()
+            assert str(got.value) == str(ref.value)
+
+    def test_one_letter_evaluation_per_depth(self, model4, monkeypatch):
+        calls = []
+        f_batch = chenint.f_batch
+        monkeypatch.setattr(chenint, "f_batch", lambda *a: calls.append(1) or f_batch(*a))
+        segs = [_steep_line(model4.ext.lattice, c, 1, 1) for c in (1e-2, 1e-3)]
+        segs += list(loop_pair_library(model4.ext)[2][2].segments[:2])
+        table = _word_table(("w1", "w2"), 2)
+        for seg in segs:
+            calls.clear()
+            st = _SegmentTransport(model4, seg, table, 1e-10, 24, model4.guard, 14)
+            st.run()
+            assert len(calls) <= len(st.panels_by_depth)  # depth reached + 1
+
+    def test_wide_depths_are_split_leftmost_first(self, model4, monkeypatch):
+        # with at most one open interval per batch the walk is depth-first
+        # and still the oracle's, three panels per batch at most
+        nodes = []
+        f_batch = chenint.f_batch
+        monkeypatch.setattr(chenint, "f_batch", lambda E, z, s: nodes.append(len(z)) or f_batch(E, z, s))
+        monkeypatch.setattr(chenint, "_MAX_OPEN", 1)
+        seg = _steep_line(model4.ext.lattice, 1e-3)
+        self._against_oracle(model4, seg, ("w1", "w2"), 2)
+        path = loop_pair_library(model4.ext)[2][1]
+        self._against_oracle(model4, path.segments[0], model4.letters(), 2)
+        assert max(nodes) == 3 * 24
+
+    def test_unreachable_tolerance_fails_as_the_oracle(self, model4):
+        # every interval fails: the batches stay within the open-interval
+        # cap and the leftmost path down to max_depth meets the failure
+        (seg,) = _readme_path().segments
+        table = _word_table(("w1", "w2"), 2)
+        args = (model4, seg, table, 1e-18, 24, model4.guard, 14)
+        with pytest.raises(QuadratureFailure) as ref:
+            _Recursive(*args).run()
+        st = _SegmentTransport(*args)
+        with pytest.raises(QuadratureFailure) as got:
+            st.run()
+        assert str(got.value) == str(ref.value)
+        assert "at depth 14" in str(got.value)
+        assert st.npanels <= 3 + 14 * 2 * chenint._MAX_OPEN
+
+    def test_depth_counts_sum_to_panels(self, model4):
+        L = model4.ext.lattice
+        seg = _steep_line(L, 1e-3)
+        path = PathSpec("edagger", (LineSeg(seg.z0 - 0.3, seg.z0), seg))
+        r = chen_transport(model4, path, letters=("w1", "w2"), lmax=2, tol=1e-10)
+        assert len(r.panels_by_depth) == len(r.panels_by_segment) == 2
+        for by_depth, n, rejected in zip(
+            r.panels_by_depth, r.panels_by_segment, r.rejected_bisections
+        ):
+            assert sum(by_depth) == n == 3 + 4 * rejected
+            assert by_depth[0] == 3 and all(k % 2 == 0 for k in by_depth[1:])
+        assert len(r.panels_by_depth[1]) >= 5
 
 
 class TestBarPairing:

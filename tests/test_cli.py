@@ -60,15 +60,36 @@ class TestPeriods:
         rep = load_json(out)["report"]
         assert rep["legendre_abs_minus_2pi"] <= 1e-9
 
-    @pytest.mark.parametrize("args", [("--lattice", "0.5", "0,0.5"), ("--curve", "3000", "0")])
+    @pytest.mark.parametrize(
+        "args",
+        [("--lattice", "0.5", "0,0.5"), ("--curve", "3000", "0"), ("--curve", "100000", "0")],
+    )
     def test_short_periods_pass(self, tmp_path, args):
-        # shortest period 0.5: G4, G6 terms near 16 and 64 still meet the
-        # fixed 1e-7 and 1e-9 Eisenstein tolerances with a proven bound
+        # shortest periods 0.5, 0.5 and 0.21: G4 and G6 meet their
+        # tolerances, 1e-7 and 1e-9 times the curve's scale, with a proven
+        # bound
         out = tmp_path / "p.json"
         p = run_cli("periods", *args, "--json", str(out))
         assert p.returncode == 0, p.stderr
         rt = load_json(out)["report"]["eisenstein_round_trip"]
-        assert rt["G4"]["bound"] <= 1e-7 and rt["G6"]["bound"] <= 1e-9
+        assert rt["G4"]["bound"] <= rt["G4"]["tol"] and rt["G6"]["bound"] <= rt["G6"]["tol"]
+
+    @pytest.mark.parametrize("a,b,scale", [("1/2", "1/3", 1.0), ("5", "2", 5.0), ("100000", "0", 1e5)])
+    def test_eisenstein_tolerances_scale_with_the_curve(self, tmp_path, a, b, scale):
+        # as criterion 3: the tolerances are relative to max(1, |a|, |b|)
+        out = tmp_path / "p.json"
+        assert run_cli("periods", "--curve", a, b, "--json", str(out)).returncode == 0
+        rt = load_json(out)["report"]["eisenstein_round_trip"]
+        assert rt["G4"]["tol"] == 1e-7 * scale and rt["G6"]["tol"] == 1e-9 * scale
+
+    def test_lattice_tolerances_scale_with_the_invariants(self, tmp_path):
+        L = lattice_from_curve(CurveSpec(5, 2))
+        out = tmp_path / "p.json"
+        w1 = f"{L.omega1.real},{L.omega1.imag}"
+        w2 = f"{L.omega2.real},{L.omega2.imag}"
+        assert run_cli("periods", "--lattice", w1, w2, "--json", str(out)).returncode == 0
+        rt = load_json(out)["report"]["eisenstein_round_trip"]
+        assert abs(rt["G4"]["tol"] / 5e-7 - 1) < 1e-9
 
     def test_config_echo_keeps_exact_rationals(self, tmp_path):
         out = tmp_path / "p.json"

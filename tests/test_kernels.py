@@ -31,26 +31,57 @@ TABLES = (
 )
 
 
+def _random_phi(rng, nletters, width):
+    return rng.standard_normal((nletters, width)) + 1j * rng.standard_normal((nletters, width))
+
+
 @pytest.mark.parametrize("order", [24, 16])
 @pytest.mark.parametrize("letters,lmax", TABLES, ids=lambda v: str(v))
 def test_matches_per_word_loop(letters, lmax, order):
     table = _word_table(letters, lmax)
     _, w, Q = _ref_quad(order)
     rng = np.random.default_rng([order, len(letters), lmax])
-    phi = rng.standard_normal((len(letters), order)) + 1j * rng.standard_normal(
-        (len(letters), order)
-    )
+    phi = _random_phi(rng, len(letters), order)
     ref = _panel_transport_numpy(table.first, table.suffix, phi, Q, w)
     got = _kernels.panel_transport(table.first, table.suffix, phi, Q, w)
-    assert got.shape == ref.shape == (len(table.words),)
-    assert np.all(np.abs(got - ref) <= 1e-15 * np.maximum(1.0, np.abs(ref)))
+    assert ref.shape == (len(table.words),)
+    assert got.shape == (1, len(table.words))
+    assert np.all(np.abs(got[0] - ref) <= 1e-15 * np.maximum(1.0, np.abs(ref)))
+
+
+PANEL_TABLES = [(tuple("abcdef"[:n]), lmax) for n in (1, 3, 6) for lmax in (2, 4)] + [
+    (tuple("abcd"), 5)
+]
+
+
+@pytest.mark.parametrize("P", [1, 7, 64])
+@pytest.mark.parametrize("letters,lmax", PANEL_TABLES, ids=lambda v: str(v))
+def test_panel_axis_matches_per_word_loop(letters, lmax, P):
+    # P panels side by side along phi's axis 1: each row of the result is
+    # that panel's series, and the same floats as a call for that panel alone
+    table = _word_table(letters, lmax)
+    _, w, Q = _ref_quad(24)
+    rng = np.random.default_rng([P, len(letters), lmax])
+    phi = _random_phi(rng, len(letters), 24 * P)
+    got = _kernels.panel_transport(table.first, table.suffix, phi, Q, w)
+    assert got.shape == (P, len(table.words))
+    for p in range(P):
+        one = np.ascontiguousarray(phi[:, 24 * p:24 * (p + 1)])
+        ref = _panel_transport_numpy(table.first, table.suffix, one, Q, w)
+        assert np.all(np.abs(got[p] - ref) <= 1e-15 * np.maximum(1.0, np.abs(ref)))
+        assert np.array_equal(got[p], _kernels.panel_transport(table.first, table.suffix, one, Q, w)[0])
 
 
 def test_six_letter_table_spans_partial_blocks():
-    # the longest level of the six-letter table fills several word blocks
-    # and ends in a partial one, so block edges are exercised above
-    assert 6**4 > 2 * _kernels._WORD_BLOCK
-    assert 6**4 % _kernels._WORD_BLOCK != 0
+    # at 64 panels of 24 nodes the longest level of the six-letter table
+    # fills several word blocks and ends in a partial one, so block edges
+    # are exercised above
+    block = _kernels._BLOCK_ENTRIES // (64 * 24)
+    assert 6**4 > 2 * block
+    assert 6**4 % block != 0
+    # and at one panel the four-letter table's 1024 longest words would
+    # leave a lone word in a last block
+    assert 4**5 % (_kernels._BLOCK_ENTRIES // 24) == 1
 
 
 def test_real_quadrature_matches_prebuilt():

@@ -1,8 +1,12 @@
 """Genus-zero instance: series oracle vs regularized integral route."""
 
+import itertools
 import math
 
 import pytest
+from mpmath import mpf
+
+from ellbar import p1model
 
 from ellbar.barcx import BarElement, bar_differential, h0_basis, shuffle, words_upto
 from ellbar.chenint import (
@@ -16,9 +20,11 @@ from ellbar.chenint import (
     loop_path,
     regularized_integral_p1,
 )
-from ellbar.errors import NotAdmissible
+from ellbar.errors import ConvergenceFailure, NotAdmissible
 from ellbar.p1model import (
     INTEGRAL_SIGN_BY_DEPTH,
+    MZV_MAX_DEPTH,
+    MZV_MAX_WEIGHT,
     MZVIndex,
     mzv_integral,
     mzv_series,
@@ -113,6 +119,39 @@ class TestSeries:
             mzv_series((9,))
         with pytest.raises(ValueError, match="tol"):
             mzv_series((2,), tol=1e-20)
+
+
+class TestSeriesConvergence:
+    @staticmethod
+    def _supported():
+        return [
+            ks
+            for depth in range(1, MZV_MAX_DEPTH + 1)
+            for ks in itertools.product(range(1, MZV_MAX_WEIGHT + 1), repeat=depth)
+            if ks[0] >= 2 and sum(ks) <= MZV_MAX_WEIGHT
+        ]
+
+    def test_every_supported_index_converges(self):
+        indices = self._supported()
+        assert len(indices) == 63
+        for tol in (1e-10, 1e-14):
+            for ks in indices:
+                assert math.isfinite(mzv_series(ks, tol=tol))
+
+    def test_disagreeing_configurations_raise(self, monkeypatch):
+        class Drifting:
+            # each larger configuration moves the value by 1e-6
+            def __init__(self, ntab):
+                self.ntab = ntab
+
+            def value(self, ks):
+                return mpf(1) + mpf(self.ntab) * mpf("1e-6")
+
+        monkeypatch.setattr(p1model, "_engine", lambda ntab, jem: Drifting(ntab))
+        with pytest.raises(ConvergenceFailure, match="summator configurations"):
+            mzv_series((2,), tol=1e-12)
+        # agreement within tol/2 returns the larger configuration's value
+        assert abs(mzv_series((2,), tol=2e-4) - (1 + 120e-6)) < 1e-15
 
 
 class TestIntegralRoute:

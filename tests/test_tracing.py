@@ -1,0 +1,60 @@
+"""The benchmark tracer's per-layer counters against the batched transport.
+
+``perfbench/tracing.py`` wraps module attributes, so transport must look up
+``f_batch``, ``compose_series`` and ``_kernels.panel_transport`` through
+them at call time.  Its counters must keep their meaning when one call
+covers many panels: a kernel call's word-nodes are its words times the
+nodes of all its panels, and ``f_batch``'s nodes are those of all panels.
+The tracer is read from its file, not edited, and uninstalled afterwards.
+"""
+
+import importlib
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+from ellbar import chenint, logforms, wlattice
+
+TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+
+
+@pytest.fixture
+def tracing():
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    wrapped = [(m, a) for m, a, *_ in module.SPANS + module.COUNTERS]
+    saved = [(importlib.import_module(m), a) for m, a in wrapped]
+    saved = [(mod, attr, getattr(mod, attr)) for mod, attr in saved]
+    tracer = module.Tracer()
+    tracer.install()
+    yield module, tracer
+    for mod, attr, fn in reversed(saved):
+        setattr(mod, attr, fn)
+
+
+def test_panel_and_node_counters(tracing):
+    module, tracer = tracing
+    L = wlattice.lattice_from_curve(wlattice.CurveSpec(5, 2))
+    model = chenint.EdaggerModel(logforms.ExtLattice(L, nmax=4))
+    c = L.omega1 + 1j * 1e-3 * L.min_period() * L.omega1 / abs(L.omega1)
+    steep = chenint.line_path("edagger", c - 0.4 * L.omega1, c + 0.4 * L.omega1)
+    deep = chenint.loop_pair_library(model.ext)[1][2]
+    panels = word_nodes = composes = 0
+    for path, letters, lmax in ((steep, ("w1", "w2"), 2), (deep, None, 4)):
+        r = chenint.chen_transport(model, path, letters=letters, lmax=lmax, tol=1e-10)
+        words = len(chenint._word_table(r.letters, lmax).words)
+        panels += sum(r.panels_by_segment)
+        word_nodes += words * 24 * sum(r.panels_by_segment)
+        # per segment: one per interval evaluated, one per rejected interval
+        # folded; then one per join of segments
+        composes += sum(1 + 3 * k for k in r.rejected_bisections) + len(path.segments) - 1
+    m, _ = module.summarize(tracer.spans, 1.0)
+    assert m["chenint.panels"] == panels
+    assert m["kernels.panel_word_nodes"] == word_nodes
+    assert m["logforms.f_batch_nodes"] == 24 * panels
+    assert m["chenint.compose_splits"] > 0
+    assert sum(1 for s in tracer.spans if s[0] == "chenint.compose") == composes
+    # one kernel call per bisection depth, not one per panel
+    assert m["kernels.panel_calls"] < panels / 3
