@@ -25,6 +25,7 @@ from .wlattice import (
     eta_lambda,
     lattice_from_curve,
     lattice_from_periods,
+    latsum_truncation_bound,
     latsum_weierstrass,
     reduce_mod_lattice,
     wp,

@@ -1,15 +1,20 @@
 """Hot numerical kernels: direct lattice sums and panel transport.
 
-One numpy implementation per kernel.  The lattice sums walk the index box
-in blocks of ``_ROW_BLOCK`` rows; the panel kernel builds the word series
-one word length at a time for a whole row of panels, in blocks of at most
-``_BLOCK_ENTRIES`` word-node entries.
+One numpy implementation per kernel.  ``eis_sum`` walks the index box in
+blocks of ``_ROW_BLOCK`` rows.  ``latsum_eval`` walks half the index box:
+each lambda is paired with -lambda in one pair term written without
+cancellation, for a block of points at a time of at most
+``_LATSUM_ENTRIES`` point-lambda entries; what the box leaves out is bounded
+by ``wlattice.latsum_truncation_bound``.  The panel kernel builds the word
+series one word length at a time for a whole row of panels, in blocks of at
+most ``_BLOCK_ENTRIES`` word-node entries.
 """
 
 import numpy as np
 
 _ROW_BLOCK = 32
 _BLOCK_ENTRIES = 1 << 13  # word-node entries per panel-kernel product (128 KiB)
+_LATSUM_ENTRIES = 1 << 14  # point-lambda entries per lattice-sum work array (256 KiB)
 
 
 def eis_sum(w1, w2, M, k):
@@ -30,61 +35,89 @@ def eis_sum(w1, w2, M, k):
     return 2.0 * acc
 
 
-def latsum_partials(w1, w2, M):
-    """Partial sums (P4, P6, P8, P10) over the truncation box."""
-    w1, w2 = complex(w1), complex(w2)
-    m_half = np.arange(1, M + 1)
-    lam = m_half * w1
-    il2 = 1.0 / (lam * lam)
-    p4 = np.sum(il2 * il2)
-    p6 = np.sum(il2 ** 3)
-    p8 = np.sum(il2 ** 4)
-    p10 = np.sum(il2 ** 5)
+def _half_box(w1, w2, M):
+    """The lattice points of one half of the centered index box M: the half
+    row (m > 0, n = 0), then the rows n = 1..M with m = -M..M.  Their
+    negatives are the other half, so every primed box sum is a sum of
+    +-lambda pair terms over these points."""
     m_all = np.arange(-M, M + 1)
-    for n0 in range(1, M + 1, _ROW_BLOCK):
-        nn = np.arange(n0, min(n0 + _ROW_BLOCK, M + 1))
-        lam = m_all[None, :] * w1 + nn[:, None] * w2
-        il2 = 1.0 / (lam * lam)
-        p4 += np.sum(il2 * il2)
-        p6 += np.sum(il2 ** 3)
-        p8 += np.sum(il2 ** 4)
-        p10 += np.sum(il2 ** 5)
-    return 2.0 * p4, 2.0 * p6, 2.0 * p8, 2.0 * p10
+    rows = (m_all[None, :] * w1 + np.arange(1, M + 1)[:, None] * w2).ravel()
+    return np.concatenate((np.arange(1, M + 1) * w1, rows))
 
 
 def latsum_eval(zs, w1, w2, M):
-    """Primed lattice sums (S2, S3, S1, S0) at each z; see the oracle layer."""
+    """Primed lattice sums (S2, S3, S1, S0) at each z, and (P4, P6, P8, P10).
+
+    Over the index box M minus the origin, with t = lambda^-1:
+    S2 = sum (z-lambda)^-2 - t^2, S3 = sum (z-lambda)^-3,
+    S1 = sum (z-lambda)^-1 + t + z t^2,
+    S0 = sum log(1 - z t) + z t + z^2 t^2 / 2, and P_k = sum t^k.
+    Each lambda is taken together with -lambda, so the sums run over the
+    half box with pair terms free of cancellation (w = z^2, u = w t^2):
+    S2: 2 w (3 lambda^2 - w) t^2 / (lambda^2 - w)^2,
+    S3: -2 z (w + 3 lambda^2) / (lambda^2 - w)^3,
+    S1: -2 z w t^2 / (lambda^2 - w),
+    S0: log1p(-u) + u, as the real 1/2 log1p(|u|^2 - 2 Re u) + Re u and
+    the imaginary atan2(-Im u, 1 - Re u) + Im u (numpy's complex log1p
+    loses the small-u digits).  The S0 pair is the sum of the two
+    logarithms when |z| < |lambda|, and has the same exponential always.
+    The factors of z are taken out of the sums.
+
+    The points are evaluated in blocks of at most ``_LATSUM_ENTRIES``
+    point-lambda entries; each row of a block is summed on its own, so a
+    point's sums are the same floats however the points are grouped.
+    """
     zs = np.ascontiguousarray(zs, dtype=np.complex128)
-    w1, w2 = complex(w1), complex(w2)
-    m_all = np.arange(-M, M + 1)
-    mm, nn = np.meshgrid(m_all, m_all, indexing="ij")
-    sel = (mm != 0) | (nn != 0)
-    lam = (mm[sel] * w1 + nn[sel] * w2).ravel()
-    il = 1.0 / lam
-    il2 = il * il
-    nz = len(zs)
-    s2 = np.empty(nz, dtype=complex)
-    s3 = np.empty(nz, dtype=complex)
-    s1 = np.empty(nz, dtype=complex)
-    s0 = np.empty(nz, dtype=complex)
+    lam = _half_box(complex(w1), complex(w2), M)
+    lam2 = lam * lam
+    il2 = 1.0 / lam2
+    three_lam2 = 3.0 * lam2
+    partials = tuple(2.0 * np.sum(il2 ** j) for j in (2, 3, 4, 5))
+    nz, nl = len(zs), len(lam)
+    sums = np.empty((4, nz), dtype=np.complex128)
+    block = max(1, _LATSUM_ENTRIES // nl)
     # one set of work arrays per call: temporaries of this size would each be
     # a fresh mmap (and its page faults) under glibc's default threshold
-    d, d2, t = np.empty_like(lam), np.empty_like(lam), np.empty_like(lam)
-    for i in range(nz):
-        z = zs[i]
-        np.divide(1.0, np.subtract(z, lam, out=d), out=d)
-        np.multiply(d, d, out=d2)
-        s2[i] = np.sum(np.subtract(d2, il2, out=t))
-        s3[i] = np.sum(np.multiply(d2, d, out=t))
-        np.add(d, il, out=t)
-        t += np.multiply(z, il2, out=d2)
-        s1[i] = np.sum(t)
-        np.multiply(z, il, out=d)
-        np.log(np.subtract(1.0, d, out=t), out=t)
-        t += d
-        t += np.multiply(0.5 * z * z, il2, out=d2)
-        s0[i] = np.sum(t)
-    return s2, s3, s1, s0
+    shape = (min(block, nz), nl)
+    d, e, t = (np.empty(shape, dtype=np.complex128) for _ in range(3))
+    x, y = np.empty(shape), np.empty(shape)
+    for b in range(0, nz, block):
+        z = zs[b:b + block]
+        w = z * z
+        wc = w[:, None]
+        n = len(z)
+        d_, e_, t_, x_, y_ = d[:n], e[:n], t[:n], x[:n], y[:n]
+        np.divide(1.0, np.subtract(lam2, wc, out=d_), out=d_)  # (lambda^2 - w)^-1
+        np.multiply(il2, d_, out=e_)
+        s1 = np.sum(e_, axis=1)
+        np.subtract(three_lam2, wc, out=t_)
+        t_ *= e_
+        t_ *= d_
+        s2 = np.sum(t_, axis=1)
+        np.add(three_lam2, wc, out=t_)
+        np.multiply(d_, d_, out=e_)
+        e_ *= d_
+        t_ *= e_
+        s3 = np.sum(t_, axis=1)
+        np.multiply(wc, il2, out=t_)  # u
+        ur, ui = t_.real, t_.imag
+        np.multiply(ur, ur, out=x_)
+        x_ += np.multiply(ui, ui, out=y_)
+        x_ -= np.multiply(2.0, ur, out=y_)
+        np.log1p(x_, out=x_)
+        x_ *= 0.5
+        x_ += ur
+        re = np.sum(x_, axis=1)
+        np.subtract(1.0, ur, out=y_)
+        np.arctan2(np.negative(ui, out=x_), y_, out=x_)
+        x_ += ui
+        im = np.sum(x_, axis=1)
+        sums[0, b:b + n] = 2.0 * w * s2
+        sums[1, b:b + n] = -2.0 * z * s3
+        sums[2, b:b + n] = -2.0 * z * w * s1
+        sums[3, b:b + n].real = re
+        sums[3, b:b + n].imag = im
+    return sums[0], sums[1], sums[2], sums[3], partials
 
 
 def panel_transport(first, suffix, phi, Q, wts):

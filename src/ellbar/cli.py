@@ -301,8 +301,6 @@ def cmd_verify(args):
     cfg = {
         "curve_a": a,
         "curve_b": b,
-        "N": args.N,
-        "ell": args.ell,
         "tol": tol,
         "negative_controls": args.negative_controls,
     }
@@ -399,8 +397,6 @@ def _build_parser():
 
     p = sub.add_parser("verify", help="run the numbered acceptance criteria")
     p.add_argument("--curve", nargs=2, metavar=("A", "B"), default=["5", "2"])
-    p.add_argument("--N", type=int, default=5)
-    p.add_argument("--ell", type=int, default=3)
     p.add_argument(
         "--tol",
         type=float,

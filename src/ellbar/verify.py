@@ -57,6 +57,7 @@ from .wlattice import (
     eta_lambda,
     fundamental_points,
     lattice_from_curve,
+    latsum_truncation_bound,
     latsum_weierstrass,
     wp,
 )
@@ -89,6 +90,7 @@ def _quad_tol(cfg):
 def crit_weierstrass(cfg):
     worst_ode = 0.0
     worst_osc = 0.0
+    worst_bound = 0.0
     for a, b in _THREE_CURVES:
         L = lattice_from_curve(CurveSpec(a, b))
         z = fundamental_points(L, 100, seed=7)
@@ -98,18 +100,27 @@ def crit_weierstrass(cfg):
         scale = np.maximum(np.abs(lhs), 1.0)
         worst_ode = max(worst_ode, float(np.max(np.abs(lhs - rhs) / scale)))
         po, ppo, _, _ = latsum_weierstrass(L, z, M=60)
+        bp, bpp, _, _ = latsum_truncation_bound(L, z, M=60)
         sc = np.maximum(np.abs(p), 1.0)
+        scp = np.maximum(np.abs(pp), 1.0)
         worst_osc = max(worst_osc, float(np.max(np.abs(p - po) / sc)))
-        worst_osc = max(
-            worst_osc, float(np.max(np.abs(pp - ppo) / np.maximum(np.abs(pp), 1.0)))
-        )
-    ok = worst_ode <= 1e-9 and worst_osc <= 1e-8
+        worst_osc = max(worst_osc, float(np.max(np.abs(pp - ppo) / scp)))
+        worst_bound = max(worst_bound, float(np.max(bp / sc)), float(np.max(bpp / scp)))
+    ok = worst_ode <= 1e-9 and worst_osc <= 1e-8 and worst_bound <= 1e-10
     return _res(
         1,
         "weierstrass-consistency",
         ok,
-        {"ode_relative": worst_ode, "lattice_sum_relative": worst_osc},
-        tolerances={"ode_relative": 1e-9, "lattice_sum_relative": 1e-8},
+        {
+            "ode_relative": worst_ode,
+            "lattice_sum_relative": worst_osc,
+            "oracle_truncation_bound": worst_bound,
+        },
+        tolerances={
+            "ode_relative": 1e-9,
+            "lattice_sum_relative": 1e-8,
+            "oracle_truncation_bound": 1e-10,
+        },
     )
 
 
@@ -619,8 +630,6 @@ def assemble_report(cfg):
     report = {
         "config": {
             "curve": [str(cfg["curve_a"]), str(cfg["curve_b"])],
-            "N": cfg.get("N", 5),
-            "ell": cfg.get("ell", 3),
             "tol": cfg.get("tol"),
             "criteria": cfg.get("criteria"),
             "negative_controls": bool(cfg.get("negative_controls")),

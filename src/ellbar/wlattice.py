@@ -48,6 +48,7 @@ __all__ = [
     "eisenstein",
     "reduce_mod_lattice",
     "latsum_weierstrass",
+    "latsum_truncation_bound",
     "eisenstein_from_invariants",
     "fundamental_points",
 ]
@@ -182,8 +183,11 @@ def _theta1_block(u, cache, ymax=None):
         hn = n + 0.5
         coef = 2.0 * (-1) ** n * cmath.exp(cache.ipitau * hn * hn)
         k = (2 * n + 1) * math.pi
-        s = np.sin(k * u)
-        c = np.cos(k * u)
+        # plain products, not out= arrays: for a 0-d u they are numpy scalar
+        # products, which round differently from the array loop
+        ku = k * u
+        s = np.sin(ku)
+        c = np.cos(ku)
         th += coef * s
         d1 += coef * k * c
         d2 -= coef * k * k * s
@@ -671,14 +675,15 @@ def latsum_weierstrass(L: LatticeData, z, M: int = 60):
 
     Independent of the theta route: direct primed sums over the index box M
     plus exact tail assists through G_4..G_10 (computed from g2, g3, not from
-    theta).  Returns arrays matching z.
+    theta).  The box sums pair each lambda with -lambda and run over half
+    the box (see ``_kernels.latsum_eval``); ``latsum_truncation_bound``
+    bounds what the box leaves out.  Returns arrays matching z.
     """
     zs = np.atleast_1d(np.asarray(z, dtype=complex))
     d = _dist_to_lattice(L, _reduce(zs, L._w1r, L._w2r, L._red_inv)[0])
     if np.any(d < L.guard):
         raise NearPole("latsum_weierstrass: point within guard radius")
-    s2, s3, s1, s0 = _kernels.latsum_eval(zs, L._w1r, L._w2r, M)
-    p4, p6, p8, p10 = _kernels.latsum_partials(L._w1r, L._w2r, M)
+    s2, s3, s1, s0, (p4, p6, p8, p10) = _kernels.latsum_eval(zs, L._w1r, L._w2r, M)
     G = eisenstein_from_invariants(L.g2, L.g3, 10)
     t4 = G[4] - p4
     t6 = G[6] - p6
@@ -696,6 +701,43 @@ def latsum_weierstrass(L: LatticeData, z, M: int = 60):
     if np.ndim(z) == 0:
         return complex(p_val[0]), complex(pp_val[0]), complex(zeta_val[0]), complex(sigma_val[0])
     return p_val, pp_val, zeta_val, sigma_val
+
+
+def latsum_truncation_bound(L: LatticeData, z, M: int = 60):
+    """Bounds on the truncation error of latsum_weierstrass(L, z, M).
+
+    Returns (wp, wp', zeta, log sigma) bounds matching z.  Outside the box,
+    each function's terms expand in powers of z/lambda; the assists through
+    G_10 take the even powers k <= 10 exactly and the odd ones cancel in
+    +-lambda pairs, so the error is sum over even k >= 12 of
+    c_k z^(k-j) T_k, T_k the sum of lambda^-k outside the box, with
+    (c_k, j) = (k-1, 2), ((k-1)(k-2), 3), (1, 1), (1/k, 0).  The rings
+    max(|m|,|n|) = i > M hold 8i points with |lambda|^2 >= lam_min i^2
+    (lam_min from _eis_constants), so |T_k| <= 8 lam_min^-k/2 M^(2-k)/(k-2).
+    With a = sqrt(lam_min) M, r = |z|/a and s = r^2, the sums over k
+    close to 8 M^2 times a^-2 (11/10) r^10/(1-s), a^-3 r^9 (11-9s)/(1-s)^2,
+    a^-1 r^11/(10 (1-s)) and r^12/(120 (1-s)), using 1/(k-2) <= 1/10.
+    The expansion needs |z| < a: ConvergenceFailure otherwise.
+    """
+    zs = np.atleast_1d(np.asarray(z, dtype=complex))
+    a = math.sqrt(_eis_constants(L._w1r, L._w2r, 12)[0]) * M
+    r = np.abs(zs) / a
+    if np.any(r >= 1.0):
+        raise ConvergenceFailure(
+            f"lattice-sum bound: |z| = {float(np.max(np.abs(zs))):.6g} is not below "
+            f"sqrt(lam_min) M = {a:.6g} (box M={M})"
+        )
+    s = r * r
+    c = 8.0 * M * M / (1.0 - s)
+    out = (
+        c * 1.1 * r ** 10 / a ** 2,
+        c * r ** 9 * (11.0 - 9.0 * s) / ((1.0 - s) * a ** 3),
+        c * r ** 11 / (10.0 * a),
+        c * r ** 12 / 120.0,
+    )
+    if np.ndim(z) == 0:
+        return tuple(float(b[0]) for b in out)
+    return out
 
 
 # --------------------------------------------------------------------------

@@ -17,8 +17,6 @@ from ellbar import verify
 CFG = {
     "curve_a": Fraction(5),
     "curve_b": Fraction(2),
-    "N": 5,
-    "ell": 3,
     "tol": None,
 }
 

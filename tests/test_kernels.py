@@ -1,6 +1,9 @@
 """The numpy kernels against plain reference loops: the blocked panel kernel
-against the per-word loop, and the lattice sums against array expressions."""
+against the per-word loop, and the lattice sums against exact sums."""
 
+import tracemalloc
+
+import mpmath
 import numpy as np
 import pytest
 
@@ -96,29 +99,64 @@ def test_real_quadrature_matches_prebuilt():
     assert np.array_equal(got, _kernels.panel_transport(table.first, table.suffix, phi, Q, w))
 
 
-def _latsum_eval_expr(zs, w1, w2, M):
-    """Reference: the primed lattice sums written as plain array expressions."""
-    m_all = np.arange(-M, M + 1)
-    mm, nn = np.meshgrid(m_all, m_all, indexing="ij")
-    sel = (mm != 0) | (nn != 0)
-    lam = (mm[sel] * w1 + nn[sel] * w2).ravel()
-    il = 1.0 / lam
-    il2 = il * il
-    out = []
-    for z in zs:
-        d = 1.0 / (z - lam)
-        out.append((
-            np.sum(d * d - il2),
-            np.sum(d * d * d),
-            np.sum(d + il + z * il2),
-            np.sum(np.log(1.0 - z * il) + z * il + 0.5 * z * z * il2),
-        ))
-    return [np.array(col) for col in zip(*out)]
+def _latsum_exact(zs, w1, w2, M, dps=30):
+    """Reference: the primed lattice sums and P4..P10 written as plain
+    expressions over the whole index box, in mpmath at dps digits."""
+    with mpmath.workdps(dps):
+        Z = [mpmath.mpc(z) for z in zs]
+        il = [1 / (m * mpmath.mpc(w1) + n * mpmath.mpc(w2))
+              for m in range(-M, M + 1) for n in range(-M, M + 1) if (m, n) != (0, 0)]
+        out = []
+        for z in Z:
+            s2 = s3 = s1 = s0 = mpmath.mpc(0)
+            for t in il:
+                d = 1 / (z - 1 / t)
+                s2 += d * d - t * t
+                s3 += d * d * d
+                s1 += d + t + z * t * t
+                s0 += mpmath.log(1 - z * t) + z * t + z * z * t * t / 2
+            out.append((s2, s3, s1, s0))
+        sums = [np.array([complex(v) for v in col]) for col in zip(*out)]
+        partials = [complex(mpmath.fsum(t ** k for t in il)) for k in (4, 6, 8, 10)]
+    return sums, partials
+
+
+def _latsum_points(count, seed=5):
+    rng = np.random.default_rng(seed)
+    return rng.uniform(-0.5, 0.5, count) + 1j * rng.uniform(-0.5, 0.5, count)
 
 
 def test_latsum_eval_matches_expression_form():
-    rng = np.random.default_rng(5)
-    zs = rng.uniform(-0.5, 0.5, 12) + 1j * rng.uniform(-0.5, 0.5, 12)
+    # every sum within 1e-15 max(1, |r|) of the exact box sums
+    zs = _latsum_points(12)
     got = _kernels.latsum_eval(zs, 1.1, 0.3 + 1.2j, 20)
-    for g, r in zip(got, _latsum_eval_expr(zs, 1.1, 0.3 + 1.2j, 20)):
+    sums, partials = _latsum_exact(zs, 1.1, 0.3 + 1.2j, 20)
+    for g, r in zip(got[:4] + tuple(got[4]), sums + partials):
         assert np.all(np.abs(g - r) <= 1e-15 * np.maximum(1.0, np.abs(r)))
+
+
+def test_latsum_eval_independent_of_point_blocks(monkeypatch):
+    zs = _latsum_points(17, seed=8)
+    w1, w2, M = 1.1, 0.3 + 1.2j, 60
+    whole = _kernels.latsum_eval(zs, w1, w2, M)
+    assert _kernels._LATSUM_ENTRIES // (2 * M * (M + 1)) == 2  # two points a block
+    ones = [_kernels.latsum_eval(zs[i:i + 1], w1, w2, M) for i in range(len(zs))]
+    monkeypatch.setattr(_kernels, "_LATSUM_ENTRIES", 5 * 2 * M * (M + 1))
+    fives = _kernels.latsum_eval(zs, w1, w2, M)
+    for j in range(4):
+        assert np.array_equal(whole[j], np.concatenate([o[j] for o in ones]))
+        assert np.array_equal(whole[j], fives[j])
+    assert all(np.array_equal(whole[4], o[4]) for o in ones + [fives])
+
+
+def test_latsum_eval_memory_stays_bounded():
+    # the work arrays hold a few blocks of about 2^14 point-lambda entries,
+    # whatever the number of points
+    zs = _latsum_points(64, seed=9)
+    tracemalloc.start()
+    try:
+        _kernels.latsum_eval(zs, 1.1, 0.3 + 1.2j, 60)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * 2**20

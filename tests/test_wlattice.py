@@ -5,6 +5,7 @@ Eisenstein tail assists; the primary route is theta-based.  The two share
 only the period data, so their agreement is a real cross-check.
 """
 
+import cmath
 import math
 
 import numpy as np
@@ -22,6 +23,7 @@ from ellbar import (
     eta_lambda,
     lattice_from_curve,
     lattice_from_periods,
+    latsum_truncation_bound,
     latsum_weierstrass,
     reduce_mod_lattice,
     wp,
@@ -34,6 +36,8 @@ from ellbar.wlattice import (
     _eis_box_size,
     _eis_constants,
     _eisenstein,
+    _reduce,
+    _theta1_block,
     eisenstein_from_invariants,
     fundamental_points,
 )
@@ -107,6 +111,74 @@ def test_theta_vs_lattice_sum_oracle(lattices):
         assert np.max(np.abs(pp - ppo) / np.maximum(1.0, np.abs(pp))) < 1e-8
         assert np.max(np.abs(wzeta(L, zs) - zo)) < 1e-8
         assert np.max(np.abs(wsigma(L, zs) - so)) < 1e-8
+
+
+@pytest.mark.parametrize("M", [6, 10, 20])
+def test_oracle_truncation_bound_covers_larger_box(lattices, M):
+    # the truncation errors at M and at 200 are each within their bound, so
+    # the two oracles differ by at most the two bounds plus their rounding
+    for L in lattices:
+        zs = fundamental_points(L, 20, seed=7)
+        ref = latsum_weierstrass(L, zs, M=200)
+        got = latsum_weierstrass(L, zs, M=M)
+        b_ref = latsum_truncation_bound(L, zs, M=200)
+        b_got = latsum_truncation_bound(L, zs, M=M)
+        diffs = [np.abs(g - r) for g, r in zip(got[:3], ref[:3])]
+        diffs.append(np.abs(np.log(got[3] / ref[3])))
+        scales = [np.maximum(1.0, np.abs(r)) for r in ref[:3]] + [1.0]
+        for d, bg, br, sc in zip(diffs, b_got, b_ref, scales):
+            assert np.all(d <= bg + br + 1e-14 * sc)
+        if M == 6:
+            # differences well above rounding: the bound is what covers them
+            assert np.any(diffs[0] > 1e-13 * scales[0])
+
+
+def test_oracle_truncation_bound_scalar_and_reach(lattices):
+    L = lattices[2]
+    z = complex(fundamental_points(L, 1, seed=3)[0])
+    scalar = latsum_truncation_bound(L, z, M=20)
+    arrays = latsum_truncation_bound(L, np.array([z]), M=20)
+    assert all(isinstance(b, float) and b == a[0] for b, a in zip(scalar, arrays))
+    # the bound falls like M^-10 for wp and is proven only inside the box
+    assert latsum_truncation_bound(L, z, M=40)[0] < scalar[0] * 2.0 ** -9
+    with pytest.raises(ConvergenceFailure):
+        latsum_truncation_bound(L, 2.0 * L.omega1 + 0.5 * L.omega2, M=1)
+
+
+def _theta1_block_two_passes(u, cache):
+    """Reference: the theta series with k u formed separately for sin and
+    cos and fresh temporaries for every term."""
+    u = np.asarray(u, dtype=complex)
+    ymax = float(np.max(np.abs(u.imag))) / cache.tau.imag if u.size else 0.0
+    th = np.zeros(u.shape, dtype=complex)
+    d1 = np.zeros(u.shape, dtype=complex)
+    d2 = np.zeros(u.shape, dtype=complex)
+    d3 = np.zeros(u.shape, dtype=complex)
+    for n in range(cache.nterms(ymax)):
+        hn = n + 0.5
+        coef = 2.0 * (-1) ** n * cmath.exp(cache.ipitau * hn * hn)
+        k = (2 * n + 1) * math.pi
+        s = np.sin(k * u)
+        c = np.cos(k * u)
+        th += coef * s
+        d1 += coef * k * c
+        d2 -= coef * k * k * s
+        d3 -= coef * k ** 3 * c
+    return th, d1, d2, d3
+
+
+@pytest.mark.parametrize("nodes", [48, 96, 216])
+def test_theta_block_matches_two_pass_series(lattices, nodes):
+    # transport-sized node sets on a reduced line: the same floats
+    for L in lattices:
+        t = np.linspace(0.0, 1.0, nodes)
+        z = (0.1 + 0.8 * t) * L.omega1 + (0.15 + 0.7 * t[::-1]) * L.omega2
+        u = _reduce(z, L._w1r, L._w2r, L._red_inv)[0] / L._w1r
+        for got, want in zip(_theta1_block(u, L._cache), _theta1_block_two_passes(u, L._cache)):
+            assert np.array_equal(got, want)
+        # a lone point (a 0-d u, as eta_lambda passes) too
+        for got, want in zip(_theta1_block(u[7], L._cache), _theta1_block_two_passes(u[7], L._cache)):
+            assert got == want
 
 
 def test_zeta_quasi_periodicity(lattices):
