@@ -7,7 +7,8 @@ cancellation, for a block of points at a time of at most
 ``_LATSUM_ENTRIES`` point-lambda entries; what the box leaves out is bounded
 by ``wlattice.latsum_truncation_bound``.  The panel kernel builds the word
 series one word length at a time for a whole row of panels, in blocks of at
-most ``_BLOCK_ENTRIES`` word-node entries.
+most ``_BLOCK_ENTRIES`` word-node entries; a length may hold any number of
+words, as long as their suffixes are in the length below.
 """
 
 import numpy as np
@@ -120,19 +121,19 @@ def latsum_eval(zs, w1, w2, M):
     return sums[0], sums[1], sums[2], sums[3], partials
 
 
-def panel_transport(first, suffix, phi, Q, wts):
+def panel_transport(first, suffix, phi, Q, wts, sizes):
     """Iterated integrals of all table words over a row of quadrature panels.
 
     first/suffix encode the word table: word i+1 has first letter
     ``first[i]`` and its length-minus-one suffix at table index ``suffix[i]``
     (index 0 is the empty word).  The table lists the words by length, the
-    n**l words of length l in one block (n = ``phi.shape[0]``), so every
-    suffix of a block lies in the block before it.  phi[k, p*d + j] is the
-    pulled-back letter k at node j of panel p (d = ``Q.shape[0]``), already
-    multiplied by the parametrization derivative and panel jacobian; the P
-    panels lie one after another along axis 1.  Q is the node-to-node
-    cumulative integration matrix and wts the full-panel weights.  Returns
-    the (P, words) array of every panel's value for every word.
+    ``sizes[l-1]`` words of length l in one block, so every suffix of a block
+    lies in the block before it.  phi[k, p*d + j] is the pulled-back letter
+    k at node j of panel p (d = ``Q.shape[0]``), already multiplied by the
+    parametrization derivative and panel jacobian; the P panels lie one
+    after another along axis 1.  Q is the node-to-node cumulative
+    integration matrix and wts the full-panel weights.  Returns the
+    (P, words) array of every panel's value for every word.
 
     A word's node values are phi[first] times its suffix's cumulative
     integral; one product per block of words gives both the panel values
@@ -151,8 +152,8 @@ def panel_transport(first, suffix, phi, Q, wts):
     out = np.empty((W + 1, P), dtype=np.complex128)
     out[0] = 1.0
     V = None  # the one-letter words' suffix is the empty word, integral 1
-    prev, lo, size = 0, 1, n
-    while lo <= W:
+    prev, lo = 0, 1
+    for size in sizes:
         hi = lo + size
         longest = hi > W  # no word's suffix: needs no cumulative integral
         Vnext = None if longest else np.empty((size, P, d), dtype=np.complex128)
@@ -161,8 +162,8 @@ def panel_transport(first, suffix, phi, Q, wts):
             # Rounding: numpy takes a one-row product as a dot or
             # matrix-vector product, not as a row of a matrix product.  So no
             # block is a lone word of a longer level, and a one-word level
-            # (one-letter tables) keeps one row per panel: every panel's row
-            # comes out as the same floats as a call for that panel alone.
+            # keeps one row per panel: every panel's row comes out as the
+            # same floats as a call for that panel alone.
             e = hi if hi - b <= block + 1 else b + block
             G = phi[first[b - 1:e - 1]]
             if V is not None:
@@ -172,5 +173,5 @@ def panel_transport(first, suffix, phi, Q, wts):
             if not longest:
                 Vnext[b - lo:e - lo] = (G @ QT).reshape(e - b, P, d)
             b = e
-        V, prev, lo, size = Vnext, lo, hi, size * n
+        V, prev, lo = Vnext, lo, hi
     return np.ascontiguousarray(out.T)

@@ -16,16 +16,22 @@ time-ordered expansion and panels/segments combine by the splitting rule
 
 which doubles as the accuracy test: one panel versus its composed halves,
 bisecting adaptively until the discrepancy fits the error budget.  The
-bisection is level-synchronous: every interval still open at a depth is
-tested in one batch, one letter evaluation and one panel-kernel call for all
-their halves (the kernel takes the panels side by side), and the accepted
-panels are composed bottom-up in the tree's shape, so the floats are those
-of depth-first recursion.
+bisection is level-synchronous over all the segments of a path at once:
+every interval still open at a depth, in any segment, is tested in one
+batch, one letter evaluation and one panel-kernel call for all their halves
+(the kernel takes the panels side by side), and the accepted panels are
+composed bottom-up in each tree's shape, so the floats are those of
+depth-first recursion over each segment alone.
+
+A word table need not hold every word up to a length: any word set closed
+under taking factors (contiguous subwords) composes and transports, which is
+all that one word's series needs.
 
 The genus-zero regularized integrals shrink a cutoff eps toward the
 punctures on a geometric schedule and strip the divergence by a fit against
 {log^j eps, eps log^j eps, eps^2 log^j eps}; the constant term is the
-regularized value.
+regularized value.  They transport only the factors of their word, and the
+end pieces at each puncture in one run.
 """
 
 from __future__ import annotations
@@ -35,7 +41,7 @@ import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
 
 import numpy as np
 
@@ -519,31 +525,27 @@ def loop_deck(L: LatticeData, g: PathSpec, tol: float = 1e-10):
 
 
 class WordTable:
-    """All words over a letter alphabet up to a length cutoff, graded-lex,
-    with the first/suffix recursion arrays and the split lists used by the
-    composition rule."""
+    """A word set over a letter alphabet, closed under taking factors
+    (contiguous subwords) and listed by length, with the first/suffix
+    recursion arrays and the split lists used by the composition rule."""
 
-    def __init__(self, letters, lmax):
+    def __init__(self, letters, words):
         self.letters = tuple(letters)
-        self.lmax = int(lmax)
-        words = [()]
-        prev = [()]
-        for _ in range(self.lmax):
-            nxt = []
-            for w in prev:
-                for a in self.letters:
-                    nxt.append(w + (a,))
-            words.extend(nxt)
-            prev = nxt
-        self.words = tuple(words)
+        words = tuple(tuple(w) for w in words)
+        self.words = words
         self.index = {w: i for i, w in enumerate(words)}
-        nw = len(words)
-        self.first = np.empty(nw - 1, dtype=np.int64)
-        self.suffix = np.empty(nw - 1, dtype=np.int64)
+        lengths = [len(w) for w in words]
+        if any(a > b for a, b in zip(lengths, lengths[1:])):
+            raise ValueError("a word table lists its words by length")
+        if any(w[:-1] not in self.index or w[1:] not in self.index for w in words[1:]):
+            raise ValueError("a word table holds every factor of its words")
+        self.lmax = lengths[-1]
+        self.lengths = np.asarray(lengths, dtype=np.int64)
+        # words per length 1..lmax, the kernel's level blocks
+        self.sizes = tuple(np.bincount(self.lengths, minlength=self.lmax + 1)[1:].tolist())
         letter_idx = {a: i for i, a in enumerate(self.letters)}
-        for i, w in enumerate(words[1:], start=1):
-            self.first[i - 1] = letter_idx[w[0]]
-            self.suffix[i - 1] = self.index[w[1:]]
+        self.first = np.asarray([letter_idx[w[0]] for w in words[1:]], dtype=np.int64)
+        self.suffix = np.asarray([self.index[w[1:]] for w in words[1:]], dtype=np.int64)
         # composition splits, CSR layout
         off = [0]
         su, sv = [], []
@@ -555,12 +557,26 @@ class WordTable:
         self.split_u = np.asarray(su, dtype=np.int64)
         self.split_v = np.asarray(sv, dtype=np.int64)
         self.split_off = np.asarray(off, dtype=np.int64)
-        self.lengths = np.asarray([len(w) for w in words], dtype=np.int64)
 
 
 @lru_cache(maxsize=32)
 def _word_table(letters, lmax) -> WordTable:
-    return WordTable(letters, lmax)
+    """Every word over the letters up to length lmax, graded-lex."""
+    words, prev = [()], [()]
+    for _ in range(lmax):
+        prev = [w + (a,) for w in prev for a in letters]
+        words.extend(prev)
+    return WordTable(letters, words)
+
+
+@lru_cache(maxsize=128)
+def _factor_table(letters, word) -> WordTable:
+    """The factors of one word (itself and the empty word included), by
+    length and then in the letters' order: all that composing the word's
+    series needs."""
+    order = {a: i for i, a in enumerate(letters)}
+    factors = {word[i:j] for i in range(len(word) + 1) for j in range(i, len(word) + 1)}
+    return WordTable(letters, sorted(factors, key=lambda w: (len(w), [order[a] for a in w])))
 
 
 def compose_series(later, earlier, table: WordTable):
@@ -600,135 +616,158 @@ def _ref_quad(order):
     return x, w.astype(np.complex128), QT.T
 
 
-# Open intervals advanced in one batch; wider depths are split, leftmost
-# part first, which bounds memory and keeps the first failure where a
-# depth-first bisection would meet it.
-_MAX_OPEN = 16
+# Open intervals advanced in one batch: their halves' panels hold at most
+# _BATCH_ENTRIES word-node entries (about 14 intervals at the 1555-word
+# table), and never more than _BATCH_INTERVALS intervals, which bounds the
+# letter evaluation of a small table.  Wider depths are split, leftmost part
+# first, which keeps the first failure where a depth-first bisection would
+# meet it.
+_BATCH_ENTRIES = 1 << 20
+_BATCH_INTERVALS = 256
 
 
 class _Interval:
-    """A bisection interval: its whole-panel series (None for the root until
-    its batch), its parent and side, and its children's series once known."""
+    """A bisection interval of segment ``seg``: its whole-panel series (None
+    for a root until its batch), its parent and side, and its children's
+    series once known."""
 
-    __slots__ = ("t0", "t1", "depth", "whole", "parent", "side", "kids")
+    __slots__ = ("seg", "t0", "t1", "depth", "whole", "parent", "side", "kids")
 
-    def __init__(self, t0, t1, depth, whole=None, parent=None, side=0):
-        self.t0, self.t1, self.depth = t0, t1, depth
+    def __init__(self, seg, t0, t1, depth, whole=None, parent=None, side=0):
+        self.seg, self.t0, self.t1, self.depth = seg, t0, t1, depth
         self.whole, self.parent, self.side = whole, parent, side
         self.kids = [None, None]
 
 
 class _SegmentTransport:
-    """Adaptive panel transport over one segment, one bisection depth at a
-    time."""
+    """Adaptive panel transport over a list of segments, one bisection depth
+    at a time for all of them together.
 
-    def __init__(self, model, seg, table, tol, order, guard, max_depth):
+    ``err``, ``npanels``, ``panels_by_depth`` and ``rejected`` hold one entry
+    per segment, and ``run`` returns one series per segment: the same floats
+    and counts as a run over that segment alone.
+    """
+
+    def __init__(self, model, segs, table, tol, order, guard, max_depth):
         self.model = model
-        self.seg = seg
+        self.segs = tuple(segs)
         self.table = table
         self.tol = tol
-        self.order = order
-        self.guard = guard
         self.max_depth = max_depth
         if guard and guard > 0:
-            dmin = model.segment_min_dist(seg)
-            if dmin < guard:
-                raise GuardViolation(
-                    f"segment passes within {dmin:.3e} of a puncture "
-                    f"(guard {guard:.3e})"
-                )
+            for seg in self.segs:
+                dmin = model.segment_min_dist(seg)
+                if dmin < guard:
+                    raise GuardViolation(
+                        f"segment passes within {dmin:.3e} of a puncture "
+                        f"(guard {guard:.3e})"
+                    )
         self.x, self.w, self.Q = _ref_quad(order)
-        self.err = np.zeros(len(table.words))
-        self.npanels = 0
-        self.panels_by_depth = []
-        self.rejected = 0
+        m = len(self.segs)
+        self.err = [np.zeros(len(table.words)) for _ in range(m)]
+        self.npanels = [0] * m
+        self.panels_by_depth = [[] for _ in range(m)]
+        self.rejected = [0] * m
+        self.cap = max(1, min(_BATCH_INTERVALS, _BATCH_ENTRIES // (2 * order * len(table.words))))
 
-    def panels(self, t0, t1):
-        """Series of the panels [t0[i], t1[i]], one row each: one letter
-        evaluation and one kernel call for all of them."""
+    def panels(self, seg, t0, t1):
+        """Series of the panels [t0[i], t1[i]] of segment seg[i], one row
+        each, seg ascending: one letter evaluation and one kernel call for
+        all of them."""
+        d = len(self.x)
         jac = 0.5 * (t1 - t0)
         nodes = (t0[:, None] + (self.x + 1.0) * jac[:, None]).ravel()
-        jac = np.repeat(jac, len(self.x))
-        z, dz, s, ds = self.seg.at(nodes)
+        jac = np.repeat(jac, d)
+        cuts = (np.flatnonzero(np.diff(seg)) + 1).tolist()
+        parts = []
+        for a, b in zip([0] + cuts, cuts + [len(seg)]):
+            self.npanels[seg[a]] += b - a
+            parts.append(self.segs[seg[a]].at(nodes[a * d:b * d]))
+        z, dz, s, ds = (np.concatenate(c) for c in zip(*parts))
         phi = self.model.phi_rows(self.table.letters, z, s, dz * jac, ds * jac)
-        self.npanels += len(t0)
         return _kernels.panel_transport(
-            self.table.first, self.table.suffix, phi, self.Q, self.w
+            self.table.first, self.table.suffix, phi, self.Q, self.w, self.table.sizes
         )
 
-    def panel(self, t0, t1):
-        """Series of the one panel [t0, t1]."""
-        return self.panels(np.array([t0]), np.array([t1]))[0]
-
     def run(self):
-        """Series of the whole segment.
+        """Series of every segment.
 
-        Every interval open at a depth has its halves evaluated in one batch
-        (the root its whole panel too).  An interval is accepted when its
-        composed halves match its whole panel within budget; otherwise its
-        halves open at the next depth, their panels serving as their wholes.
-        Accepted series are composed bottom-up in the bisection tree's shape
-        and their error estimates added left to right, so values, errors and
-        panel counts are those of depth-first recursion.
+        Every interval open at a depth, in any segment, has its halves
+        evaluated in one batch (a root its whole panel too).  An interval is
+        accepted when its composed halves match its whole panel within
+        budget; otherwise its halves open at the next depth, their panels
+        serving as their wholes.  Accepted series are composed bottom-up in
+        the bisection tree's shape and their error estimates added left to
+        right within their segment, so values, errors and panel counts are
+        those of depth-first recursion over each segment alone.  Intervals
+        are ordered by (segment, t); a failure is the first in that order.
         """
         table = self.table
-        root = _Interval(0.0, 1.0, 0)
-        value = None
-        stack = [[root]]
-        pending = []  # (t0, err) of accepted intervals not yet added, a heap
+        values = [None] * len(self.segs)
+        stack = [[_Interval(j, 0.0, 1.0, 0) for j in range(len(self.segs))]]
+        pending = []  # (seg, t0, err) of accepted intervals not yet added, a heap
         while stack:
             group = stack.pop()
-            if len(group) > _MAX_OPEN:
-                stack += [group[_MAX_OPEN:], group[:_MAX_OPEN]]
+            if len(group) > self.cap:
+                stack += [group[self.cap:], group[:self.cap]]
                 continue
-            t0 = np.array([iv.t0 for iv in group])
-            t1 = np.array([iv.t1 for iv in group])
-            tm = 0.5 * (t0 + t1)
-            lo, hi = np.repeat(t0, 2), np.repeat(t1, 2)
-            lo[1::2] = hi[0::2] = tm
             depth = group[0].depth
-            if depth == 0:  # the root, whose whole panel joins its halves
-                lo, hi = np.r_[0.0, lo], np.r_[1.0, hi]
-            vals = self.panels(lo, hi)
-            if depth == 0:
-                root.whole, vals = vals[0], vals[1:]
-            while len(self.panels_by_depth) <= depth:
-                self.panels_by_depth.append(0)
-            self.panels_by_depth[depth] += len(lo)
+            seg, t0, t1 = [], [], []
+            for iv in group:
+                tm = 0.5 * (iv.t0 + iv.t1)
+                if iv.whole is None:  # a root, whose whole panel joins its halves
+                    seg.append(iv.seg)
+                    t0.append(iv.t0)
+                    t1.append(iv.t1)
+                seg += [iv.seg, iv.seg]
+                t0 += [iv.t0, tm]
+                t1 += [tm, iv.t1]
+            vals = iter(self.panels(np.array(seg), np.array(t0), np.array(t1)))
+            for j in seg:
+                by_depth = self.panels_by_depth[j]
+                while len(by_depth) <= depth:
+                    by_depth.append(0)
+                by_depth[depth] += 1
             opened = []
-            for k, iv in enumerate(group):
-                left, right = vals[2 * k], vals[2 * k + 1]
+            for iv in group:
+                if iv.whole is None:
+                    iv.whole = next(vals)
+                left, right = next(vals), next(vals)
                 comp = compose_series(right, left, table)
                 err = np.abs(comp - iv.whole)
                 # budget per unit parameter, plus a tolerance-proportional
                 # allowance for roundoff in the panel's own values (keeps deep
                 # bisection near steep-but-legal regions from chasing noise;
                 # tolerances below double precision still fail as they should)
-                scale = max(1.0, float(np.max(np.abs(iv.whole))))
+                scale = max(1.0, float(np.abs(iv.whole).max()))
                 budget = self.tol * ((iv.t1 - iv.t0) + 0.01 * scale)
-                if np.max(err) <= budget:
-                    heapq.heappush(pending, (iv.t0, err))
-                    # the last interval accepted completes the root
+                worst = err.max()
+                if worst <= budget:
+                    heapq.heappush(pending, (iv.seg, iv.t0, err))
+                    # the last interval accepted completes its root
                     value = self._fold(iv, comp)
+                    if value is not None:
+                        values[iv.seg] = value
                     continue
                 if depth >= self.max_depth:
                     raise QuadratureFailure(
                         f"panel [{iv.t0:.6f}, {iv.t1:.6f}] still off by "
-                        f"{np.max(err):.3e} (budget {budget:.3e}) at depth {depth}"
+                        f"{worst:.3e} (budget {budget:.3e}) at depth {depth}"
                     )
-                self.rejected += 1
-                mid = float(tm[k])
+                self.rejected[iv.seg] += 1
+                mid = 0.5 * (iv.t0 + iv.t1)
                 opened += [
-                    _Interval(iv.t0, mid, depth + 1, left, iv, 0),
-                    _Interval(mid, iv.t1, depth + 1, right, iv, 1),
+                    _Interval(iv.seg, iv.t0, mid, depth + 1, left, iv, 0),
+                    _Interval(iv.seg, mid, iv.t1, depth + 1, right, iv, 1),
                 ]
             if opened:
                 stack.append(opened)
             # everything left of the leftmost open interval is final
-            edge = stack[-1][0].t0 if stack else math.inf
-            while pending and pending[0][0] < edge:
-                self.err += heapq.heappop(pending)[1]
-        return value
+            edge = (stack[-1][0].seg, stack[-1][0].t0) if stack else (math.inf,)
+            while pending and pending[0][:2] < edge:
+                j, _, err = heapq.heappop(pending)
+                self.err[j] += err
+        return values
 
     def _fold(self, iv, value):
         """Record an accepted interval's series and compose every parent
@@ -787,17 +826,10 @@ def chen_transport(
     letters = tuple(letters) if letters is not None else tuple(model.letters())
     table = _word_table(letters, lmax)
     guard = model.guard if guard is None else guard
-    acc = None
-    err = np.zeros(len(table.words))
-    panels, by_depth, rejected = [], [], []
-    for seg in path.segments:
-        st = _SegmentTransport(model, seg, table, tol, order, guard, max_depth)
-        vals = st.run()
-        err += st.err
-        panels.append(st.npanels)
-        by_depth.append(tuple(st.panels_by_depth))
-        rejected.append(st.rejected)
-        acc = vals if acc is None else compose_series(vals, acc, table)
+    st = _SegmentTransport(model, path.segments, table, tol, order, guard, max_depth)
+    series = st.run()
+    acc = reduce(lambda earlier, later: compose_series(later, earlier, table), series)
+    err = sum(st.err, np.zeros(len(table.words)))
     ebl = {n: float(np.max(err[table.lengths == n])) for n in range(lmax + 1)}
     return TransportResult(
         model=model.name,
@@ -805,9 +837,9 @@ def chen_transport(
         lmax=lmax,
         values=dict(zip(table.words, acc.tolist())),
         err_by_length=ebl,
-        panels_by_segment=tuple(panels),
-        panels_by_depth=tuple(by_depth),
-        rejected_bisections=tuple(rejected),
+        panels_by_segment=tuple(st.npanels),
+        panels_by_depth=tuple(tuple(d) for d in st.panels_by_depth),
+        rejected_bisections=tuple(st.rejected),
     )
 
 
@@ -1060,6 +1092,39 @@ def _p1_word(word) -> tuple:
     return tuple(out)
 
 
+def _cutoff_schedule(letters, tol, kmin, kmax, substeps):
+    """The word's iterated integral over [eps, 1 - eps] on the geometric
+    schedule eps = 2^{-k}, k = kmin .. kmax in 1/substeps increments.
+
+    Returns eps, the values and the two transport runs.  Only the word's
+    factor table is transported.  The first point covers [eps_0, 1/2] and
+    [1/2, 1 - eps_0]; each later one composes the two short end pieces onto
+    the previous series.  All end pieces near 0 go through one transport
+    run, in the absolute coordinate, and all pieces near 1 through another,
+    in the local coordinate w = z - 1, so that dz/(z-1) never cancels.
+    """
+    table = _factor_table(("om0", "om1"), letters)
+    ks = np.arange(kmin * substeps, kmax * substeps + 1) / substeps
+    eps = 2.0 ** (-ks)
+    lo = [LineSeg(eps[0], 0.5)] + [LineSeg(eps[j], eps[j - 1]) for j in range(1, len(eps))]
+    hi = [LineSeg(-0.5, -eps[0])] + [LineSeg(-eps[j - 1], -eps[j]) for j in range(1, len(eps))]
+    runs = [
+        _SegmentTransport(
+            P1Model(guard=0.0, origin=origin), segs, table,
+            tol=min(tol, 1e-11), order=24, guard=0.0, max_depth=16,
+        )
+        for origin, segs in ((0.0, lo), (1.0, hi))
+    ]
+    near0, near1 = (st.run() for st in runs)
+    widx = table.index[letters]
+    acc = compose_series(near1[0], near0[0], table)
+    vals = [acc[widx]]
+    for a, b in zip(near0[1:], near1[1:]):
+        acc = compose_series(b, compose_series(acc, a, table), table)
+        vals.append(acc[widx])
+    return eps, np.asarray(vals, dtype=complex), runs
+
+
 def regularized_integral_p1(
     word,
     tol: float = 1e-9,
@@ -1074,13 +1139,17 @@ def regularized_integral_p1(
     The integral I(eps) over the straight path from eps to 1 - eps is
     computed on the geometric schedule eps = 2^{-k}, k = kmin .. kmax in
     1/substeps increments, extended incrementally by composing the short
-    end pieces onto the previous series.  A least-squares fit against
-    {log^j eps} + {eps log^j eps} + {eps^2 log^j eps}, j <= word length,
-    strips the divergence; the constant term is returned.
+    end pieces onto the previous series.  Only the word's factors (its
+    contiguous subwords) are transported, and the end pieces at each
+    puncture go through one level-synchronous run.  A least-squares fit
+    against {log^j eps} + {eps log^j eps} + {eps^2 log^j eps}, j <= word
+    length, strips the divergence; the constant term is returned.
 
     For admissible words (leading om0, trailing om1) the log coefficients
     must come out zero within tolerance; any fit residual above tolerance
-    raises FitInstability.
+    raises FitInstability.  With ``full`` a dict is returned: the value, the
+    log coefficients, the fit residual, the number of schedule points, and
+    the panels and rejected bisections summed over the schedule.
     """
     if direction != ("0+", "1-"):
         raise ValueError("only the standard tangential pair (0+, 1-) is supported")
@@ -1088,42 +1157,7 @@ def regularized_integral_p1(
     if not letters:
         raise ValueError("word must be nonempty")
     n = len(letters)
-    alphabet = ("om0", "om1")
-    table = _word_table(alphabet, n)
-    # pieces near 0 run in the absolute coordinate, pieces near 1 in the
-    # local coordinate w = z - 1 so that dz/(z-1) never cancels
-    model0 = P1Model(guard=0.0)
-    model1 = P1Model(guard=0.0, origin=1.0)
-    ks = np.arange(kmin * substeps, kmax * substeps + 1) / substeps
-    eps = 2.0 ** (-ks)
-    vals = []
-    widx = table.index[letters]
-
-    def seg_series(model, z0, z1):
-        st = _SegmentTransport(
-            model,
-            LineSeg(z0, z1),
-            table,
-            tol=min(tol, 1e-11),
-            order=24,
-            guard=0.0,
-            max_depth=16,
-        )
-        return st.run()
-
-    # transport over [eps_0, 1 - eps_0] split at 1/2, then extend both ends
-    acc = compose_series(
-        seg_series(model1, -0.5, -eps[0]),
-        seg_series(model0, eps[0], 0.5),
-        table,
-    )
-    vals.append(acc[widx])
-    for j in range(1, len(eps)):
-        lo = seg_series(model0, eps[j], eps[j - 1])
-        hi = seg_series(model1, -eps[j - 1], -eps[j])
-        acc = compose_series(hi, compose_series(acc, lo, table), table)
-        vals.append(acc[widx])
-    vals = np.asarray(vals, dtype=complex)
+    eps, vals, runs = _cutoff_schedule(letters, tol, kmin, kmax, substeps)
     # Fit columns: log^j eps for the divergent part, eps log^j and
     # eps^2 log^j for the cutoff corrections.  An admissible word (leading
     # om0, trailing om1) converges outright, so its divergent block is
@@ -1168,5 +1202,7 @@ def regularized_integral_p1(
             "log_coefficients": [complex(x) for x in logcoeffs],
             "residual": resid,
             "n_points": len(eps),
+            "panels": sum(sum(st.npanels) for st in runs),
+            "rejected_bisections": sum(sum(st.rejected) for st in runs),
         }
     return value

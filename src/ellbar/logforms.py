@@ -24,6 +24,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 
@@ -57,6 +58,11 @@ class ExtLattice:
     def __post_init__(self):
         if not 0 <= self.nmax <= 30:
             raise ValueError("nmax must lie in [0, 30]")
+
+    @cached_property
+    def eisenstein_coeffs(self) -> dict:
+        """G_4, G_6, ... up to nmax from (g2, g3), computed once per instance."""
+        return eisenstein_from_invariants(self.lattice.g2, self.lattice.g3, 2 * (self.nmax // 2))
 
 
 def ext_lattice(lattice: LatticeData, nmax: int = 8) -> ExtLattice:
@@ -110,7 +116,7 @@ def _g_coeffs(E: ExtLattice, z):
             C[k] = -p[k - 2] / math.factorial(k)
     # even universal part: + G_{2k} w^{2k} / (2k)
     if N >= 4:
-        G = eisenstein_from_invariants(L.g2, L.g3, 2 * (N // 2))
+        G = E.eisenstein_coeffs
         for k2 in range(4, N + 1, 2):
             C[k2] = C[k2] + G[k2] / k2
     # exponentiate: E_0 = 1, E_m = (1/m) sum_{j=1}^m j C_j E_{m-j}

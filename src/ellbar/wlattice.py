@@ -409,18 +409,22 @@ def _reduced_point(L, z, what):
 
 def _wp_zeta(L, z, what):
     """(wp, wp', zeta) at z from one reduction and one theta_1 evaluation;
-    zeta by quasi-periodic transport on the reduced basis."""
-    z0, m, n = _reduced_point(L, z, what)
+    zeta by quasi-periodic transport on the reduced basis.  Returns arrays
+    of at least one dimension: a scalar z is evaluated as a one-element
+    array, as numpy's scalar products round differently from its array
+    loops."""
+    z0, m, n = _reduced_point(L, np.atleast_1d(z), what)
     u = z0 / L._w1r
     _, zet, p, pp = _norm_funcs(u, L._cache)
     return p / L._w1r ** 2, pp / L._w1r ** 3, zet / L._w1r + m * L._H1r + n * L._H2r
 
 
 def wp(L: LatticeData, z):
-    """(wp(z), wp'(z)); scalar in, scalar out, arrays broadcast."""
+    """(wp(z), wp'(z)); scalar in, scalar out, arrays broadcast.  A scalar
+    gives the same floats as the same point in an array."""
     p, pp, _ = _wp_zeta(L, z, "wp")
-    if np.ndim(p) == 0:
-        return complex(p), complex(pp)
+    if np.ndim(z) == 0:
+        return complex(p[0]), complex(pp[0])
     return p, pp
 
 
@@ -428,23 +432,23 @@ def wzeta(L: LatticeData, z):
     """Weierstrass zeta via theta_1, quasi-periodic transport on the
     reduced basis."""
     _, _, val = _wp_zeta(L, z, "wzeta")
-    if np.ndim(val) == 0:
-        return complex(val)
+    if np.ndim(z) == 0:
+        return complex(val[0])
     return val
 
 
 def wsigma(L: LatticeData, z):
     """Weierstrass sigma via theta_1/theta_1'(0) with the exponential and
     parity factors for the quasi-periodic transport."""
-    z0, m, n = _reduced_point(L, z, "wsigma")
+    z0, m, n = _reduced_point(L, np.atleast_1d(z), "wsigma")
     u = z0 / L._w1r
     sig, _, _, _ = _norm_funcs(u, L._cache)
     lam = m * L._w1r + n * L._w2r
     H = m * L._H1r + n * L._H2r
     eps = np.where((m + n + m * n) % 2 == 0, 1.0, -1.0)
     val = L._w1r * sig * eps * np.exp(H * (z0 + 0.5 * lam))
-    if np.ndim(z0) == 0:
-        return complex(val)
+    if np.ndim(z) == 0:
+        return complex(val[0])
     return val
 
 

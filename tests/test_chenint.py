@@ -1,12 +1,15 @@
 """Transport contract: path algebra, word series, homotopy, regularization."""
 
+import importlib.util
 import json
 import math
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from ellbar import chenint
+from ellbar import _kernels, chenint
 from ellbar.barcx import BarElement, shuffle
 from ellbar.chenint import (
     ArcSeg,
@@ -42,6 +45,7 @@ from ellbar.errors import (
 )
 from ellbar.kzbword import c_w, canonical_series
 from ellbar.logforms import ExtLattice
+from ellbar.p1model import MZVIndex, mzv_integral
 from ellbar.wlattice import CurveSpec, eta_lambda, lattice_from_curve
 
 ZETA2 = math.pi**2 / 6
@@ -326,9 +330,23 @@ class TestGuardsAndFailure:
             assert abs(r0.values[w] - r1.values[w]) < 1e-13
 
 
-class _Recursive(_SegmentTransport):
-    """The depth-first recursion the level-synchronous run replaced: the
-    oracle for its values, error estimates, panel counts and failures."""
+class _Recursive:
+    """The depth-first recursion over one segment that the level-synchronous
+    run replaced: the oracle for its values, error estimates, panel counts
+    and failures.  Panels come one at a time from the run's own panel
+    evaluation."""
+
+    def __init__(self, model, seg, table, tol, order, guard, max_depth):
+        self.st = _SegmentTransport(model, [seg], table, tol, order, guard, max_depth)
+        self.table, self.tol, self.max_depth = table, tol, max_depth
+        self.err = np.zeros(len(table.words))
+
+    @property
+    def npanels(self):
+        return self.st.npanels[0]
+
+    def panel(self, t0, t1):
+        return self.st.panels(np.array([0]), np.array([t0]), np.array([t1]))[0]
 
     def run(self, t0=0.0, t1=1.0, depth=0, whole=None):
         # ``whole`` is this interval's panel when the parent has already
@@ -363,20 +381,25 @@ class _WholeEveryCall(_Recursive):
         return super().run(t0, t1, depth)
 
 
+def _one_segment(model, seg, table, tol, order, guard, max_depth):
+    """The level-synchronous run over one segment, as a list of one."""
+    return _SegmentTransport(model, [seg], table, tol, order, guard, max_depth)
+
+
 class TestHalfPanelReuse:
     @staticmethod
     def _both(model, seg, letters, lmax, tol, guard, max_depth):
         table = _word_table(letters, lmax)
         args = (model, seg, table, tol, 24, guard, max_depth)
-        new, old = _SegmentTransport(*args), _WholeEveryCall(*args)
-        vals_new, vals_old = new.run(), old.run()
+        new, old = _one_segment(*args), _WholeEveryCall(*args)
+        (vals_new,), vals_old = new.run(), old.run()
         assert np.array_equal(vals_new, vals_old)
-        assert np.array_equal(new.err, old.err)
+        assert np.array_equal(new.err[0], old.err)
         # three panels per run call before; reuse saves one per child call
         calls = old.npanels // 3
         assert old.npanels == 3 * calls
         assert calls > 1
-        assert new.npanels == old.npanels - (calls - 1)
+        assert new.npanels[0] == old.npanels - (calls - 1)
 
     def test_steep_edagger_line(self, ext, model):
         L = ext.lattice
@@ -416,13 +439,13 @@ class TestLevelSynchronous:
     def _against_oracle(model, seg, letters, lmax, tol=1e-10, max_depth=14):
         table = _word_table(tuple(letters), lmax)
         args = (model, seg, table, tol, 24, model.guard, max_depth)
-        new, ref = _SegmentTransport(*args), _Recursive(*args)
-        vals, ref_vals = new.run(), ref.run()
+        new, ref = _one_segment(*args), _Recursive(*args)
+        (vals,), ref_vals = new.run(), ref.run()
         assert np.array_equal(vals, ref_vals)
-        assert np.array_equal(new.err, ref.err)
-        assert new.npanels == ref.npanels
-        assert sum(new.panels_by_depth) == new.npanels
-        assert new.npanels == 3 + 4 * new.rejected
+        assert np.array_equal(new.err[0], ref.err)
+        assert new.npanels == [ref.npanels]
+        assert sum(new.panels_by_depth[0]) == ref.npanels
+        assert ref.npanels == 3 + 4 * new.rejected[0]
         return new
 
     def test_readme_integrate_path(self, model4):
@@ -442,7 +465,7 @@ class TestLevelSynchronous:
     def test_steep_lines(self, model4, letters, clearance):
         seg = _steep_line(model4.ext.lattice, clearance)
         st = self._against_oracle(model4, seg, letters, 2)
-        assert len(st.panels_by_depth) >= 5  # bisected deep near the pole
+        assert len(st.panels_by_depth[0]) >= 5  # bisected deep near the pole
 
     def test_steep_w4_line_fails_as_the_oracle(self):
         model = EdaggerModel(ExtLattice(lattice_from_curve(CurveSpec(2, 3)), nmax=4))
@@ -452,7 +475,7 @@ class TestLevelSynchronous:
         with pytest.raises(QuadratureFailure) as ref:
             _Recursive(*args).run()
         with pytest.raises(QuadratureFailure) as got:
-            _SegmentTransport(*args).run()
+            _one_segment(*args).run()
         assert str(got.value) == str(ref.value)
 
     def test_max_depth_failure_is_the_leftmost(self, ext, model):
@@ -465,7 +488,7 @@ class TestLevelSynchronous:
             with pytest.raises(QuadratureFailure) as ref:
                 _Recursive(*args).run()
             with pytest.raises(QuadratureFailure) as got:
-                _SegmentTransport(*args).run()
+                _one_segment(*args).run()
             assert str(got.value) == str(ref.value)
 
     def test_one_letter_evaluation_per_depth(self, model4, monkeypatch):
@@ -477,9 +500,14 @@ class TestLevelSynchronous:
         table = _word_table(("w1", "w2"), 2)
         for seg in segs:
             calls.clear()
-            st = _SegmentTransport(model4, seg, table, 1e-10, 24, model4.guard, 14)
+            st = _one_segment(model4, seg, table, 1e-10, 24, model4.guard, 14)
             st.run()
-            assert len(calls) <= len(st.panels_by_depth)  # depth reached + 1
+            assert len(calls) <= len(st.panels_by_depth[0])  # depth reached + 1
+        # and all four segments in one run: one evaluation per depth in all
+        calls.clear()
+        st = _SegmentTransport(model4, segs, table, 1e-10, 24, model4.guard, 14)
+        st.run()
+        assert len(calls) <= max(len(d) for d in st.panels_by_depth)
 
     def test_wide_depths_are_split_leftmost_first(self, model4, monkeypatch):
         # with at most one open interval per batch the walk is depth-first
@@ -487,12 +515,24 @@ class TestLevelSynchronous:
         nodes = []
         f_batch = chenint.f_batch
         monkeypatch.setattr(chenint, "f_batch", lambda E, z, s: nodes.append(len(z)) or f_batch(E, z, s))
-        monkeypatch.setattr(chenint, "_MAX_OPEN", 1)
+        monkeypatch.setattr(chenint, "_BATCH_ENTRIES", 1)
         seg = _steep_line(model4.ext.lattice, 1e-3)
         self._against_oracle(model4, seg, ("w1", "w2"), 2)
         path = loop_pair_library(model4.ext)[2][1]
         self._against_oracle(model4, path.segments[0], model4.letters(), 2)
         assert max(nodes) == 3 * 24
+
+    def test_batch_cap(self, model4):
+        # about 2^20 word-node entries of halves: 14 intervals at the
+        # six-letter table to length 4, the interval cap at small tables
+        def cap(letters, lmax):
+            table = _word_table(letters, lmax)
+            return _one_segment(model4, _readme_path().segments[0], table, 1e-10, 24, 0.0, 14).cap
+
+        assert len(_word_table(model4.letters(), 4).words) == 1555
+        assert cap(model4.letters(), 4) == 14
+        assert cap(model4.letters(), 2) == chenint._BATCH_INTERVALS
+        assert cap(("om0", "om1"), 8) == 42
 
     def test_unreachable_tolerance_fails_as_the_oracle(self, model4):
         # every interval fails: the batches stay within the open-interval
@@ -502,12 +542,12 @@ class TestLevelSynchronous:
         args = (model4, seg, table, 1e-18, 24, model4.guard, 14)
         with pytest.raises(QuadratureFailure) as ref:
             _Recursive(*args).run()
-        st = _SegmentTransport(*args)
+        st = _one_segment(*args)
         with pytest.raises(QuadratureFailure) as got:
             st.run()
         assert str(got.value) == str(ref.value)
         assert "at depth 14" in str(got.value)
-        assert st.npanels <= 3 + 14 * 2 * chenint._MAX_OPEN
+        assert st.npanels[0] <= 3 + 14 * 2 * st.cap
 
     def test_depth_counts_sum_to_panels(self, model4):
         L = model4.ext.lattice
@@ -521,6 +561,80 @@ class TestLevelSynchronous:
             assert sum(by_depth) == n == 3 + 4 * rejected
             assert by_depth[0] == 3 and all(k % 2 == 0 for k in by_depth[1:])
         assert len(r.panels_by_depth[1]) >= 5
+
+
+def _two_line_path(L):
+    """A plain line, then a steep line past a lattice point."""
+    seg = _steep_line(L, 1e-3)
+    return PathSpec("edagger", (LineSeg(seg.z0 - 0.3, seg.z0, 0.1j, 0.2), seg.shifted(0, 0.2)))
+
+
+class TestManySegments:
+    @pytest.mark.parametrize("which", ["octagon", "two-line"])
+    def test_path_matches_per_segment_runs(self, model4, which):
+        # one run over all the segments gives every segment the values,
+        # errors and counts of a run over that segment alone
+        if which == "octagon":
+            path, letters, lmax = loop_pair_library(model4.ext)[2][2], model4.letters(), 3
+        else:
+            path, letters, lmax = _two_line_path(model4.ext.lattice), ("w1", "w2"), 2
+        table = _word_table(tuple(letters), lmax)
+        rest = (table, 1e-10, 24, model4.guard, 14)
+        st = _SegmentTransport(model4, path.segments, *rest)
+        series = st.run()
+        acc, err = None, np.zeros(len(table.words))
+        for j, seg in enumerate(path.segments):
+            one = _one_segment(model4, seg, *rest)
+            (vals,) = one.run()
+            assert np.array_equal(series[j], vals)
+            assert np.array_equal(st.err[j], one.err[0])
+            assert st.npanels[j] == one.npanels[0]
+            assert st.panels_by_depth[j] == one.panels_by_depth[0]
+            assert st.rejected[j] == one.rejected[0]
+            acc = vals if acc is None else compose_series(vals, acc, table)
+            err += one.err[0]
+        r = chen_transport(model4, path, letters=letters, lmax=lmax, tol=1e-10)
+        assert np.array_equal(np.array([r.values[w] for w in table.words]), acc)
+        assert r.err_by_length == {
+            n: float(np.max(err[table.lengths == n])) for n in range(lmax + 1)}
+        assert r.panels_by_segment == tuple(st.npanels)
+        assert r.panels_by_depth == tuple(tuple(d) for d in st.panels_by_depth)
+        assert r.rejected_bisections == tuple(st.rejected)
+        if which == "two-line":
+            assert r.rejected_bisections[1] > r.rejected_bisections[0]
+
+    def test_failure_is_the_leftmost_segment(self, model4):
+        # two steep segments cut off short of the depth they need: the run
+        # fails on the first, as segment-by-segment runs did
+        L = model4.ext.lattice
+        a, b = _steep_line(L, 3e-3), _steep_line(L, 1e-3, 1, 1)
+        table = _word_table(("w1",), 1)
+        args = (table, 1e-13, 24, model4.guard, 3)
+        alone = {}
+        for seg in (a, b):
+            with pytest.raises(QuadratureFailure) as ref:
+                _one_segment(model4, seg, *args).run()
+            alone[seg] = str(ref.value)
+        assert alone[a] != alone[b]
+        for segs in ((a, b), (b, a)):
+            with pytest.raises(QuadratureFailure) as got:
+                _SegmentTransport(model4, segs, *args).run()
+            assert str(got.value) == alone[segs[0]]
+
+    def test_guard_violation_before_any_transport(self, ext, model, monkeypatch):
+        # a later segment through a lattice point stops the run before the
+        # first segment is evaluated
+        calls = []
+        kernel = _kernels.panel_transport
+        monkeypatch.setattr(_kernels, "panel_transport", lambda *a: calls.append(1) or kernel(*a))
+        z0 = _base(ext)
+        path = PathSpec("edagger", (
+            LineSeg(z0, 0.5 * ext.lattice.omega1),
+            LineSeg(0.5 * ext.lattice.omega1, -0.5 * ext.lattice.omega1),
+        ))
+        with pytest.raises(GuardViolation):
+            chen_transport(model, path, letters=("w1",), lmax=1, tol=1e-8)
+        assert calls == []
 
 
 class TestBarPairing:
@@ -622,3 +736,68 @@ class TestRegularized:
             regularized_integral_p1("02")
         with pytest.raises(ValueError):
             regularized_integral_p1("")
+
+
+def _perfbench_workloads():
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # its dataclasses look their module up
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        del sys.modules[spec.name]
+    return module
+
+
+def _full_table_schedule(letters, tol=1e-9, kmin=14, kmax=30, substeps=2):
+    """The cutoff schedule as first written: the full table of every word up
+    to the word's length, and one transport run per end piece."""
+    table = _word_table(("om0", "om1"), len(letters))
+    model0, model1 = P1Model(guard=0.0), P1Model(guard=0.0, origin=1.0)
+    ks = np.arange(kmin * substeps, kmax * substeps + 1) / substeps
+    eps = 2.0 ** (-ks)
+    widx = table.index[letters]
+
+    def seg_series(model, z0, z1):
+        (vals,) = _one_segment(model, LineSeg(z0, z1), table, min(tol, 1e-11), 24, 0.0, 16).run()
+        return vals
+
+    acc = compose_series(seg_series(model1, -0.5, -eps[0]), seg_series(model0, eps[0], 0.5), table)
+    vals = [acc[widx]]
+    for j in range(1, len(eps)):
+        lo = seg_series(model0, eps[j], eps[j - 1])
+        hi = seg_series(model1, -eps[j - 1], -eps[j])
+        acc = compose_series(hi, compose_series(acc, lo, table), table)
+        vals.append(acc[widx])
+    return np.asarray(vals, dtype=complex)
+
+
+def test_factor_table_schedule_matches_full_table():
+    # over all 63 supported indices the factor tables and the batched end
+    # pieces give the schedule values of the full table, piece by piece, and
+    # the fit fails on exactly the known nine
+    bench = _perfbench_workloads()
+    indices = bench.supported_indices()
+    assert len(indices) == 63
+    unstable = []
+    for ks in indices:
+        letters = chenint._p1_word(MZVIndex(ks).word())
+        _, vals, _ = chenint._cutoff_schedule(letters, 1e-9, 14, 30, 2)
+        assert np.array_equal(vals, _full_table_schedule(letters)), ks
+        try:
+            mzv_integral(ks)
+        except FitInstability:
+            unstable.append(ks)
+    assert sorted(unstable) == sorted(bench.FIT_INSTABLE)
+
+
+def test_regularized_run_statistics():
+    full = regularized_integral_p1("0011", full=True)
+    _, _, runs = chenint._cutoff_schedule(("om0", "om0", "om1", "om1"), 1e-9, 14, 30, 2)
+    assert full["panels"] == sum(sum(st.npanels) for st in runs)
+    assert full["rejected_bisections"] == sum(sum(st.rejected) for st in runs)
+    # 33 schedule points, two end pieces each, three panels a root
+    assert full["n_points"] == 33
+    assert full["panels"] == 2 * 33 * 3 + 4 * full["rejected_bisections"]
+    assert full == regularized_integral_p1("0011", full=True)

@@ -7,8 +7,8 @@ import mpmath
 import numpy as np
 import pytest
 
-from ellbar import _kernels
-from ellbar.chenint import _ref_quad, _word_table
+from ellbar import _kernels, chenint
+from ellbar.chenint import _factor_table, _ref_quad, _word_table
 
 
 def _panel_transport_numpy(first, suffix, phi, Q, wts):
@@ -46,7 +46,7 @@ def test_matches_per_word_loop(letters, lmax, order):
     rng = np.random.default_rng([order, len(letters), lmax])
     phi = _random_phi(rng, len(letters), order)
     ref = _panel_transport_numpy(table.first, table.suffix, phi, Q, w)
-    got = _kernels.panel_transport(table.first, table.suffix, phi, Q, w)
+    got = _kernels.panel_transport(table.first, table.suffix, phi, Q, w, table.sizes)
     assert ref.shape == (len(table.words),)
     assert got.shape == (1, len(table.words))
     assert np.all(np.abs(got[0] - ref) <= 1e-15 * np.maximum(1.0, np.abs(ref)))
@@ -66,13 +66,58 @@ def test_panel_axis_matches_per_word_loop(letters, lmax, P):
     _, w, Q = _ref_quad(24)
     rng = np.random.default_rng([P, len(letters), lmax])
     phi = _random_phi(rng, len(letters), 24 * P)
-    got = _kernels.panel_transport(table.first, table.suffix, phi, Q, w)
+    got = _kernels.panel_transport(table.first, table.suffix, phi, Q, w, table.sizes)
     assert got.shape == (P, len(table.words))
     for p in range(P):
         one = np.ascontiguousarray(phi[:, 24 * p:24 * (p + 1)])
         ref = _panel_transport_numpy(table.first, table.suffix, one, Q, w)
         assert np.all(np.abs(got[p] - ref) <= 1e-15 * np.maximum(1.0, np.abs(ref)))
-        assert np.array_equal(got[p], _kernels.panel_transport(table.first, table.suffix, one, Q, w)[0])
+        assert np.array_equal(
+            got[p], _kernels.panel_transport(table.first, table.suffix, one, Q, w, table.sizes)[0])
+
+
+# factor tables of single words: one-word levels throughout (a^6), one-word
+# levels between wider ones (a^3 b a^3 has one word of length 7 and two of
+# length 6), and mixed level sizes over two and three letters
+FACTOR_WORDS = [
+    (("a", "b"), "aaaaaa"),
+    (("a", "b"), "aaabaaa"),
+    (("a", "b"), "abababab"),
+    (("a", "b"), "aabbabba"),
+    (("a", "b", "c"), "abcacbba"),
+]
+
+
+@pytest.mark.parametrize("P", [1, 7, 64])
+@pytest.mark.parametrize("letters,word", FACTOR_WORDS, ids=lambda v: str(v))
+def test_factor_tables_match_per_word_loop(letters, word, P):
+    table = _factor_table(letters, tuple(word))
+    assert sum(table.sizes) == len(table.words) - 1
+    _, w, Q = _ref_quad(24)
+    rng = np.random.default_rng([P, len(word)])
+    phi = _random_phi(rng, len(letters), 24 * P)
+    args = (table.first, table.suffix)
+    got = _kernels.panel_transport(*args, phi, Q, w, table.sizes)
+    assert got.shape == (P, len(table.words))
+    for p in range(P):
+        one = np.ascontiguousarray(phi[:, 24 * p:24 * (p + 1)])
+        ref = _panel_transport_numpy(*args, one, Q, w)
+        assert np.all(np.abs(got[p] - ref) <= 1e-15 * np.maximum(1.0, np.abs(ref)))
+        assert np.array_equal(got[p], _kernels.panel_transport(*args, one, Q, w, table.sizes)[0])
+
+
+def test_factor_table_shape():
+    # the factors of a word, by length and then in the letters' order; the
+    # full table keeps its graded-lex order
+    table = _factor_table(("a", "b"), tuple("aaba"))
+    assert ["".join(w) for w in table.words] == [
+        "", "a", "b", "aa", "ab", "ba", "aab", "aba", "aaba"]
+    assert table.sizes == (2, 3, 2, 1)
+    full = _word_table(("a", "b"), 2)
+    assert ["".join(w) for w in full.words] == ["", "a", "b", "aa", "ab", "ba", "bb"]
+    assert full.sizes == (2, 4)
+    with pytest.raises(ValueError):
+        chenint.WordTable(("a", "b"), [(), ("a",), ("a", "b")])
 
 
 def test_six_letter_table_spans_partial_blocks():
@@ -95,8 +140,9 @@ def test_real_quadrature_matches_prebuilt():
     assert w.dtype == Q.dtype == np.complex128 and Q.T.flags.c_contiguous
     rng = np.random.default_rng(3)
     phi = rng.standard_normal((2, 16)) + 1j * rng.standard_normal((2, 16))
-    got = _kernels.panel_transport(table.first, table.suffix, phi, Q.real.copy(), w.real.copy())
-    assert np.array_equal(got, _kernels.panel_transport(table.first, table.suffix, phi, Q, w))
+    args = (table.first, table.suffix, phi)
+    got = _kernels.panel_transport(*args, Q.real.copy(), w.real.copy(), table.sizes)
+    assert np.array_equal(got, _kernels.panel_transport(*args, Q, w, table.sizes))
 
 
 def _latsum_exact(zs, w1, w2, M, dps=30):

@@ -259,3 +259,25 @@ class TestFusedTheta:
         zz = np.concatenate([fundamental_points(L, 4), [L.omega1 + 0.5 * L.guard]])
         with pytest.raises(NearPole):
             f_batch(ext, zz, S0)
+
+
+def test_eisenstein_coefficients_computed_once(monkeypatch):
+    # the G_2k of the even part come from (g2, g3) once per ExtLattice, and
+    # every f_batch call gives the same floats as a fresh ExtLattice's first
+    L = lattice_from_curve(CurveSpec(5, 2))
+    E = ExtLattice(L, nmax=8)
+    zs = fundamental_points(L, 12, seed=4)
+    s = np.full(12, S0)
+    G = logforms.eisenstein_from_invariants(L.g2, L.g3, 8)
+    B = logforms.f_batch(E, zs, s)
+    calls = []
+    real = logforms.eisenstein_from_invariants
+    monkeypatch.setattr(logforms, "eisenstein_from_invariants",
+                        lambda *a: calls.append(a) or real(*a))
+    for _ in range(3):
+        assert np.array_equal(logforms.f_batch(E, zs, s), B)
+    assert calls == [] and E.eisenstein_coeffs == G
+    fresh = ExtLattice(L, nmax=8)
+    for _ in range(3):
+        assert np.array_equal(logforms.f_batch(fresh, zs, s), B)
+    assert len(calls) == 1

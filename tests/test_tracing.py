@@ -14,7 +14,7 @@ from pathlib import Path
 
 import pytest
 
-from ellbar import chenint, logforms, wlattice
+from ellbar import chenint, logforms, p1model, wlattice
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
@@ -58,3 +58,20 @@ def test_panel_and_node_counters(tracing):
     assert sum(1 for s in tracer.spans if s[0] == "chenint.compose") == composes
     # one kernel call per bisection depth, not one per panel
     assert m["kernels.panel_calls"] < panels / 3
+
+
+@pytest.mark.parametrize("ks", [(2,), (3, 2), (2, 2, 3)])
+def test_regularization_counters(tracing, ks):
+    # the regularization transports only the factors of its word, and each
+    # side's end pieces take one kernel call per bisection depth
+    module, tracer = tracing
+    p1model.mzv_integral(ks)
+    m, _ = module.summarize(tracer.spans, 1.0)
+    letters = chenint._p1_word(p1model.MZVIndex(ks).word())
+    table = chenint._factor_table(("om0", "om1"), letters)
+    _, _, runs = chenint._cutoff_schedule(letters, 1e-9, 14, 30, 2)
+    panels = sum(sum(st.npanels) for st in runs)
+    assert len(table.words) < len(chenint._word_table(table.letters, len(letters)).words)
+    assert m["kernels.panel_word_nodes"] == len(table.words) * 24 * panels
+    depths = [max(len(d) for d in st.panels_by_depth) for st in runs]
+    assert m["kernels.panel_calls"] <= sum(depths)

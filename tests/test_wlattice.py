@@ -391,3 +391,12 @@ def test_wp_array_shape(lattices):
     ps, pps = wp(L, complex(zs[0]))
     assert isinstance(ps, complex)
     assert abs(ps - p[0]) == 0.0
+    # a scalar z gives the same floats as the same point in an array, for
+    # wp, wp', zeta and sigma on each curve
+    for L in lattices:
+        zs = fundamental_points(L, 200, seed=3)
+        p, pp = wp(L, zs)
+        arrays = np.stack([p, pp, wzeta(L, zs), wsigma(L, zs)], axis=1)
+        scalars = np.array([(*wp(L, complex(z)), wzeta(L, complex(z)), wsigma(L, complex(z)))
+                            for z in zs])
+        assert np.array_equal(scalars, arrays)
