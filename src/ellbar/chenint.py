@@ -1092,9 +1092,12 @@ def _p1_word(word) -> tuple:
     return tuple(out)
 
 
-def _cutoff_schedule(letters, tol, kmin, kmax, substeps):
-    """The word's iterated integral over [eps, 1 - eps] on the geometric
-    schedule eps = 2^{-k}, k = kmin .. kmax in 1/substeps increments.
+# The cutoff schedule eps = 2^{-k}, k = _KMIN .. _KMAX in 1/_SUBSTEPS steps.
+_KMIN, _KMAX, _SUBSTEPS = 14, 30, 2
+
+
+def _cutoff_schedule(letters, tol):
+    """The word's iterated integral over [eps, 1 - eps] on the cutoff schedule.
 
     Returns eps, the values and the two transport runs.  Only the word's
     factor table is transported.  The first point covers [eps_0, 1/2] and
@@ -1104,7 +1107,7 @@ def _cutoff_schedule(letters, tol, kmin, kmax, substeps):
     in the local coordinate w = z - 1, so that dz/(z-1) never cancels.
     """
     table = _factor_table(("om0", "om1"), letters)
-    ks = np.arange(kmin * substeps, kmax * substeps + 1) / substeps
+    ks = np.arange(_KMIN * _SUBSTEPS, _KMAX * _SUBSTEPS + 1) / _SUBSTEPS
     eps = 2.0 ** (-ks)
     lo = [LineSeg(eps[0], 0.5)] + [LineSeg(eps[j], eps[j - 1]) for j in range(1, len(eps))]
     hi = [LineSeg(-0.5, -eps[0])] + [LineSeg(-eps[j - 1], -eps[j]) for j in range(1, len(eps))]
@@ -1125,25 +1128,18 @@ def _cutoff_schedule(letters, tol, kmin, kmax, substeps):
     return eps, np.asarray(vals, dtype=complex), runs
 
 
-def regularized_integral_p1(
-    word,
-    tol: float = 1e-9,
-    direction=("0+", "1-"),
-    kmin: int = 14,
-    kmax: int = 30,
-    substeps: int = 2,
-    full: bool = False,
-):
-    """Regularized iterated integral on the interval with tangential ends.
+def regularized_integral_p1(word, tol: float = 1e-9, full: bool = False):
+    """Regularized iterated integral from the tangential base at 0 to the
+    tangential base at 1.
 
     The integral I(eps) over the straight path from eps to 1 - eps is
-    computed on the geometric schedule eps = 2^{-k}, k = kmin .. kmax in
-    1/substeps increments, extended incrementally by composing the short
-    end pieces onto the previous series.  Only the word's factors (its
-    contiguous subwords) are transported, and the end pieces at each
-    puncture go through one level-synchronous run.  A least-squares fit
-    against {log^j eps} + {eps log^j eps} + {eps^2 log^j eps}, j <= word
-    length, strips the divergence; the constant term is returned.
+    computed on the geometric schedule eps = 2^{-k}, k = 14 .. 30 in half
+    steps, extended incrementally by composing the short end pieces onto
+    the previous series.  Only the word's factors (its contiguous subwords)
+    are transported, and the end pieces at each puncture go through one
+    level-synchronous run.  A least-squares fit against {log^j eps} +
+    {eps log^j eps} + {eps^2 log^j eps}, j <= word length, strips the
+    divergence; the constant term is returned.
 
     For admissible words (leading om0, trailing om1) the log coefficients
     must come out zero within tolerance; any fit residual above tolerance
@@ -1151,13 +1147,11 @@ def regularized_integral_p1(
     log coefficients, the fit residual, the number of schedule points, and
     the panels and rejected bisections summed over the schedule.
     """
-    if direction != ("0+", "1-"):
-        raise ValueError("only the standard tangential pair (0+, 1-) is supported")
     letters = _p1_word(word)
     if not letters:
         raise ValueError("word must be nonempty")
     n = len(letters)
-    eps, vals, runs = _cutoff_schedule(letters, tol, kmin, kmax, substeps)
+    eps, vals, runs = _cutoff_schedule(letters, tol)
     # Fit columns: log^j eps for the divergent part, eps log^j and
     # eps^2 log^j for the cutoff corrections.  An admissible word (leading
     # om0, trailing om1) converges outright, so its divergent block is

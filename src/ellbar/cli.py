@@ -29,7 +29,7 @@ from .errors import (
 )
 from .kzbword import flatness_check
 from .logforms import ExtLattice, dga_presentation, f_batch
-from .p1model import MZVIndex, mzv_integral, mzv_series, p1_dga
+from .p1model import MZVIndex, _mzv_series, mzv_integral, mzv_series, p1_dga
 from .wlattice import (
     CurveSpec,
     _eisenstein,
@@ -268,6 +268,7 @@ def cmd_mzv(args):
     idx = MZVIndex.parse(args.index)
     tol = _validated_tol(args.tol, 1e-9)
     series = mzv_series(idx)
+    series_bound = _mzv_series(idx.ks, 1e-12)[1]
     integral = mzv_integral(idx, tol=tol)
     diff = abs(abs(integral) - series)
     passed = diff <= 1e-7
@@ -275,6 +276,7 @@ def cmd_mzv(args):
         "index": list(idx.ks),
         "word": idx.word(),
         "series": series,
+        "series_bound": series_bound,
         "integral": integral,
         "abs_integral": abs(integral),
         "route_difference": diff,

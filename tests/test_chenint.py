@@ -783,7 +783,7 @@ def test_factor_table_schedule_matches_full_table():
     unstable = []
     for ks in indices:
         letters = chenint._p1_word(MZVIndex(ks).word())
-        _, vals, _ = chenint._cutoff_schedule(letters, 1e-9, 14, 30, 2)
+        _, vals, _ = chenint._cutoff_schedule(letters, 1e-9)
         assert np.array_equal(vals, _full_table_schedule(letters)), ks
         try:
             mzv_integral(ks)
@@ -794,7 +794,7 @@ def test_factor_table_schedule_matches_full_table():
 
 def test_regularized_run_statistics():
     full = regularized_integral_p1("0011", full=True)
-    _, _, runs = chenint._cutoff_schedule(("om0", "om0", "om1", "om1"), 1e-9, 14, 30, 2)
+    _, _, runs = chenint._cutoff_schedule(("om0", "om0", "om1", "om1"), 1e-9)
     assert full["panels"] == sum(sum(st.npanels) for st in runs)
     assert full["rejected_bisections"] == sum(sum(st.rejected) for st in runs)
     # 33 schedule points, two end pieces each, three panels a root

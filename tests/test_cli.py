@@ -7,6 +7,7 @@ import subprocess
 import sys
 from fractions import Fraction
 
+import mpmath
 import pytest
 
 from ellbar.barcx import BarElement
@@ -259,6 +260,15 @@ class TestMZV:
         rep = load_json(out)["report"]
         assert abs(rep["series"] - 1.2020569031595943) <= 1e-10
         assert rep["route_difference"] <= 1e-7
+
+    def test_series_bound_reported(self, tmp_path):
+        # the proven bound of the series route at the default tol 1e-12
+        out = tmp_path / "m.json"
+        assert run_cli("mzv", "--index", "2,1", "--json", str(out)).returncode == 0
+        rep = load_json(out)["report"]
+        assert 0 < rep["series_bound"] <= 5e-13
+        with mpmath.workdps(30):
+            assert abs(rep["series"] - mpmath.zeta(3)) <= rep["series_bound"]
 
     def test_inadmissible_exits_2(self):
         p = run_cli("mzv", "--index", "1,2")

@@ -4,7 +4,7 @@ import itertools
 import math
 
 import pytest
-from mpmath import mpf
+from mpmath import mp, mpf
 
 from ellbar import p1model
 
@@ -20,7 +20,7 @@ from ellbar.chenint import (
     loop_path,
     regularized_integral_p1,
 )
-from ellbar.errors import ConvergenceFailure, NotAdmissible
+from ellbar.errors import NotAdmissible
 from ellbar.p1model import (
     INTEGRAL_SIGN_BY_DEPTH,
     MZV_MAX_DEPTH,
@@ -121,6 +121,77 @@ class TestSeries:
             mzv_series((2,), tol=1e-20)
 
 
+# mzv_series values of the Euler-Maclaurin summator that preceded the Hölder
+# convolution (40 digits, the same floats at tol 1e-10, 1e-12 and 1e-14).
+PINNED = {
+    (2,): 1.6449340668482264,
+    (3,): 1.2020569031595942,
+    (4,): 1.0823232337111381,
+    (5,): 1.03692775514337,
+    (6,): 1.0173430619844492,
+    (7,): 1.008349277381923,
+    (8,): 1.0040773561979444,
+    (2, 1): 1.2020569031595942,
+    (2, 2): 0.8117424252833536,
+    (2, 3): 0.7115661975505724,
+    (2, 4): 0.6745239140339682,
+    (2, 5): 0.6587533875711094,
+    (2, 6): 0.6515651637151268,
+    (3, 1): 0.27058080842778454,
+    (3, 2): 0.22881039760335375,
+    (3, 3): 0.21379886822459254,
+    (3, 4): 0.2075050146157321,
+    (3, 5): 0.20466113696507743,
+    (4, 1): 0.09655115998944373,
+    (4, 2): 0.08848338245436871,
+    (4, 3): 0.08515982253483365,
+    (4, 4): 0.08367311301649537,
+    (5, 1): 0.04053689727151974,
+    (5, 2): 0.03857512434275326,
+    (5, 3): 0.03770767298484754,
+    (6, 1): 0.018355928317494465,
+    (6, 2): 0.01781974041683599,
+    (7, 1): 0.008650529099561105,
+    (2, 1, 1): 1.0823232337111381,
+    (2, 1, 2): 0.7115661975505724,
+    (2, 1, 3): 0.6183495605712693,
+    (2, 1, 4): 0.5842100993421966,
+    (2, 1, 5): 0.5697474122644028,
+    (2, 2, 1): 0.22881039760335375,
+    (2, 2, 2): 0.19075182412208422,
+    (2, 2, 3): 0.17725981736697102,
+    (2, 2, 4): 0.17164328717181182,
+    (2, 3, 1): 0.07922139756520717,
+    (2, 3, 2): 0.07204663432870657,
+    (2, 3, 3): 0.06911633766289269,
+    (2, 4, 1): 0.03274185114896723,
+    (2, 4, 2): 0.031022514023032778,
+    (2, 5, 1): 0.014696749558064184,
+    (3, 1, 1): 0.09655115998944373,
+    (3, 1, 2): 0.07922139756520717,
+    (3, 1, 3): 0.07316620928764143,
+    (3, 1, 4): 0.07066464156615783,
+    (3, 2, 1): 0.03230902899166988,
+    (3, 2, 2): 0.029125622289826226,
+    (3, 2, 3): 0.027837547794929352,
+    (3, 3, 1): 0.013113188206127073,
+    (3, 3, 2): 0.01236234638848005,
+    (3, 4, 1): 0.005826427060193735,
+    (4, 1, 1): 0.017489853169011405,
+    (4, 1, 2): 0.015609842106333215,
+    (4, 1, 3): 0.014856758330383406,
+    (4, 2, 1): 0.0069528481527208865,
+    (4, 2, 2): 0.006516981346393803,
+    (4, 3, 1): 0.003053160866743654,
+    (5, 1, 1): 0.004123165152432535,
+    (5, 1, 2): 0.003839260133062643,
+    (5, 2, 1): 0.0017863115107142604,
+    (6, 1, 1): 0.001107620520681261,
+}
+
+TOLS = (1e-10, 1e-12, 1e-14)
+
+
 class TestSeriesConvergence:
     @staticmethod
     def _supported():
@@ -138,20 +209,42 @@ class TestSeriesConvergence:
             for ks in indices:
                 assert math.isfinite(mzv_series(ks, tol=tol))
 
-    def test_disagreeing_configurations_raise(self, monkeypatch):
-        class Drifting:
-            # each larger configuration moves the value by 1e-6
-            def __init__(self, ntab):
-                self.ntab = ntab
+    def test_pinned_values(self):
+        assert sorted(PINNED) == sorted(self._supported())
+        for tol in TOLS:
+            for ks, old in PINNED.items():
+                value, bound = p1model._mzv_series(ks, tol)
+                assert value == mzv_series(ks, tol=tol)
+                assert abs(value - old) <= bound + math.ulp(old), (ks, tol)
 
-            def value(self, ks):
-                return mpf(1) + mpf(self.ntab) * mpf("1e-6")
+    def test_bound_covers_error(self):
+        # the reference is the same sums at 60 digits, bounded by 1e-30
+        with mp.workdps(60):
+            refs = {}
+            for ks in self._supported():
+                refs[ks], rbound = p1model._holder(MZVIndex(ks).word(), 1e-30)
+                assert rbound <= 1e-30
+            for tol in TOLS:
+                for ks, ref in refs.items():
+                    value, bound = p1model._mzv_series(ks, tol)
+                    assert bound <= tol / 2
+                    assert abs(mpf(value) - ref) <= bound + 1e-30, (ks, tol)
 
-        monkeypatch.setattr(p1model, "_engine", lambda ntab, jem: Drifting(ntab))
-        with pytest.raises(ConvergenceFailure, match="summator configurations"):
-            mzv_series((2,), tol=1e-12)
-        # agreement within tol/2 returns the larger configuration's value
-        assert abs(mzv_series((2,), tol=2e-4) - (1 + 120e-6)) < 1e-15
+    def test_single_zeta_against_mpmath(self):
+        with mp.workdps(30):
+            for k in range(2, 9):
+                assert abs(mzv_series((k,), tol=1e-14) - mp.zeta(k)) <= 1e-14, k
+
+    def test_stuffle_all_pairs(self):
+        # zeta(a) zeta(b) = zeta(a, b) + zeta(b, a) + zeta(a + b)
+        def z(*ks):
+            return mpf(mzv_series(ks, tol=1e-14))
+
+        with mp.workdps(30):
+            for a in range(2, 7):
+                for b in range(2, 9 - a):
+                    gap = z(a) * z(b) - z(a, b) - z(b, a) - z(a + b)
+                    assert abs(gap) <= 1e-14, (a, b)
 
 
 class TestIntegralRoute:

@@ -69,7 +69,7 @@ def test_regularization_counters(tracing, ks):
     m, _ = module.summarize(tracer.spans, 1.0)
     letters = chenint._p1_word(p1model.MZVIndex(ks).word())
     table = chenint._factor_table(("om0", "om1"), letters)
-    _, _, runs = chenint._cutoff_schedule(letters, 1e-9, 14, 30, 2)
+    _, _, runs = chenint._cutoff_schedule(letters, 1e-9)
     panels = sum(sum(st.npanels) for st in runs)
     assert len(table.words) < len(chenint._word_table(table.letters, len(letters)).words)
     assert m["kernels.panel_word_nodes"] == len(table.words) * 24 * panels
