@@ -19,9 +19,10 @@ bisecting adaptively until the discrepancy fits the error budget.  The
 bisection is level-synchronous over all the segments of a path at once:
 every interval still open at a depth, in any segment, is tested in one
 batch, one letter evaluation and one panel-kernel call for all their halves
-(the kernel takes the panels side by side), and the accepted panels are
-composed bottom-up in each tree's shape, so the floats are those of
-depth-first recursion over each segment alone.
+(the kernel takes the panels side by side).  Once the bisection ends, each
+segment's accepted panels are folded once, in t order and in its tree's
+shape, so the floats are those of depth-first recursion over each segment
+alone.
 
 A word table need not hold every word up to a length: any word set closed
 under taking factors (contiguous subwords) composes and transports, which is
@@ -36,7 +37,6 @@ end pieces at each puncture in one run.
 
 from __future__ import annotations
 
-import heapq
 import json
 import math
 from dataclasses import dataclass
@@ -53,7 +53,7 @@ from .errors import (
     QuadratureFailure,
 )
 from .logforms import ExtLattice, f_batch, letters as form_letters
-from .wlattice import LatticeData, eta_lambda, reduce_mod_lattice
+from .wlattice import LatticeData, _dist_to_lattice, eta_lambda, reduce_mod_lattice
 
 __all__ = [
     "LineSeg",
@@ -363,8 +363,6 @@ class EdaggerModel:
         return form_letters(self.ext.nmax)
 
     def dist(self, z):
-        from .wlattice import _dist_to_lattice
-
         return _dist_to_lattice(self.ext.lattice, np.asarray(z, dtype=complex))
 
     def segment_min_dist(self, seg) -> float:
@@ -484,9 +482,7 @@ def compose_paths(g1: PathSpec, g2: PathSpec, lattice: LatticeData = None) -> Pa
     if _close(p, q, scale):
         return PathSpec(model=g1.model, segments=g2.segments + g1.segments)
     if g1.model == "edagger" and lattice is not None:
-        from .logforms import ExtLattice as _EL
-
-        model = EdaggerModel(_EL(lattice, nmax=0))
+        model = EdaggerModel(ExtLattice(lattice, nmax=0))
         off = model.congruence_offset(q, p)
         if off is not None:
             # shift by the exact endpoint gap (a float-level lattice
@@ -513,9 +509,7 @@ def loop_deck(L: LatticeData, g: PathSpec, tol: float = 1e-10):
     The path is a loop when end - start = (lam, -eta(lam)) for lam =
     m omega1 + n omega2; (0, 0) means an honest closed loop in the cover.
     """
-    from .logforms import ExtLattice as _EL
-
-    model = EdaggerModel(_EL(L, nmax=0))
+    model = EdaggerModel(ExtLattice(L, nmax=0))
     off = model.congruence_offset(g.start, g.end, tol=max(tol, 1e-10))
     return None if off is None else off[2]
 
@@ -626,19 +620,6 @@ _BATCH_ENTRIES = 1 << 20
 _BATCH_INTERVALS = 256
 
 
-class _Interval:
-    """A bisection interval of segment ``seg``: its whole-panel series (None
-    for a root until its batch), its parent and side, and its children's
-    series once known."""
-
-    __slots__ = ("seg", "t0", "t1", "depth", "whole", "parent", "side", "kids")
-
-    def __init__(self, seg, t0, t1, depth, whole=None, parent=None, side=0):
-        self.seg, self.t0, self.t1, self.depth = seg, t0, t1, depth
-        self.whole, self.parent, self.side = whole, parent, side
-        self.kids = [None, None]
-
-
 class _SegmentTransport:
     """Adaptive panel transport over a list of segments, one bisection depth
     at a time for all of them together.
@@ -696,32 +677,31 @@ class _SegmentTransport:
         evaluated in one batch (a root its whole panel too).  An interval is
         accepted when its composed halves match its whole panel within
         budget; otherwise its halves open at the next depth, their panels
-        serving as their wholes.  Accepted series are composed bottom-up in
-        the bisection tree's shape and their error estimates added left to
-        right within their segment, so values, errors and panel counts are
-        those of depth-first recursion over each segment alone.  Intervals
-        are ordered by (segment, t); a failure is the first in that order.
+        serving as their wholes.  Intervals are ordered by (segment, t); a
+        failure is the first in that order.  Once the bisection ends, each
+        segment's accepted intervals are folded in t order (``_fold_leaves``),
+        so values, errors and panel counts are those of depth-first
+        recursion over each segment alone.
         """
         table = self.table
-        values = [None] * len(self.segs)
-        stack = [[_Interval(j, 0.0, 1.0, 0) for j in range(len(self.segs))]]
-        pending = []  # (seg, t0, err) of accepted intervals not yet added, a heap
+        leaves = [[] for _ in self.segs]  # (t0, t1, series, err) of accepted intervals
+        # groups (depth, [(seg, t0, t1, whole panel or None for a root)])
+        stack = [(0, [(j, 0.0, 1.0, None) for j in range(len(self.segs))])]
         while stack:
-            group = stack.pop()
+            depth, group = stack.pop()
             if len(group) > self.cap:
-                stack += [group[self.cap:], group[:self.cap]]
+                stack += [(depth, group[self.cap:]), (depth, group[:self.cap])]
                 continue
-            depth = group[0].depth
             seg, t0, t1 = [], [], []
-            for iv in group:
-                tm = 0.5 * (iv.t0 + iv.t1)
-                if iv.whole is None:  # a root, whose whole panel joins its halves
-                    seg.append(iv.seg)
-                    t0.append(iv.t0)
-                    t1.append(iv.t1)
-                seg += [iv.seg, iv.seg]
-                t0 += [iv.t0, tm]
-                t1 += [tm, iv.t1]
+            for j, a, b, whole in group:
+                tm = 0.5 * (a + b)
+                if whole is None:  # a root, whose whole panel joins its halves
+                    seg.append(j)
+                    t0.append(a)
+                    t1.append(b)
+                seg += [j, j]
+                t0 += [a, tm]
+                t1 += [tm, b]
             vals = iter(self.panels(np.array(seg), np.array(t0), np.array(t1)))
             for j in seg:
                 by_depth = self.panels_by_depth[j]
@@ -729,57 +709,52 @@ class _SegmentTransport:
                     by_depth.append(0)
                 by_depth[depth] += 1
             opened = []
-            for iv in group:
-                if iv.whole is None:
-                    iv.whole = next(vals)
+            for j, a, b, whole in group:
+                if whole is None:
+                    whole = next(vals)
                 left, right = next(vals), next(vals)
                 comp = compose_series(right, left, table)
-                err = np.abs(comp - iv.whole)
+                err = np.abs(comp - whole)
                 # budget per unit parameter, plus a tolerance-proportional
                 # allowance for roundoff in the panel's own values (keeps deep
                 # bisection near steep-but-legal regions from chasing noise;
                 # tolerances below double precision still fail as they should)
-                scale = max(1.0, float(np.abs(iv.whole).max()))
-                budget = self.tol * ((iv.t1 - iv.t0) + 0.01 * scale)
+                scale = max(1.0, float(np.abs(whole).max()))
+                budget = self.tol * ((b - a) + 0.01 * scale)
                 worst = err.max()
                 if worst <= budget:
-                    heapq.heappush(pending, (iv.seg, iv.t0, err))
-                    # the last interval accepted completes its root
-                    value = self._fold(iv, comp)
-                    if value is not None:
-                        values[iv.seg] = value
+                    leaves[j].append((a, b, comp, err))
                     continue
                 if depth >= self.max_depth:
                     raise QuadratureFailure(
-                        f"panel [{iv.t0:.6f}, {iv.t1:.6f}] still off by "
+                        f"panel [{a:.6f}, {b:.6f}] still off by "
                         f"{worst:.3e} (budget {budget:.3e}) at depth {depth}"
                     )
-                self.rejected[iv.seg] += 1
-                mid = 0.5 * (iv.t0 + iv.t1)
-                opened += [
-                    _Interval(iv.seg, iv.t0, mid, depth + 1, left, iv, 0),
-                    _Interval(iv.seg, mid, iv.t1, depth + 1, right, iv, 1),
-                ]
+                self.rejected[j] += 1
+                mid = 0.5 * (a + b)
+                opened += [(j, a, mid, left), (j, mid, b, right)]
             if opened:
-                stack.append(opened)
-            # everything left of the leftmost open interval is final
-            edge = (stack[-1][0].seg, stack[-1][0].t0) if stack else (math.inf,)
-            while pending and pending[0][:2] < edge:
-                j, _, err = heapq.heappop(pending)
-                self.err[j] += err
-        return values
+                stack.append((depth + 1, opened))
+        return [self._fold_leaves(j, leaf) for j, leaf in enumerate(leaves)]
 
-    def _fold(self, iv, value):
-        """Record an accepted interval's series and compose every parent
-        whose halves are now both known, the later half first.  Returns the
-        root's series once it is complete, else None."""
-        while iv.parent is not None:
-            parent = iv.parent
-            parent.kids[iv.side] = value
-            if parent.kids[1 - iv.side] is None:
-                return None
-            value = compose_series(parent.kids[1], parent.kids[0], self.table)
-            iv = parent
+    def _fold_leaves(self, j, leaves):
+        """Segment j's series folded from its accepted intervals, whose error
+        estimates are added to ``err[j]`` left to right.
+
+        The leaves are taken in t order.  A leaf or finished subtree that is
+        a right half (t0 an odd multiple of its width, exact for dyadic t)
+        is composed onto the finished subtree before it, its left sibling.
+        So the series compose in the bisection tree's shape, and the floats
+        are those of a bottom-up fold.
+        """
+        done = []  # finished subtrees (t0, series), left to right
+        for t0, t1, value, err in sorted(leaves, key=lambda leaf: leaf[0]):
+            self.err[j] += err
+            while t0 / (t1 - t0) % 2 == 1:
+                t0, left = done.pop()
+                value = compose_series(value, left, self.table)
+            done.append((t0, value))
+        [(_, value)] = done
         return value
 
 

@@ -333,7 +333,7 @@ def _build_parser():
     )
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def common(p, lattice=True):
+    def common(p):
         p.add_argument(
             "--curve",
             nargs=2,
@@ -341,18 +341,17 @@ def _build_parser():
             default=["5", "2"],
             help="curve invariants a b as exact rationals p/q",
         )
-        if lattice:
-            p.add_argument(
-                "--lattice",
-                nargs=2,
-                metavar=("W1", "W2"),
-                help="explicit periods RE,IM RE,IM instead of a curve",
-            )
-        p.add_argument("--tol", type=float, default=None, help="tolerance override")
+        p.add_argument(
+            "--lattice",
+            nargs=2,
+            metavar=("W1", "W2"),
+            help="explicit periods RE,IM RE,IM instead of a curve",
+        )
         p.add_argument("--json", metavar="OUT", help="write the JSON report here")
 
     p = sub.add_parser("periods", help="periods, quasi-periods, tau, checks")
     common(p)
+    p.add_argument("--tol", type=float, default=None, help="tolerance override")
     p.set_defaults(func=cmd_periods)
 
     p = sub.add_parser("wfun", help="evaluate wp, wp', zeta, sigma at a point")
@@ -389,6 +388,7 @@ def _build_parser():
         help='letters: comma-separated names, or a 0/1 digit string for p1',
     )
     p.add_argument("--N", type=int, default=4, help="truncation order (edagger)")
+    p.add_argument("--tol", type=float, default=None, help="tolerance override")
     p.set_defaults(func=cmd_integrate)
 
     p = sub.add_parser("mzv", help="multiple zeta value by both routes")

@@ -35,7 +35,6 @@ from .wlattice import wp, wzeta  # noqa: F401  (perfbench/tracing.py wraps them 
 
 __all__ = [
     "ExtLattice",
-    "ext_lattice",
     "letters",
     "two_form_letters",
     "f_n",
@@ -63,10 +62,6 @@ class ExtLattice:
     def eisenstein_coeffs(self) -> dict:
         """G_4, G_6, ... up to nmax from (g2, g3), computed once per instance."""
         return eisenstein_from_invariants(self.lattice.g2, self.lattice.g3, 2 * (self.nmax // 2))
-
-
-def ext_lattice(lattice: LatticeData, nmax: int = 8) -> ExtLattice:
-    return ExtLattice(lattice, nmax)
 
 
 def letters(nmax: int):

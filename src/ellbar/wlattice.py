@@ -481,10 +481,11 @@ def eta_lambda(L: LatticeData, lam, tol: float = 1e-9):
         # additivity chain through unit steps
         return m * eta_lambda(L, (1, 0), tol) + n * eta_lambda(L, (0, 1), tol)
     lamc = m * L.omega1 + n * L.omega2
-    probes = (0.331 * L._w1r + 0.207 * L._w2r, -0.274 * L._w1r + 0.412 * L._w2r)
-    vals = []
-    for p in probes:
-        vals.append(complex(_zeta_direct(L, p) - _zeta_direct(L, p + lamc)))
+    probes = np.array([0.331 * L._w1r + 0.207 * L._w2r, -0.274 * L._w1r + 0.412 * L._w2r])
+    # the probes and their translates in one array: a scalar z would round
+    # differently in numpy's scalar products
+    zeta = _zeta_direct(L, np.concatenate([probes, probes + lamc]))
+    vals = (zeta[:2] - zeta[2:]).tolist()
     scale = max(1.0, abs(vals[0]))
     if abs(vals[0] - vals[1]) > tol * scale:
         raise ProbeInconsistency(

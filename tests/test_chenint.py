@@ -467,6 +467,18 @@ class TestLevelSynchronous:
         st = self._against_oracle(model4, seg, letters, 2)
         assert len(st.panels_by_depth[0]) >= 5  # bisected deep near the pole
 
+    @pytest.mark.parametrize("origin,z0,z1", [
+        (0.0, 1e-4, 0.5),  # deep at the left end
+        (1.0, -0.5, -1e-4),  # deep at the right end
+        (0.0, 1e-4, 1 - 1e-4),  # deep at both ends
+    ])
+    def test_p1_deep_ends(self, origin, z0, z1):
+        # trees that hang off either end: at the right end the last leaf
+        # completes every subtree above it at once
+        model = P1Model(guard=0.0, origin=origin)
+        st = self._against_oracle(model, LineSeg(z0, z1), ("om0", "om1"), 3, 1e-11, 16)
+        assert len(st.panels_by_depth[0]) >= 10
+
     def test_steep_w4_line_fails_as_the_oracle(self):
         model = EdaggerModel(ExtLattice(lattice_from_curve(CurveSpec(2, 3)), nmax=4))
         seg = _steep_line(model.ext.lattice, 1e-3)
@@ -602,6 +614,23 @@ class TestManySegments:
         assert r.rejected_bisections == tuple(st.rejected)
         if which == "two-line":
             assert r.rejected_bisections[1] > r.rejected_bisections[0]
+
+    def test_p1_deep_ends_match_per_segment_runs(self):
+        # bisection trees deep at the left end, at the right end and at both
+        # ends, in one run, each as in a run over that segment alone
+        model = P1Model(guard=0.0)
+        segs = [LineSeg(1e-4, 0.5), LineSeg(0.5, 1 - 1e-4), LineSeg(1e-4, 1 - 1e-4)]
+        rest = (_word_table(("om0", "om1"), 3), 1e-11, 24, 0.0, 16)
+        st = _SegmentTransport(model, segs, *rest)
+        series = st.run()
+        for j, seg in enumerate(segs):
+            one = _one_segment(model, seg, *rest)
+            (vals,) = one.run()
+            assert np.array_equal(series[j], vals)
+            assert np.array_equal(st.err[j], one.err[0])
+            assert st.npanels[j] == one.npanels[0]
+            assert st.panels_by_depth[j] == one.panels_by_depth[0]
+            assert st.rejected[j] == one.rejected[0]
 
     def test_failure_is_the_leftmost_segment(self, model4):
         # two steep segments cut off short of the depth they need: the run

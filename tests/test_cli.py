@@ -131,6 +131,20 @@ class TestPointEvaluation:
         p = run_cli("wfun", "--curve", "5", "2", "--z", "zebra")
         assert p.returncode == 2
 
+    @pytest.mark.parametrize("argv", [
+        ("wfun", "--z", "0.4,0.3"),
+        ("forms", "--z", "0.4,0.3", "--s", "0.4,-0.1"),
+    ])
+    def test_no_tolerance_option(self, tmp_path, argv):
+        # neither command has a tolerance to set, so --tol is not accepted
+        # and the config echo carries no tol
+        p = run_cli(*argv, "--tol", "1e-9")
+        assert p.returncode == 2
+        assert "unrecognized arguments: --tol" in p.stderr
+        out = tmp_path / "r.json"
+        assert run_cli(*argv, "--json", str(out)).returncode == 0
+        assert "tol" not in load_json(out)["config"]
+
 
 class TestBarCommand:
     def test_p1_dimension_31(self, tmp_path):
