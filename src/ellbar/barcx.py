@@ -1,7 +1,8 @@
 """Reduced bar complex of a differential graded algebra in degrees 1 and 2.
 
-Everything here is exact rational arithmetic (fractions.Fraction); no floats
-enter.  A presentation lists the degree-1 and degree-2 basis letters, the
+Everything here is exact rational arithmetic (fractions.Fraction; the
+elimination keeps integral entries as int); no floats enter.  A
+presentation lists the degree-1 and degree-2 basis letters, the
 differential of the degree-1 letters and the wedge products of degree-1
 pairs; products and differentials involving degree-2 letters vanish because
 the algebra is zero above degree 2.
@@ -87,11 +88,6 @@ class DGAPresentation:
         if letter in self.deg2:
             return {}
         return self.diff.get(letter, {})
-
-    def wedge_letters(self, a, b) -> dict:
-        if a in self.deg2 or b in self.deg2:
-            return {}
-        return self.wedge.get((a, b), {})
 
     # ------------------------------------------------------------------ JSON
 
@@ -198,6 +194,14 @@ class BarElement:
         return out
 
 
+def _element(terms) -> BarElement:
+    """The bar element of (word, coefficient) pairs with distinct words,
+    zeros dropped and coefficients made Fractions."""
+    el = BarElement()
+    el.terms = {w: Fraction(c) for w, c in terms if c}
+    return el
+
+
 def bar_degree(P: DGAPresentation, word) -> int:
     """Bar degree of a word: sum over letters of (deg - 1)."""
     return sum(P.degree(a) - 1 for a in word)
@@ -206,26 +210,36 @@ def bar_degree(P: DGAPresentation, word) -> int:
 def bar_differential(P: DGAPresentation, xi: BarElement) -> BarElement:
     """The reduced-bar differential; input must be homogeneous of bar
     degree 0 or 1."""
-    degs = {bar_degree(P, w) for w in xi.terms}
+    deg = dict.fromkeys(P.deg1, 1)
+    deg.update(dict.fromkeys(P.deg2, 2))
+    try:
+        degs = {sum(map(deg.__getitem__, w)) - len(w) for w in xi.terms}
+    except KeyError as exc:
+        raise UnknownSymbol(f"letter {exc.args[0]!r} not in presentation") from None
     if degs - {0, 1}:
         raise ValueError(f"bar degree must be 0 or 1, got degrees {sorted(degs)}")
     if len(degs) > 1:
         raise ValueError("element is not homogeneous")
-    out = BarElement()
+    diff, wedge = P.diff, P.wedge
+    out = {}
     for word, coeff in xi.terms.items():
-        n = len(word)
-        jsign = 1  # product of (-1)^{deg a_j} over the letters before slot i
-        for i in range(1, n + 1):
-            a = word[i - 1]
-            sgn_d = (-1) ** i * jsign
-            for b, c in P.d_letter(a).items():
-                out.add_term(word[: i - 1] + (b,) + word[i:], sgn_d * coeff * c)
-            if i < n:
-                sgn_w = (-1) ** (i + 1) * jsign
-                for b, c in P.wedge_letters(a, word[i]).items():
-                    out.add_term(word[: i - 1] + (b,) + word[i + 1 :], sgn_w * coeff * c)
-            jsign *= (-1) ** P.degree(a)
-    return out
+        # s = (-1)^i times coeff times the product of (-1)^{deg a_j} over the
+        # letters before slot i (1-based); the wedge at slot i carries -s
+        s = -coeff
+        for i, a in enumerate(word):
+            img = diff.get(a)
+            if img:
+                for b, c in img.items():
+                    w = word[:i] + (b,) + word[i + 1 :]
+                    out[w] = out.get(w, 0) + s * c
+            img = wedge.get(word[i : i + 2])
+            if img:
+                for b, c in img.items():
+                    w = word[:i] + (b,) + word[i + 2 :]
+                    out[w] = out.get(w, 0) - s * c
+            if deg[a] == 2:
+                s = -s
+    return _element(out.items())
 
 
 # --------------------------------------------------------------------------
@@ -271,51 +285,87 @@ def deconcat(w):
 # exact kernel of d_B on bar degree 0
 
 
-def _subtract(dst: dict, f, src: dict):
-    """dst -= f * src on sparse rows, dropping entries that cancel."""
+def _entry(q):
+    """An exact coefficient as elimination rows store it: int if integral."""
+    return q.numerator if q.denominator == 1 else q
+
+
+def _subtract(dst: dict, f, src: dict, holders=None, key=None):
+    """dst -= f * src on sparse rows, dropping entries that cancel and
+    storing integral entries as int.  With `holders` (column -> keys of the
+    rows that hold it), records the columns that row `key` gains or loses."""
     for c, v in src.items():
         x = dst.get(c, 0) - f * v
         if x:
-            dst[c] = x
+            if holders is not None and c not in dst:
+                holders.setdefault(c, set()).add(key)
+            dst[c] = x.numerator if x.denominator == 1 else x
         else:
-            dst.pop(c, None)
+            # f and v are nonzero, so an entry that cancels was in dst
+            del dst[c]
+            if holders is not None:
+                holders[c].discard(key)
+
+
+def _reduce_row(r: dict, reduced: dict):
+    """Eliminates every pivot column of `reduced` from the row r, in place."""
+    # reduced rows hold no other pivot column, so r[p] is unchanged until its
+    # own turn
+    for p in [c for c in r if c in reduced]:
+        _subtract(r, r[p], reduced[p])
+
+
+def _reduce(rows) -> dict:
+    """Exact RREF of sparse rows as {pivot column: row}; entries are int
+    where integral and Fraction otherwise (see `_rref`)."""
+    reduced = {}  # pivot column -> row, kept fully reduced against each other
+    holders = {}  # column -> pivots of the reduced rows that hold it
+    for row in rows:
+        r = {c: _entry(v) for c, v in row.items() if v}
+        _reduce_row(r, reduced)
+        if not r:
+            continue
+        p = min(r)
+        if r[p] != 1:
+            inv = _entry(Fraction(r[p].denominator, r[p].numerator))
+            for c, v in r.items():
+                r[c] = _entry(v * inv)
+        # back-substitute only into the rows that hold the new pivot column
+        for q in list(holders.get(p, ())):
+            _subtract(reduced[q], reduced[q][p], r, holders, q)
+        for c in r:
+            holders.setdefault(c, set()).add(p)
+        reduced[p] = r
+    return reduced
 
 
 def _rref(rows):
     """Exact reduced row echelon form of sparse rows.
 
     Each row is a dict {column: coefficient} over mutually comparable
-    columns; the input rows are not modified.  Returns the nonzero rows of
-    the RREF of their span, sorted by pivot: each row's pivot is its
-    smallest column, with coefficient 1, and no other row has an entry in
-    a pivot column.  The RREF of a span is unique, so the result does not
-    depend on the order of the input rows; its length is the rank.
+    columns, with int or Fraction coefficients; the input rows are not
+    modified.  Returns the nonzero rows of the RREF of their span, sorted by
+    pivot: each row's pivot is its smallest column, with coefficient 1, and
+    no other row has an entry in a pivot column.  The RREF of a span is
+    unique, so the result does not depend on the order of the input rows;
+    its length is the rank.
+
+    The elimination keeps a column index (column -> the reduced rows that
+    hold it), so a new pivot row is back-substituted only into the rows
+    that hold its pivot column.  Integral entries are kept as int, so that
+    rows of +-1 entries never build a Fraction; the rows returned hold
+    Fractions only.
     """
-    reduced = {}  # pivot column -> row, kept fully reduced against each other
-    for row in rows:
-        r = {c: Fraction(v) for c, v in row.items() if v}
-        for p in [c for c in r if c in reduced]:
-            # reduced rows hold no other pivot column, so r[p] is unchanged
-            # until its own turn
-            _subtract(r, r[p], reduced[p])
-        if not r:
-            continue
-        p = min(r)
-        if r[p] != 1:
-            inv = 1 / r[p]
-            r = {c: v * inv for c, v in r.items()}
-        for other in reduced.values():
-            f = other.get(p)
-            if f is not None:
-                _subtract(other, f, r)
-        reduced[p] = r
-    return [reduced[p] for p in sorted(reduced)]
+    reduced = _reduce(rows)
+    return [{c: Fraction(v) for c, v in reduced[p].items()} for p in sorted(reduced)]
 
 
 def _in_span(basis, target) -> bool:
-    """Exact membership of a bar element in the span of bar elements."""
-    rows = [el.terms for el in basis]
-    return len(_rref(rows + [target.terms])) == len(_rref(rows))
+    """Exact membership of a bar element in the span of bar elements: the
+    target reduces to zero against the RREF of the basis."""
+    r = {w: _entry(c) for w, c in target.terms.items() if c}
+    _reduce_row(r, _reduce(el.terms for el in basis))
+    return not r
 
 
 def h0_basis(P: DGAPresentation, lmax: int, dim_bound: int = 50000):
@@ -325,7 +375,11 @@ def h0_basis(P: DGAPresentation, lmax: int, dim_bound: int = 50000):
     the presentation's letter order), the kernel basis is returned in reduced
     row echelon form over that column order.  The constraints are eliminated
     as sparse exact rows; d_B preserves the weight and the number of w-type
-    letters, so rows never mix those blocks and stay short.
+    letters, so rows never mix those blocks and stay short.  Each word's
+    constraint entries are written straight from the letter tables, by
+    d_B[a1|...|an] = -sum [..|da_i|..] + sum [..|a_i ^ a_{i+1}|..].  The
+    elimination (see `_rref`) works on int entries wherever they are
+    integral; the returned elements hold Fraction coefficients.
     """
     k = len(P.deg1)
     nwords = lmax + 1 if k == 1 else (k ** (lmax + 1) - 1) // (k - 1)
@@ -334,22 +388,28 @@ def h0_basis(P: DGAPresentation, lmax: int, dim_bound: int = 50000):
             f"{nwords} words of length <= {lmax} exceeds bound {dim_bound}"
         )
     cols = words_upto(P.deg1, lmax)
-    col_idx = {w: i for i, w in enumerate(cols)}
-    # constraint rows: one per degree-1 word appearing in any image
+    d = {a: [(b, -_entry(c)) for b, c in img.items() if c] for a, img in P.diff.items()}
+    wedge = {ab: [(b, _entry(c)) for b, c in img.items() if c] for ab, img in P.wedge.items()}
+    # constraint rows: one per bar-degree-1 word in any image, holding in
+    # column j that word's coefficient in d_B[cols[j]].  Each (word, column)
+    # pair is hit once: the degree-2 letter sits at a different slot each time.
     constraints = {}
-    for w in cols[1:]:
-        img = bar_differential(P, BarElement({w: Fraction(1)}))
-        for rw, c in img.terms.items():
-            constraints.setdefault(rw, {})[col_idx[w]] = c
+    for j, w in enumerate(cols):
+        for i, a in enumerate(w):
+            for b, c in d.get(a, ()):
+                constraints.setdefault(w[:i] + (b,) + w[i + 1 :], {})[j] = c
+            for b, c in wedge.get(w[i : i + 2], ()):
+                constraints.setdefault(w[:i] + (b,) + w[i + 2 :], {})[j] = c
     order = sorted(constraints, key=lambda t: (len(t), t))
-    pivot_rows = {min(r): r for r in _rref(constraints[rw] for rw in order)}
+    pivot_rows = _reduce(constraints[rw] for rw in order)
     # kernel vector of free column f: e_f - sum over pivots p of row_p[f] e_p
-    kernel = {c: {c: Fraction(1)} for c in range(len(cols)) if c not in pivot_rows}
+    kernel = {c: {c: 1} for c in range(len(cols)) if c not in pivot_rows}
     for p, r in pivot_rows.items():
         for c, v in r.items():
             if c != p:
                 kernel[c][p] = -v
+    basis = _reduce(kernel.values())
     return [
-        BarElement({cols[i]: row[i] for i in sorted(row)})
-        for row in _rref(kernel.values())
+        _element((cols[c], v) for c, v in sorted(basis[p].items()))
+        for p in sorted(basis)
     ]

@@ -5,9 +5,11 @@ from fractions import Fraction
 
 import pytest
 
+from ellbar import barcx
 from ellbar.barcx import (
     BarElement,
     DGAPresentation,
+    _rref,
     bar_degree,
     bar_differential,
     deconcat,
@@ -195,12 +197,67 @@ class TestKernel:
     @pytest.mark.parametrize(
         "model,N,lmax",
         [("p1", None, ell) for ell in range(8)]
-        + [("edagger", N, ell) for N, ell in ((2, 2), (3, 2), (4, 2), (4, 3), (5, 3))],
+        + [
+            ("edagger", N, ell)
+            for N, ell in ((1, 1), (2, 1), (2, 2), (3, 2), (4, 2), (4, 3), (5, 3), (6, 2), (2, 4))
+        ],
     )
     def test_matches_dense_reference(self, model, N, lmax):
         P = p1_dga() if model == "p1" else dga_presentation(N)
-        got = [e.to_json() for e in h0_basis(P, lmax)]
-        assert got == [e.to_json() for e in _dense_h0_basis(P, lmax)]
+        basis = h0_basis(P, lmax)
+        assert all(type(c) is Fraction for e in basis for c in e.terms.values())
+        assert [e.to_json() for e in basis] == [e.to_json() for e in _dense_h0_basis(P, lmax)]
+
+    @pytest.mark.parametrize("model,N,lmax", [("p1", None, 8), ("edagger", 5, 3)])
+    def test_constraints_built_without_bar_differential(self, monkeypatch, model, N, lmax):
+        P = p1_dga() if model == "p1" else dga_presentation(N)
+        expected = [e.to_json() for e in h0_basis(P, lmax)]
+
+        def forbidden(*args):
+            raise AssertionError("h0_basis called bar_differential")
+
+        monkeypatch.setattr(barcx, "bar_differential", forbidden)
+        assert [e.to_json() for e in h0_basis(P, lmax)] == expected
+
+
+def _random_sparse_rows(rng, nrows, ncols):
+    """Sparse rows with integer and non-integer rationals, explicit zeros,
+    empty rows, duplicates and combinations of earlier rows."""
+    rows = []
+    for _ in range(nrows):
+        kind = rng.random()
+        if kind < 0.1 or not rows:
+            row = {} if rng.random() < 0.5 else {rng.randrange(ncols): Fraction(0)}
+        elif kind < 0.2:
+            row = dict(rng.choice(rows))
+        elif kind < 0.35:
+            a, b = rng.choice(rows), rng.choice(rows)
+            q = Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+            row = {c: a.get(c, 0) - q * b.get(c, 0) for c in set(a) | set(b)}
+        else:
+            row = {}
+            for c in rng.sample(range(ncols), rng.randint(1, 4)):
+                if rng.random() < 0.5:
+                    row[c] = Fraction(rng.choice([-2, -1, 1, 1, 3]))
+                else:
+                    row[c] = Fraction(rng.randint(-9, 9), rng.randint(1, 7))
+        rows.append(row)
+    return rows
+
+
+class TestSparseRref:
+    @pytest.mark.parametrize("seed", range(12))
+    def test_matches_dense_rref(self, seed):
+        rng = random.Random(seed)
+        ncols = rng.randint(3, 14)
+        rows = _random_sparse_rows(rng, rng.randint(1, 20), ncols)
+        copies = [dict(r) for r in rows]
+        got = _rref(rows)
+        assert rows == copies  # the input rows are not modified
+        dense = [[r.get(c, Fraction(0)) for c in range(ncols)] for r in rows]
+        _dense_rref(dense, ncols)
+        assert got == [{c: v for c, v in enumerate(r) if v} for r in dense]
+        assert all(type(v) is Fraction for r in got for v in r.values())
 
 
 def _dense_rref(rows, ncols):

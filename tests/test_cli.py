@@ -191,6 +191,12 @@ class TestBarCommand:
              "4e2cc3aa8b0dd4e756126db6e73b044609c2185fc5b1e8190af244cb168bb90e"),
             (("--model", "p1", "--ell", "6"),
              "fd7eef4d2eeb63223431356bc2aabd3bf50ab4732bf01f8da08a114c7ba441f5"),
+            # the benchmark's largest sizes, recorded from the kernel that
+            # built each constraint row through bar_differential
+            (("--model", "edagger", "--N", "5", "--ell", "3"),
+             "3b4b996479fd3d993a8ccd591c0a559a2e654ec24fd58f2486ebba21e311e128"),
+            (("--model", "p1", "--ell", "8"),
+             "190668815f18381ab15fc33fb023078ee17bbb6104eaa06d20747d9fd5db64e6"),
         ],
     )
     def test_report_bytes_pinned(self, tmp_path, argv, sha256):
