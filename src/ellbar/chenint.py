@@ -46,6 +46,7 @@ from functools import lru_cache, reduce
 import numpy as np
 
 from . import _kernels
+from .barcx import words_upto
 from .errors import (
     EndpointMismatch,
     FitInstability,
@@ -53,7 +54,7 @@ from .errors import (
     QuadratureFailure,
 )
 from .logforms import ExtLattice, f_batch, letters as form_letters
-from .wlattice import LatticeData, _dist_to_lattice, eta_lambda, reduce_mod_lattice
+from .wlattice import LatticeData, eta_lambda, reduce_mod_lattice
 
 __all__ = [
     "LineSeg",
@@ -75,7 +76,6 @@ __all__ = [
     "eval_bar_element",
     "eval_bar_with_result",
     "homotopy_report",
-    "winding_number",
     "homotopy_certificate",
     "loop_pair_library",
     "surface_difference",
@@ -108,6 +108,14 @@ class LineSeg:
     @property
     def start(self):
         return (self.z0, self.s0)
+
+    @property
+    def speed(self):  # |dz/dt|, constant
+        return abs(self.z1 - self.z0)
+
+    @property
+    def corners(self):  # points whose convex hull holds the segment
+        return (self.z0, self.z1)
 
     @property
     def end(self):
@@ -144,6 +152,14 @@ class ArcSeg:
     @property
     def start(self):
         return (self.center + self.radius * np.exp(1j * self.a0), self.s0)
+
+    @property
+    def speed(self):  # |dz/dt|, constant
+        return self.radius * abs(self.a1 - self.a0)
+
+    @property
+    def corners(self):  # the full circle's bounding square
+        return tuple(self.center + self.radius * (x + 1j * y) for x in (-1, 1) for y in (-1, 1))
 
     @property
     def end(self):
@@ -362,30 +378,17 @@ class EdaggerModel:
     def letters(self):
         return form_letters(self.ext.nmax)
 
-    def dist(self, z):
-        return _dist_to_lattice(self.ext.lattice, np.asarray(z, dtype=complex))
-
-    def segment_min_dist(self, seg) -> float:
-        """Exact distance from the segment to the nearest lattice point."""
+    def punctures(self, corners):
+        """The lattice points whose indices lie within 2 of the corners'
+        reduced indices: every lattice point less than two lattice spacings
+        (area over longest period) from the corners' convex hull."""
         L = self.ext.lattice
-        if isinstance(seg, ArcSeg):
-            corners = [
-                seg.center + seg.radius * (dx + 1j * dy)
-                for dx in (-1, 1)
-                for dy in (-1, 1)
-            ]
-        else:
-            corners = [seg.z0, seg.z1]
-        ms, ns = [], []
-        for c in corners:
-            _, (m, n) = reduce_mod_lattice(L, c)
-            ms.append(m)
-            ns.append(n)
-        pts = []
-        for m in range(min(ms) - 2, max(ms) + 3):
-            for n in range(min(ns) - 2, max(ns) + 3):
-                pts.append(m * L.omega1 + n * L.omega2)
-        return _seg_puncture_dist(seg, pts)
+        ms, ns = zip(*(reduce_mod_lattice(L, c)[1] for c in corners))
+        return [
+            m * L.omega1 + n * L.omega2
+            for m in range(min(ms) - 2, max(ms) + 3)
+            for n in range(min(ns) - 2, max(ns) + 3)
+        ]
 
     def phi_rows(self, letters, z, s, dz, ds):
         rows = np.empty((len(letters), z.shape[0]), dtype=complex)
@@ -438,13 +441,9 @@ class P1Model:
     def letters(self):
         return ("om0", "om1")
 
-    def dist(self, z):
-        z = np.asarray(z, dtype=complex) + self.origin
-        return np.minimum(np.abs(z), np.abs(z - 1.0))
-
-    def segment_min_dist(self, seg) -> float:
-        punctures = (-self.origin, 1.0 - self.origin)
-        return _seg_puncture_dist(seg, punctures)
+    def punctures(self, corners):
+        """0 and 1 in local coordinates, wherever the corners lie."""
+        return [-self.origin, 1.0 - self.origin]
 
     def phi_rows(self, letters, z, s, dz, ds):
         rows = np.empty((len(letters), z.shape[0]), dtype=complex)
@@ -556,11 +555,7 @@ class WordTable:
 @lru_cache(maxsize=32)
 def _word_table(letters, lmax) -> WordTable:
     """Every word over the letters up to length lmax, graded-lex."""
-    words, prev = [()], [()]
-    for _ in range(lmax):
-        prev = [w + (a,) for w in prev for a in letters]
-        words.extend(prev)
-    return WordTable(letters, words)
+    return WordTable(letters, words_upto(letters, lmax))
 
 
 @lru_cache(maxsize=128)
@@ -637,7 +632,7 @@ class _SegmentTransport:
         self.max_depth = max_depth
         if guard and guard > 0:
             for seg in self.segs:
-                dmin = model.segment_min_dist(seg)
+                dmin = _seg_puncture_dist(seg, model.punctures(seg.corners))
                 if dmin < guard:
                     raise GuardViolation(
                         f"segment passes within {dmin:.3e} of a puncture "
@@ -876,63 +871,58 @@ def homotopy_report(model, xi, g1: PathSpec, g2: PathSpec, tol: float = 1e-10, *
 # homotopy certificates for curated pairs
 
 
-def winding_number(zs, p) -> int:
-    """Winding of a discretely sampled closed curve about p."""
-    v = np.asarray(zs, dtype=complex) - p
-    ang = np.angle(v[1:] / v[:-1])
-    total = float(np.sum(ang)) + float(np.angle(v[0] / v[-1]))
-    return int(round(total / (2 * math.pi)))
+# The certificate gives up past this depth, or with more cells at one depth.
+_CERT_MAX_DEPTH = 24
+_CERT_MAX_CELLS = 1 << 12
 
 
-def _sample_loop(g1: PathSpec, g2: PathSpec, n=512):
-    t = np.linspace(0.0, 1.0, n)
-    z1, _ = g1.at(t)
-    z2, _ = g2.at(t)
-    return np.concatenate([z1, z2[::-1]])
+def homotopy_certificate(model, g1: PathSpec, g2: PathSpec):
+    """Prove that H(t, u) = (1 - u) g1(t) + u g2(t) keeps more than 10 guard
+    from every puncture.
 
+    Segments run at constant speed, so every point of a cell with centre
+    c = (tc, uc) and half-width h lies within r = (L_t + |g2(tc) - g1(tc)|) h
+    of H(c), L_t being the largest segment speed times its path's segment
+    count.  The cells of one depth are evaluated together: a cell is
+    excluded when min_p |H(c) - p| - r, less a rounding allowance, exceeds
+    10 guard; a centre within 10 guard of a puncture refutes; any other cell
+    splits in four.  The punctures are the model's near the corners of both
+    paths' segments, whose convex hull holds the surface.
 
-def homotopy_certificate(model, g1: PathSpec, g2: PathSpec, samples=512, grid=48):
-    """Certify that the straight-line homotopy between the paths avoids the
-    punctures: returns winding numbers of the difference loop about every
-    nearby puncture (all must vanish) and the minimum puncture distance over
-    the swept surface."""
-    loop = _sample_loop(g1, g2, samples)
-    if model.name == "edagger":
-        L = model.ext.lattice
-        lo, hi = np.min(loop), np.max(loop)
-        pts = []
-        span = 3
-        # lattice points near the loop's bounding box
-        cre = (lo.real + hi.real) / 2
-        cim = (lo.imag + hi.imag) / 2
-        _, (m0, n0) = reduce_mod_lattice(L, complex(cre, cim))
-        for dm in range(-span, span + 1):
-            for dn in range(-span, span + 1):
-                pts.append((m0 + dm) * L.omega1 + (n0 + dn) * L.omega2)
-    else:
-        pts = [0j, 1.0 + 0j]
-    windings = {}
-    for p in pts:
-        # skip punctures far outside the loop's bounding box
-        if p.real < np.min(loop.real) - 1 or p.real > np.max(loop.real) + 1:
-            continue
-        if p.imag < np.min(loop.imag) - 1 or p.imag > np.max(loop.imag) + 1:
-            continue
-        windings[p] = winding_number(loop, p)
-    t = np.linspace(0.0, 1.0, grid)
-    z1, _ = g1.at(t)
-    z2, _ = g2.at(t)
-    u = np.linspace(0.0, 1.0, grid)[:, None]
-    surface = (1 - u) * z1[None, :] + u * z2[None, :]
-    dmin = float(np.min(model.dist(surface.ravel())))
-    ok = all(wn == 0 for wn in windings.values()) and dmin > 10 * model.guard
-    return {"windings": windings, "min_distance": dmin, "ok": ok}
+    Returns ``ok``, ``cells`` (evaluated) and ``min_distance``: if ok, a
+    proven lower bound on the surface's distance to the punctures, so the
+    loop g1 g2^-1 winds around none; else the distance at the nearest centre.
+    """
+    floor = 10 * model.guard
+    corners = [c for g in (g1, g2) for seg in g.segments for c in seg.corners]
+    pts = np.asarray(model.punctures(corners), dtype=complex)[:, None]
+    lip = max(len(g.segments) * seg.speed for g in (g1, g2) for seg in g.segments)
+    # joins are continuous to 1e-12 of the scale; rounding is far below that
+    slack = 2e-12 * max(1.0, float(np.abs(pts).max()), *map(abs, corners))
+    t = u = np.array([0.5])
+    h, cells, lower, nearest = 0.5, 0, math.inf, math.inf
+    for _ in range(_CERT_MAX_DEPTH + 1):
+        cells += len(t)
+        z1, z2 = g1.at(t)[0], g2.at(t)[0]
+        d = np.abs((1 - u) * z1 + u * z2 - pts).min(axis=0)
+        nearest = min(nearest, float(d.min()))
+        bound = d - (lip + np.abs(z2 - z1)) * h - slack
+        split = bound <= floor
+        lower = min(lower, float(bound[~split].min(initial=math.inf)))
+        if nearest <= floor or 4 * np.count_nonzero(split) > _CERT_MAX_CELLS:
+            break
+        if not split.any():
+            return {"ok": True, "min_distance": lower, "cells": cells}
+        t, u, h = t[split], u[split], 0.5 * h
+        t = np.concatenate([t - h, t + h, t - h, t + h])
+        u = np.concatenate([u - h, u - h, u + h, u + h])
+    return {"ok": False, "min_distance": nearest, "cells": cells}
 
 
 def loop_pair_library(ext: ExtLattice, s0=0.4 - 0.1j):
-    """Three curated pairs of paths with matching endpoints, each pair
-    homotopic (straight-line homotopy avoids the lattice).  Used by the
-    homotopy contract tests."""
+    """Three curated pairs of paths with matching endpoints, each pair proven
+    homotopic by ``homotopy_certificate``.  Used by the homotopy contract
+    tests."""
     L = ext.lattice
     w1, w2 = L.omega1, L.omega2
     z0 = 0.31 * w1 + 0.22 * w2

@@ -254,6 +254,8 @@ def cmd_integrate(args):
         "value": _cpair(val),
         "error_estimate": float(err),
         "panels_by_segment": list(r.panels_by_segment),
+        "panels_by_depth": [list(d) for d in r.panels_by_depth],
+        "rejected_bisections": list(r.rejected_bisections),
     }
     human = [
         f"word {'|'.join(word) or '(empty)'} along {len(path.segments)} segment(s)",

@@ -46,7 +46,13 @@ from ellbar.errors import (
 from ellbar.kzbword import c_w, canonical_series
 from ellbar.logforms import ExtLattice
 from ellbar.p1model import MZVIndex, mzv_integral
-from ellbar.wlattice import CurveSpec, eta_lambda, lattice_from_curve
+from ellbar.wlattice import (
+    CurveSpec,
+    _dist_to_lattice,
+    _reduce,
+    eta_lambda,
+    lattice_from_curve,
+)
 
 ZETA2 = math.pi**2 / 6
 ZETA3 = 1.2020569031595942854
@@ -699,7 +705,59 @@ class TestHomotopy:
         for name, g1, g2 in pairs:
             cert = homotopy_certificate(model, g1, g2)
             assert cert["ok"], f"pair {name} failed its certificate"
-            assert all(w == 0 for w in cert["windings"].values())
+            assert cert["min_distance"] > 10 * model.guard
+
+    def test_fold_through_lattice_point_rejected(self, ext, model):
+        # g2 doubles back, so the straight-line homotopy passes over the
+        # lattice point 0 between the nodes of any coarse grid
+        L = ext.lattice
+        sc = 0.2 * L.min_period()
+
+        def poly(*xy):
+            zs = [sc * ((x - 0.8) + 1j * (y - 0.5)) for x, y in xy]
+            return PathSpec("edagger", tuple(LineSeg(a, b) for a, b in zip(zs, zs[1:])))
+
+        g1 = poly((0, 0), (1, 0), (2, 0), (3, 0))
+        g2 = poly((0, 0), (1, 2), (0.1, 0.1), (3, 0))
+        cert = homotopy_certificate(model, g1, g2)
+        assert not cert["ok"]
+        assert cert["min_distance"] <= 10 * model.guard
+
+    @staticmethod
+    def _sampled_min(g1, g2, dist, n=1001):
+        t = np.linspace(0.0, 1.0, n)
+        z1, _ = g1.at(t)
+        z2, _ = g2.at(t)
+        u = t[:, None]
+        return float(dist((1 - u) * z1 + u * z2).min())
+
+    def test_bound_below_sampled_distance(self, ext, model):
+        L = ext.lattice
+
+        def dist(z):
+            return _dist_to_lattice(L, _reduce(z, L._w1r, L._w2r, L._red_inv)[0])
+
+        for name, g1, g2 in loop_pair_library(ext):
+            cert = homotopy_certificate(model, g1, g2)
+            sampled = self._sampled_min(g1, g2, dist)
+            assert 10 * model.guard < cert["min_distance"] <= sampled, name
+
+    def test_p1_pairs(self):
+        model = P1Model()
+
+        def dist(z):
+            return np.minimum(np.abs(z), np.abs(z - 1.0))
+
+        # over and under (0.3, 0.7): the swept region holds no puncture
+        over = PathSpec("p1", (ArcSeg(0.5, 0.2, math.pi, 0.0),))
+        under = PathSpec("p1", (LineSeg(0.3, 0.5 - 0.2j), LineSeg(0.5 - 0.2j, 0.7)))
+        cert = homotopy_certificate(model, over, under)
+        assert cert["ok"]
+        assert 10 * model.guard < cert["min_distance"] <= self._sampled_min(over, under, dist)
+        # over and under 1, from 0.5 to 1.5: the homotopy sweeps across 1
+        over = PathSpec("p1", (ArcSeg(1.0, 0.5, math.pi, 0.0),))
+        under = PathSpec("p1", (ArcSeg(1.0, 0.5, math.pi, 2 * math.pi),))
+        assert not homotopy_certificate(model, over, under)["ok"]
 
     def test_closed_element_invariant(self, ext, model):
         S = canonical_series(4, 2)

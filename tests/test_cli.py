@@ -11,7 +11,7 @@ import mpmath
 import pytest
 
 from ellbar.barcx import BarElement
-from ellbar.chenint import loop_path, path_to_json, translate_path
+from ellbar.chenint import LineSeg, PathSpec, loop_path, path_to_json, translate_path
 from ellbar.wlattice import CurveSpec, eta_lambda, lattice_from_curve
 
 
@@ -227,7 +227,11 @@ def paths(tmp_path_factory):
     lp.write_text(path_to_json(loop_path(0j, 0.25, model="p1")))
     bad = d / "through_pole.json"
     bad.write_text(path_to_json(loop_path(0.5 + 0j, 0.5, model="p1")))
-    return {"translate": tr, "loop": lp, "bad": bad, "L": L}
+    steep = d / "steep.json"
+    steep.write_text(path_to_json(
+        PathSpec("p1", (LineSeg(0.5, 0.01), LineSeg(0.01, 0.5 + 0.5j)))
+    ))
+    return {"translate": tr, "loop": lp, "bad": bad, "steep": steep, "L": L}
 
 
 class TestIntegrate:
@@ -256,6 +260,18 @@ class TestIntegrate:
         assert p.returncode == 0
         val = complex(*load_json(out)["report"]["value"])
         assert abs(val - 2j * math.pi) <= 1e-9
+
+    def test_panel_counters(self, paths, tmp_path):
+        out = tmp_path / "i.json"
+        p = run_cli("integrate", "--path", str(paths["steep"]), "--word", "01",
+                    "--json", str(out))
+        assert p.returncode == 0
+        rep = load_json(out)["report"]
+        by_seg = rep["panels_by_segment"]
+        assert min(rep["rejected_bisections"]) > 0  # both segments bisect
+        assert [sum(d) for d in rep["panels_by_depth"]] == by_seg
+        # the root costs 3 panels, each rejected interval its halves' halves
+        assert [3 + 4 * k for k in rep["rejected_bisections"]] == by_seg
 
     def test_guard_violation_exits_1(self, paths):
         p = run_cli("integrate", "--path", str(paths["bad"]), "--word", "0")
