@@ -126,7 +126,11 @@ class DGAPresentation:
 
 
 class BarElement:
-    """Finite rational combination of tensor words (tuples of letter names)."""
+    """Finite rational combination of tensor words (tuples of letter names).
+
+    Sums, differences and scalings have the type of the left operand, and
+    only elements of one type compare equal.
+    """
 
     __slots__ = ("terms",)
 
@@ -145,13 +149,13 @@ class BarElement:
             self.terms[word] = c
 
     def __add__(self, other):
-        out = BarElement(self.terms)
+        out = type(self)(self.terms)
         for w, c in other.terms.items():
             out.add_term(w, c)
         return out
 
     def __sub__(self, other):
-        out = BarElement(self.terms)
+        out = type(self)(self.terms)
         for w, c in other.terms.items():
             out.add_term(w, -c)
         return out
@@ -159,14 +163,14 @@ class BarElement:
     def scale(self, q):
         q = Fraction(q)
         if q == 0:
-            return BarElement()
-        return BarElement({w: c * q for w, c in self.terms.items()})
+            return type(self)()
+        return type(self)({w: c * q for w, c in self.terms.items()})
 
     def is_zero(self) -> bool:
         return not self.terms
 
     def __eq__(self, other):
-        return isinstance(other, BarElement) and self.terms == other.terms
+        return type(other) is type(self) and self.terms == other.terms
 
     def __repr__(self):
         if not self.terms:
@@ -368,7 +372,11 @@ def _in_span(basis, target) -> bool:
     return not r
 
 
-def h0_basis(P: DGAPresentation, lmax: int, dim_bound: int = 50000):
+# The most words (columns) h0_basis eliminates over
+_DIM_BOUND = 50000
+
+
+def h0_basis(P: DGAPresentation, lmax: int):
     """Basis of the kernel of d_B on words of degree-1 letters, length <= lmax.
 
     Deterministic: columns are the degree-0 words in graded-lex order (using
@@ -380,12 +388,13 @@ def h0_basis(P: DGAPresentation, lmax: int, dim_bound: int = 50000):
     d_B[a1|...|an] = -sum [..|da_i|..] + sum [..|a_i ^ a_{i+1}|..].  The
     elimination (see `_rref`) works on int entries wherever they are
     integral; the returned elements hold Fraction coefficients.
+    DimensionBound past ``_DIM_BOUND`` words.
     """
     k = len(P.deg1)
     nwords = lmax + 1 if k == 1 else (k ** (lmax + 1) - 1) // (k - 1)
-    if nwords > dim_bound:
+    if nwords > _DIM_BOUND:
         raise DimensionBound(
-            f"{nwords} words of length <= {lmax} exceeds bound {dim_bound}"
+            f"{nwords} words of length <= {lmax} exceeds bound {_DIM_BOUND}"
         )
     cols = words_upto(P.deg1, lmax)
     d = {a: [(b, -_entry(c)) for b, c in img.items() if c] for a, img in P.diff.items()}

@@ -121,6 +121,15 @@ class LineSeg:
     def end(self):
         return (self.z1, self.s1)
 
+    def distance(self, p):
+        """Distances from the points of the array p to the segment in z."""
+        ab = self.z1 - self.z0
+        denom = abs(ab) ** 2
+        if denom == 0.0:
+            return np.abs(self.z0 - p)
+        t = np.clip(((p - self.z0) * np.conj(ab)).real / denom, 0.0, 1.0)
+        return np.abs(self.z0 + t * ab - p)
+
     def reversed(self):
         return LineSeg(self.z1, self.z0, self.s1, self.s0)
 
@@ -164,6 +173,19 @@ class ArcSeg:
     @property
     def end(self):
         return (self.center + self.radius * np.exp(1j * self.a1), self.s1)
+
+    def distance(self, p):
+        """Distances from the points of the array p to the arc: to its circle
+        where the angle of p lies in the arc's span, else to the nearer end."""
+        v = p - self.center
+        ring = np.abs(np.abs(v) - self.radius)
+        span = self.a1 - self.a0
+        if abs(span) >= 2 * math.pi - 1e-12:
+            return ring
+        sgn = 1.0 if span >= 0 else -1.0
+        delta = ((np.arctan2(v.imag, v.real) - self.a0) * sgn) % (2 * math.pi)
+        ends = np.minimum(np.abs(p - self.start[0]), np.abs(p - self.end[0]))
+        return np.where(delta <= abs(span), ring, ends)
 
     def reversed(self):
         return ArcSeg(self.center, self.radius, self.a1, self.a0, self.s1, self.s0)
@@ -318,52 +340,16 @@ def translate_path(L: LatticeData, mn, z0, s0) -> PathSpec:
     return line_path("edagger", z0, z0 + lam, s0, s0 - eta)
 
 
-def loop_path(center, radius, s0=0j, model="edagger", turns=1) -> PathSpec:
-    """Closed circle around a point at constant s."""
+def loop_path(center, radius, s0=0j, model="edagger") -> PathSpec:
+    """Closed circle around a point at constant s, one turn."""
     return PathSpec(
         model=model,
-        segments=(ArcSeg(center, radius, 0.0, 2 * math.pi * turns, s0, s0),),
+        segments=(ArcSeg(center, radius, 0.0, 2 * math.pi, s0, s0),),
     )
 
 
 # --------------------------------------------------------------------------
-# ambient models: letters, pullbacks, guard distances
-
-
-def _point_seg_dist(a, b, p) -> float:
-    """Distance from point p to the straight segment [a, b] in C."""
-    ab = b - a
-    denom = abs(ab) ** 2
-    if denom == 0.0:
-        return abs(a - p)
-    t = ((p - a) * np.conj(ab)).real / denom
-    t = min(1.0, max(0.0, t))
-    return abs(a + t * ab - p)
-
-
-def _point_arc_dist(seg: ArcSeg, p) -> float:
-    v = p - seg.center
-    d0 = abs(v)
-    span = seg.a1 - seg.a0
-    if abs(span) >= 2 * math.pi - 1e-12:
-        return abs(d0 - seg.radius)
-    theta = math.atan2(v.imag, v.real)
-    sgn = 1.0 if span >= 0 else -1.0
-    delta = ((theta - seg.a0) * sgn) % (2 * math.pi)
-    if delta <= abs(span):
-        return abs(d0 - seg.radius)
-    return min(abs(p - seg.start[0]), abs(p - seg.end[0]))
-
-
-def _seg_puncture_dist(seg, punctures) -> float:
-    out = math.inf
-    for p in punctures:
-        if isinstance(seg, ArcSeg):
-            d = _point_arc_dist(seg, p)
-        else:
-            d = _point_seg_dist(seg.z0, seg.z1, p)
-        out = min(out, d)
-    return out
+# ambient models: letters, pullbacks, punctures
 
 
 class EdaggerModel:
@@ -371,9 +357,9 @@ class EdaggerModel:
 
     name = "edagger"
 
-    def __init__(self, ext: ExtLattice, guard: float = None):
+    def __init__(self, ext: ExtLattice):
         self.ext = ext
-        self.guard = ext.lattice.guard if guard is None else guard
+        self.guard = ext.lattice.guard
 
     def letters(self):
         return form_letters(self.ext.nmax)
@@ -502,14 +488,14 @@ def reverse_path(g: PathSpec) -> PathSpec:
     )
 
 
-def loop_deck(L: LatticeData, g: PathSpec, tol: float = 1e-10):
+def loop_deck(L: LatticeData, g: PathSpec):
     """Deck element (m, n) closing the path in the quotient, or None.
 
     The path is a loop when end - start = (lam, -eta(lam)) for lam =
     m omega1 + n omega2; (0, 0) means an honest closed loop in the cover.
     """
     model = EdaggerModel(ExtLattice(L, nmax=0))
-    off = model.congruence_offset(g.start, g.end, tol=max(tol, 1e-10))
+    off = model.congruence_offset(g.start, g.end, tol=1e-10)
     return None if off is None else off[2]
 
 
@@ -605,6 +591,9 @@ def _ref_quad(order):
     return x, w.astype(np.complex128), QT.T
 
 
+# Gauss-Legendre nodes per transport panel
+_ORDER = 24
+
 # Open intervals advanced in one batch: their halves' panels hold at most
 # _BATCH_ENTRIES word-node entries (about 14 intervals at the 1555-word
 # table), and never more than _BATCH_INTERVALS intervals, which bounds the
@@ -621,30 +610,32 @@ class _SegmentTransport:
 
     ``err``, ``npanels``, ``panels_by_depth`` and ``rejected`` hold one entry
     per segment, and ``run`` returns one series per segment: the same floats
-    and counts as a run over that segment alone.
+    and counts as a run over that segment alone.  A segment closer than the
+    model's guard to a puncture is refused before any is transported.
     """
 
-    def __init__(self, model, segs, table, tol, order, guard, max_depth):
+    def __init__(self, model, segs, table, tol, max_depth):
         self.model = model
         self.segs = tuple(segs)
         self.table = table
         self.tol = tol
         self.max_depth = max_depth
-        if guard and guard > 0:
+        guard = model.guard
+        if guard > 0:
             for seg in self.segs:
-                dmin = _seg_puncture_dist(seg, model.punctures(seg.corners))
+                dmin = float(seg.distance(np.asarray(model.punctures(seg.corners))).min())
                 if dmin < guard:
                     raise GuardViolation(
                         f"segment passes within {dmin:.3e} of a puncture "
                         f"(guard {guard:.3e})"
                     )
-        self.x, self.w, self.Q = _ref_quad(order)
+        self.x, self.w, self.Q = _ref_quad(_ORDER)
         m = len(self.segs)
         self.err = [np.zeros(len(table.words)) for _ in range(m)]
         self.npanels = [0] * m
         self.panels_by_depth = [[] for _ in range(m)]
         self.rejected = [0] * m
-        self.cap = max(1, min(_BATCH_INTERVALS, _BATCH_ENTRIES // (2 * order * len(table.words))))
+        self.cap = max(1, min(_BATCH_INTERVALS, _BATCH_ENTRIES // (2 * _ORDER * len(table.words))))
 
     def panels(self, seg, t0, t1):
         """Series of the panels [t0[i], t1[i]] of segment seg[i], one row
@@ -779,15 +770,15 @@ def chen_transport(
     letters=None,
     lmax: int = 3,
     tol: float = 1e-10,
-    order: int = 24,
     max_depth: int = 14,
-    guard: float = None,
 ) -> TransportResult:
     """All iterated integrals of the letter alphabet along the path.
 
     Words are filled to length lmax over the given letters (default: the
-    model's full alphabet).  Error control is per panel against the
-    composed-halves series, with budget tol per unit of path parameter.
+    model's full alphabet).  Panels are 24-node Gauss-Legendre; error
+    control is per panel against the composed-halves series, with budget
+    tol per unit of path parameter.  A segment within the model's guard of
+    a puncture raises GuardViolation.
     """
     if path.model != model.name:
         raise ValueError(f"path has model {path.model!r}, transport {model.name!r}")
@@ -795,8 +786,7 @@ def chen_transport(
         raise ValueError("lmax must lie in [0, 8]")
     letters = tuple(letters) if letters is not None else tuple(model.letters())
     table = _word_table(letters, lmax)
-    guard = model.guard if guard is None else guard
-    st = _SegmentTransport(model, path.segments, table, tol, order, guard, max_depth)
+    st = _SegmentTransport(model, path.segments, table, tol, max_depth)
     series = st.run()
     acc = reduce(lambda earlier, later: compose_series(later, earlier, table), series)
     err = sum(st.err, np.zeros(len(table.words)))
@@ -833,7 +823,7 @@ def eval_bar_with_result(xi, result: TransportResult) -> complex:
     return out
 
 
-def eval_bar_element(model, xi, path: PathSpec, tol: float = 1e-10, **kw) -> complex:
+def eval_bar_element(model, xi, path: PathSpec, tol: float = 1e-10) -> complex:
     """Pair a degree-0 bar element with the path: sum of coefficient times
     iterated integral, one transport run."""
     if not xi.terms:
@@ -842,7 +832,7 @@ def eval_bar_element(model, xi, path: PathSpec, tol: float = 1e-10, **kw) -> com
     letters = _bar_letters(xi)
     if not letters:  # only the empty word
         return complex(sum(Fraction(c) for c in xi.terms.values()))
-    res = chen_transport(model, path, letters=letters, lmax=lmax, tol=tol, **kw)
+    res = chen_transport(model, path, letters=letters, lmax=lmax, tol=tol)
     return eval_bar_with_result(xi, res)
 
 
@@ -853,7 +843,7 @@ class HomotopyReport:
     difference: float
 
 
-def homotopy_report(model, xi, g1: PathSpec, g2: PathSpec, tol: float = 1e-10, **kw):
+def homotopy_report(model, xi, g1: PathSpec, g2: PathSpec, tol: float = 1e-10):
     """Evaluate the element on both paths and report the discrepancy.
 
     The paths must share endpoints (up to lattice translation in the curve
@@ -862,8 +852,8 @@ def homotopy_report(model, xi, g1: PathSpec, g2: PathSpec, tol: float = 1e-10, *
     for p, q, name in ((g1.start, g2.start, "start"), (g1.end, g2.end, "end")):
         if model.congruence_offset(p, q) is None:
             raise EndpointMismatch(f"paths differ at {name}: {p} vs {q}")
-    v1 = eval_bar_element(model, xi, g1, tol=tol, **kw)
-    v2 = eval_bar_element(model, xi, g2, tol=tol, **kw)
+    v1 = eval_bar_element(model, xi, g1, tol=tol)
+    v2 = eval_bar_element(model, xi, g2, tol=tol)
     return HomotopyReport(value1=v1, value2=v2, difference=abs(v1 - v2))
 
 
@@ -977,7 +967,11 @@ def loop_pair_library(ext: ExtLattice, s0=0.4 - 0.1j):
 # two-form surface oracle
 
 
-def surface_difference(ext: ExtLattice, two_form_name: str, g1: PathSpec, g2: PathSpec, order=32):
+# Gauss-Legendre nodes per surface panel, in t and in u
+_STOKES_ORDER = 32
+
+
+def surface_difference(ext: ExtLattice, two_form_name: str, g1: PathSpec, g2: PathSpec):
     """Integral of a two-form letter over the straight-line homotopy surface
     between the paths: the Stokes value of int_{g1} a - int_{g2} a for a
     single letter a with d(a) equal to the given two-form combination.
@@ -988,7 +982,7 @@ def surface_difference(ext: ExtLattice, two_form_name: str, g1: PathSpec, g2: Pa
     """
     from .logforms import two_form_coeff
 
-    x, w = np.polynomial.legendre.leggauss(order)
+    x, w = np.polynomial.legendre.leggauss(_STOKES_ORDER)
     # t-panels aligned to both paths' segment corners so every panel sees a
     # smooth integrand
     breaks = {0.0, 1.0}
@@ -1007,7 +1001,7 @@ def surface_difference(ext: ExtLattice, two_form_name: str, g1: PathSpec, g2: Pa
     uu = 0.5 * (x + 1.0)
     wu = 0.5 * w
     total = 0j
-    for iu in range(order):
+    for iu in range(_STOKES_ORDER):
         u = uu[iu]
         zu = (1 - u) * z1 + u * z2
         su = (1 - u) * s1 + u * s2
@@ -1021,7 +1015,7 @@ def surface_difference(ext: ExtLattice, two_form_name: str, g1: PathSpec, g2: Pa
     return complex(total)
 
 
-def stokes_defect(ext: ExtLattice, letter: str, g1: PathSpec, g2: PathSpec, order=32):
+def stokes_defect(ext: ExtLattice, letter: str, g1: PathSpec, g2: PathSpec):
     """Predicted int_{g1}[a] - int_{g2}[a] for a single non-closed letter a,
     from the surface integral of its differential over the straight-line
     homotopy between the paths."""
@@ -1030,7 +1024,7 @@ def stokes_defect(ext: ExtLattice, letter: str, g1: PathSpec, g2: PathSpec, orde
     P = dga_presentation(ext.nmax)
     out = 0j
     for name, coef in P.d_letter(letter).items():
-        out += complex(Fraction(coef)) * surface_difference(ext, name, g1, g2, order=order)
+        out += complex(Fraction(coef)) * surface_difference(ext, name, g1, g2)
     return out
 
 
@@ -1078,8 +1072,7 @@ def _cutoff_schedule(letters, tol):
     hi = [LineSeg(-0.5, -eps[0])] + [LineSeg(-eps[j - 1], -eps[j]) for j in range(1, len(eps))]
     runs = [
         _SegmentTransport(
-            P1Model(guard=0.0, origin=origin), segs, table,
-            tol=min(tol, 1e-11), order=24, guard=0.0, max_depth=16,
+            P1Model(guard=0.0, origin=origin), segs, table, tol=min(tol, 1e-11), max_depth=16
         )
         for origin, segs in ((0.0, lo), (1.0, hi))
     ]

@@ -56,46 +56,18 @@ def word_str(w) -> str:
     return "".join(str(x) for x in w)
 
 
-class NCPoly:
-    """Finite rational combination of words over {x0, x1}."""
+class NCPoly(BarElement):
+    """Finite rational combination of words over {x0, x1}: a bar element
+    whose words are checked to be over 0/1."""
 
-    __slots__ = ("terms",)
-
-    def __init__(self, terms=None):
-        self.terms = {}
-        if terms:
-            for w, c in (terms.items() if isinstance(terms, dict) else terms):
-                self.add_term(w, c)
+    __slots__ = ()
 
     @classmethod
     def gen(cls, i: int) -> "NCPoly":
         return cls({(i,): Fraction(1)})
 
     def add_term(self, word, coeff):
-        word = parse_word(word)
-        c = self.terms.get(word, Fraction(0)) + Fraction(coeff)
-        if c == 0:
-            self.terms.pop(word, None)
-        else:
-            self.terms[word] = c
-
-    def __add__(self, other):
-        out = NCPoly(self.terms)
-        for w, c in other.terms.items():
-            out.add_term(w, c)
-        return out
-
-    def __sub__(self, other):
-        out = NCPoly(self.terms)
-        for w, c in other.terms.items():
-            out.add_term(w, -c)
-        return out
-
-    def scale(self, q) -> "NCPoly":
-        q = Fraction(q)
-        if q == 0:
-            return NCPoly()
-        return NCPoly({w: c * q for w, c in self.terms.items()})
+        super().add_term(parse_word(word), coeff)
 
     def mul(self, other, lmax=None) -> "NCPoly":
         """Concatenation product, dropping words longer than lmax."""
@@ -112,12 +84,6 @@ class NCPoly:
 
     def coeff(self, w) -> Fraction:
         return self.terms.get(parse_word(w), Fraction(0))
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __eq__(self, other):
-        return isinstance(other, NCPoly) and self.terms == other.terms
 
     def __repr__(self):
         if not self.terms:

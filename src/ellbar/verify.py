@@ -9,6 +9,7 @@ configurations serialize to identical bytes.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from fractions import Fraction
@@ -67,16 +68,29 @@ __all__ = ["run_criteria", "assemble_report", "report_json", "CRITERIA"]
 _THREE_CURVES = (Fraction(4), Fraction(0)), (Fraction(0), Fraction(4)), (Fraction(5), Fraction(2))
 
 
-def _res(cid, name, passed, residuals, **extra):
-    out = {
-        "id": cid,
-        "name": name,
+def _criterion(cid, name):
+    """Registers criterion number cid under name: both its result and the
+    error entry that ``run_criteria`` makes when it raises carry them."""
+
+    def register(body):
+        head = {"id": cid, "name": name}
+
+        @functools.wraps(body)
+        def run(cfg):
+            return {**head, **body(cfg)}
+
+        run.head = head
+        return run
+
+    return register
+
+
+def _res(passed, residuals, **extra):
+    return {
         "passed": bool(passed),
         "residuals": {k: float(v) for k, v in residuals.items()},
+        **extra,
     }
-    for k, v in extra.items():
-        out[k] = v
-    return out
 
 
 def _curve_lattice(cfg):
@@ -87,6 +101,7 @@ def _quad_tol(cfg):
     return cfg.get("tol") or 1e-10
 
 
+@_criterion(1, "weierstrass-consistency")
 def crit_weierstrass(cfg):
     worst_ode = 0.0
     worst_osc = 0.0
@@ -108,8 +123,6 @@ def crit_weierstrass(cfg):
         worst_bound = max(worst_bound, float(np.max(bp / sc)), float(np.max(bpp / scp)))
     ok = worst_ode <= 1e-9 and worst_osc <= 1e-8 and worst_bound <= 1e-10
     return _res(
-        1,
-        "weierstrass-consistency",
         ok,
         {
             "ode_relative": worst_ode,
@@ -124,6 +137,7 @@ def crit_weierstrass(cfg):
     )
 
 
+@_criterion(2, "legendre-relation")
 def crit_legendre(cfg):
     worst_leg = 0.0
     worst_add = 0.0
@@ -138,14 +152,13 @@ def crit_legendre(cfg):
             worst_add = max(worst_add, abs(lhs - rhs))
     ok = worst_leg <= 1e-9 and worst_add <= 1e-9
     return _res(
-        2,
-        "legendre-relation",
         ok,
         {"legendre": worst_leg, "additivity": worst_add},
         tolerances={"legendre": 1e-9, "additivity": 1e-9},
     )
 
 
+@_criterion(3, "eisenstein-round-trip")
 def crit_eisenstein(cfg):
     a, b = cfg["curve_a"], cfg["curve_b"]
     L = lattice_from_curve(CurveSpec(a, b))
@@ -156,14 +169,13 @@ def crit_eisenstein(cfg):
     worst = max(abs(g2 - float(a)) / scale, abs(g3 - float(b)) / scale)
     ok = worst <= 1e-8
     return _res(
-        3,
-        "eisenstein-round-trip",
         ok,
         {"round_trip_relative": worst},
         tolerances={"round_trip_relative": 1e-8},
     )
 
 
+@_criterion(4, "form-identities")
 def crit_form_identities(cfg):
     L = _curve_lattice(cfg)
     E = ExtLattice(L, nmax=8)
@@ -218,8 +230,6 @@ def crit_form_identities(cfg):
         and worst_gen <= 1e-7
     )
     return _res(
-        4,
-        "form-identities",
         ok,
         {
             "s_ladder": worst_ladder,
@@ -236,6 +246,7 @@ def crit_form_identities(cfg):
     )
 
 
+@_criterion(5, "bar-exactness")
 def crit_bar_exactness(cfg):
     P = dga_presentation(5)
     rng = np.random.default_rng(23)
@@ -271,8 +282,6 @@ def crit_bar_exactness(cfg):
                 closure_ok = False
     ok = dd_zero and dims_ok and closure_ok
     return _res(
-        5,
-        "bar-exactness",
         ok,
         {},
         checks={
@@ -283,18 +292,18 @@ def crit_bar_exactness(cfg):
     )
 
 
+@_criterion(6, "kzb-flatness")
 def crit_kzb_flatness(cfg):
     rep = flatness_check(6, 5)
     ok = rep.ok
     return _res(
-        6,
-        "kzb-flatness",
         ok,
         {},
         checks={"n_words_checked": rep.n_words_checked, "nonzero_terms": len(rep.nonzero)},
     )
 
 
+@_criterion(7, "canonical-closedness")
 def crit_canonical_closedness(cfg):
     S = canonical_series(5, 4)
     P = dga_presentation(5)
@@ -320,8 +329,6 @@ def crit_canonical_closedness(cfg):
     excess = len(kernel) - len(elems)
     ok = closed_ok and contained and indep
     return _res(
-        7,
-        "canonical-closedness",
         ok,
         {},
         checks={
@@ -334,6 +341,7 @@ def crit_canonical_closedness(cfg):
     )
 
 
+@_criterion(8, "length-1-periods")
 def crit_length1_periods(cfg):
     L = _curve_lattice(cfg)
     E = ExtLattice(L, nmax=4)
@@ -349,14 +357,13 @@ def crit_length1_periods(cfg):
         worst = max(worst, abs(r.coeff(("nu",)) + eta_lambda(L, mn)))
     ok = worst <= 1e-8
     return _res(
-        8,
-        "length-1-periods",
         ok,
         {"period_abs": worst},
         tolerances={"period_abs": 1e-8},
     )
 
 
+@_criterion(9, "homotopy-contract")
 def crit_homotopy(cfg):
     L = _curve_lattice(cfg)
     E = ExtLattice(L, nmax=4)
@@ -386,8 +393,6 @@ def crit_homotopy(cfg):
     stokes_size = abs(actual)
     ok = cert_ok and worst <= 1e-7 and stokes_err <= 1e-5 and stokes_size > 1e-3
     return _res(
-        9,
-        "homotopy-contract",
         ok,
         {"closed_invariance": worst, "stokes_match": stokes_err},
         tolerances={"closed_invariance": 1e-7, "stokes_match": 1e-5},
@@ -399,6 +404,7 @@ def crit_homotopy(cfg):
     )
 
 
+@_criterion(10, "path-algebra")
 def crit_path_algebra(cfg):
     L = _curve_lattice(cfg)
     E = ExtLattice(L, nmax=4)
@@ -449,8 +455,6 @@ def crit_path_algebra(cfg):
         res_err = max(res_err, abs(rich - expect))
     ok = comp_err <= 1e-9 and rev_err <= 1e-9 and shuf_err <= 1e-8 and res_err <= 1e-5
     return _res(
-        10,
-        "path-algebra",
         ok,
         {
             "composition": comp_err,
@@ -467,6 +471,7 @@ def crit_path_algebra(cfg):
     )
 
 
+@_criterion(11, "mzv-reproduction")
 def crit_mzv(cfg):
     # the series oracle at its tightest tol: its proven bound, at most
     # 5e-15, stays far below the integral route's error
@@ -483,14 +488,13 @@ def crit_mzv(cfg):
     z21 = abs(mzv_series((2, 1), tol) - mzv_series((3,), tol))
     ok = worst_dual <= 1e-7 and closed <= 1e-10 and z21 <= 1e-8
     return _res(
-        11,
-        "mzv-reproduction",
         ok,
         {"dual_route": worst_dual, "closed_forms": closed, "zeta21_identity": z21},
         tolerances={"dual_route": 1e-7, "closed_forms": 1e-10, "zeta21_identity": 1e-8},
     )
 
 
+@_criterion(12, "cli-determinism")
 def crit_cli_determinism(cfg):
     # rerun a representative fast subset twice and require byte-identical
     # serialization; exercise the exit-code contract through the command
@@ -511,8 +515,6 @@ def crit_cli_determinism(cfg):
     codes_ok = code_pass == 0 and code_bad == 2
     ok = identical and codes_ok
     return _res(
-        12,
-        "cli-determinism",
         ok,
         {},
         checks={
@@ -610,16 +612,14 @@ def run_criteria(cfg):
     wanted = cfg.get("criteria") or list(range(1, 13))
     results = []
     for fn in CRITERIA:
-        cid = CRITERIA.index(fn) + 1
-        if cid not in wanted:
+        if fn.head["id"] not in wanted:
             continue
         try:
             results.append(fn(cfg))
         except EllbarError as exc:
             results.append(
                 {
-                    "id": cid,
-                    "name": fn.__name__.replace("crit_", "").replace("_", "-"),
+                    **fn.head,
                     "passed": False,
                     "residuals": {},
                     "error": f"{type(exc).__name__}: {exc}",

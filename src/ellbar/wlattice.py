@@ -84,13 +84,14 @@ class CurveSpec:
 # AGM and basis reduction
 
 
-def _agm(a, b, maxit=80):
-    """Optimal complex AGM with the standard good-choice branch rule."""
+def _agm(a, b):
+    """Optimal complex AGM with the standard good-choice branch rule, at
+    most 80 steps."""
     a = complex(a)
     b = complex(b)
     if a == 0 or b == 0:
         raise ConvergenceFailure("AGM of zero argument")
-    for _ in range(maxit):
+    for _ in range(80):
         if abs(a - b) <= 8e-16 * (abs(a) + abs(b)):
             return 0.5 * (a + b)
         am = 0.5 * (a + b)
@@ -104,21 +105,16 @@ def _agm(a, b, maxit=80):
 
 
 def _gauss_reduce(w1, w2):
-    """Reduce a basis: returns (v1, v2, B) with (w1, w2) = B @ (v1, v2),
-    B integer with det +-1, |v1| <= |v2|, |Re(v2 conj v1)| <= |v1|^2 / 2 and
-    Im(v2/v1) > 0."""
+    """Reduce a basis: returns a basis (v1, v2) of the same lattice with
+    |v1| <= |v2|, |Re(v2 conj v1)| <= |v1|^2 / 2 and Im(v2/v1) > 0."""
     v1, v2 = complex(w1), complex(w2)
-    # (v1, v2) = A @ (w1, w2)
-    A = [[1, 0], [0, 1]]
     for _ in range(200):
         if abs(v1) > abs(v2):
             v1, v2 = v2, v1
-            A[0], A[1] = A[1], A[0]
         mu = round((v2 * v1.conjugate()).real / abs(v1) ** 2)
         if mu == 0:
             break
         v2 = v2 - mu * v1
-        A[1] = [A[1][0] - mu * A[0][0], A[1][1] - mu * A[0][1]]
     else:
         raise LatticeError("basis reduction did not terminate")
     ratio = v2 / v1
@@ -126,17 +122,11 @@ def _gauss_reduce(w1, w2):
         raise LatticeError("periods are linearly dependent over R")
     if ratio.imag < 0:
         v2 = -v2
-        A[1] = [-A[1][0], -A[1][1]]
     # deterministic presentation: v1 in the right half plane (or positive
     # imaginary axis); negating both generators keeps tau
     if v1.real < -1e-14 * abs(v1) or (abs(v1.real) <= 1e-14 * abs(v1) and v1.imag < 0):
         v1, v2 = -v1, -v2
-        A[0] = [-A[0][0], -A[0][1]]
-        A[1] = [-A[1][0], -A[1][1]]
-    det = A[0][0] * A[1][1] - A[0][1] * A[1][0]
-    # B = A^{-1}
-    B = [[A[1][1] * det, -A[0][1] * det], [-A[1][0] * det, A[0][0] * det]]
-    return v1, v2, B
+    return v1, v2
 
 
 # --------------------------------------------------------------------------
@@ -160,7 +150,6 @@ class _ThetaCache:
                 break
             e2 -= 24.0 * n * qn / (1.0 - qn)
         self.eta1n = (math.pi ** 2 / 3.0) * e2
-        self.q = q
 
     def nterms(self, ymax):
         # series terms needed so the smallest retained term is ~1e-18 relative
@@ -272,8 +261,12 @@ def _basis_inverse(w1, w2):
     return np.array([[M[1, 1], -M[0, 1]], [-M[1, 0], M[0, 0]]], dtype=float) / det
 
 
-def _build_lattice(pub1, pub2, g2, g3, guard_scale=1e-6):
-    v1, v2, _ = _gauss_reduce(pub1, pub2)
+# The guard radius around each lattice point, in minimum periods
+_GUARD_SCALE = 1e-6
+
+
+def _build_lattice(pub1, pub2, g2, g3):
+    v1, v2 = _gauss_reduce(pub1, pub2)
     tau_r = v2 / v1
     cache = _ThetaCache(tau_r)
     cache.th1p0 = _theta1_zero(cache)
@@ -290,7 +283,7 @@ def _build_lattice(pub1, pub2, g2, g3, guard_scale=1e-6):
         g2=g2,
         g3=g3,
         legendre_sign=0,
-        guard=guard_scale * min(abs(pub1), abs(pub2)),
+        guard=_GUARD_SCALE * min(abs(pub1), abs(pub2)),
         _w1r=v1,
         _w2r=v2,
         _H1r=H1r,
@@ -330,7 +323,7 @@ def lattice_from_curve(curve: CurveSpec, tol: float = 1e-12) -> LatticeData:
             m_b = _agm(cmath.sqrt(e1 - e3), cmath.sqrt(e2 - e3))
             wa = math.pi / m_a
             wb = math.pi * 1j / m_b
-            v1, v2, _ = _gauss_reduce(wa, wb)
+            v1, v2 = _gauss_reduce(wa, wb)
         except (ConvergenceFailure, LatticeError, ZeroDivisionError):
             continue
         g2c, g3c = _gseries_invariants(v2 / v1, v1)
@@ -347,7 +340,7 @@ def lattice_from_curve(curve: CurveSpec, tol: float = 1e-12) -> LatticeData:
     return _build_lattice(v1, v2, complex(a), complex(b))
 
 
-def lattice_from_periods(w1, w2, guard_scale: float = 1e-6) -> LatticeData:
+def lattice_from_periods(w1, w2) -> LatticeData:
     """Lattice data for explicitly given generators (Im(w2/w1) > 0 required).
 
     g2, g3 are recovered from the q-series on the reduced basis.
@@ -356,9 +349,9 @@ def lattice_from_periods(w1, w2, guard_scale: float = 1e-6) -> LatticeData:
     w2 = complex(w2)
     if (w2 / w1).imag <= 0:
         raise LatticeError("need Im(omega2/omega1) > 0")
-    v1, v2, _ = _gauss_reduce(w1, w2)
+    v1, v2 = _gauss_reduce(w1, w2)
     g2, g3 = _gseries_invariants(v2 / v1, v1)
-    return _build_lattice(w1, w2, g2, g3, guard_scale)
+    return _build_lattice(w1, w2, g2, g3)
 
 
 # --------------------------------------------------------------------------
@@ -460,12 +453,13 @@ def _zeta_direct(L, z):
     return (L._cache.eta1n * u + d1 / th) / L._w1r
 
 
-def eta_lambda(L: LatticeData, lam, tol: float = 1e-9):
+def eta_lambda(L: LatticeData, lam):
     """Quasi-period eta(lam) = zeta(z) - zeta(z + lam) for lam in the lattice.
 
     lam may be a complex lattice element or an integer pair (m, n) in the
     public basis.  Evaluated from two independent probe points without using
-    the quasi-periodic transport; ProbeInconsistency if they disagree.
+    the quasi-periodic transport; ProbeInconsistency if they disagree by
+    more than 1e-9 relative.
     """
     if isinstance(lam, tuple):
         m, n = int(lam[0]), int(lam[1])
@@ -479,7 +473,7 @@ def eta_lambda(L: LatticeData, lam, tol: float = 1e-9):
         return 0.0 + 0.0j
     if max(abs(m), abs(n)) > 3:
         # additivity chain through unit steps
-        return m * eta_lambda(L, (1, 0), tol) + n * eta_lambda(L, (0, 1), tol)
+        return m * eta_lambda(L, (1, 0)) + n * eta_lambda(L, (0, 1))
     lamc = m * L.omega1 + n * L.omega2
     probes = np.array([0.331 * L._w1r + 0.207 * L._w2r, -0.274 * L._w1r + 0.412 * L._w2r])
     # the probes and their translates in one array: a scalar z would round
@@ -487,7 +481,7 @@ def eta_lambda(L: LatticeData, lam, tol: float = 1e-9):
     zeta = _zeta_direct(L, np.concatenate([probes, probes + lamc]))
     vals = (zeta[:2] - zeta[2:]).tolist()
     scale = max(1.0, abs(vals[0]))
-    if abs(vals[0] - vals[1]) > tol * scale:
+    if abs(vals[0] - vals[1]) > 1e-9 * scale:
         raise ProbeInconsistency(
             f"eta probes disagree: {vals[0]!r} vs {vals[1]!r}"
         )
@@ -749,13 +743,13 @@ def latsum_truncation_bound(L: LatticeData, z, M: int = 60):
 # deterministic sample points
 
 
-def fundamental_points(L: LatticeData, count: int, seed: int = 0, margin: float = 0.05):
-    """Seeded points u*omega1 + v*omega2, u,v in [margin, 1-margin], kept
-    clear of the guard radius."""
+def fundamental_points(L: LatticeData, count: int, seed: int = 0):
+    """Seeded points u*omega1 + v*omega2, u,v in [0.05, 0.95], kept clear
+    of the guard radius."""
     rng = np.random.default_rng(seed)
     pts = []
     while len(pts) < count:
-        u, v = rng.uniform(margin, 1.0 - margin, size=2)
+        u, v = rng.uniform(0.05, 0.95, size=2)
         z = u * L.omega1 + v * L.omega2
         z0, _, _ = _reduce(z, L._w1r, L._w2r, L._red_inv)
         if float(_dist_to_lattice(L, z0)) > 50 * L.guard:

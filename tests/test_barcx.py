@@ -178,7 +178,7 @@ class TestKernel:
 
     def test_dimension_bound(self):
         with pytest.raises(DimensionBound):
-            h0_basis(dga_presentation(8), 6, dim_bound=1000)
+            h0_basis(dga_presentation(8), 6)
 
     def test_determinism(self):
         P = dga_presentation(3)

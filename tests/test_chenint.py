@@ -298,6 +298,40 @@ class TestLoops:
         assert abs(r.coeff(("w2",)) - expect) < 1e-10
 
 
+_DIST_SAMPLES = 4001
+
+
+@pytest.mark.parametrize("seg", [
+    LineSeg(0.2 + 0.1j, 1.5 - 0.7j),
+    LineSeg(-1j, 2j),
+    LineSeg(0.3 + 0.3j, 0.3 + 0.3j),  # zero length
+    ArcSeg(0.5 + 0.2j, 0.8, 0.3, 2.5),
+    ArcSeg(0.5 + 0.2j, 0.8, 2.5, 0.3),  # clockwise
+    ArcSeg(0j, 1.0, 2.5, 4.0),  # across the branch cut of arg
+    ArcSeg(0j, 1.0, -0.5, -3.5),
+    ArcSeg(1.0, 0.5, 0.0, 2 * math.pi),  # full circles
+    ArcSeg(1.0, 0.5, 1.0, 1.0 - 2 * math.pi),
+], ids=repr)
+def test_segment_distance_against_dense_sample(seg):
+    # the minimum over a dense sample of the segment lies above the distance
+    # by at most half the sample spacing, speed / (2 (samples - 1))
+    corners = np.array(seg.corners)
+    rng = np.random.default_rng(5)
+    lo, hi = corners.real.min() - 1, corners.real.max() + 1
+    blo, bhi = corners.imag.min() - 1, corners.imag.max() + 1
+    pts = rng.uniform(lo, hi, 200) + 1j * rng.uniform(blo, bhi, 200)
+    pts = np.concatenate([pts, [seg.start[0], seg.end[0]]])
+    if isinstance(seg, ArcSeg):
+        pts = np.append(pts, seg.center)
+    sample = seg.at(np.linspace(0.0, 1.0, _DIST_SAMPLES))[0]
+    ref = np.abs(sample[:, None] - pts).min(axis=0)
+    got = seg.distance(pts)
+    assert np.all(got <= ref + 1e-12)
+    assert np.all(ref - got <= 0.5 * seg.speed / (_DIST_SAMPLES - 1) + 1e-12)
+    if isinstance(seg, ArcSeg):
+        assert abs(got[-1] - seg.radius) < 1e-15  # the centre
+
+
 class TestGuardsAndFailure:
     def test_guard_violation(self, ext, model):
         g = line_path("edagger", -0.5 * ext.lattice.omega1, 0.5 * ext.lattice.omega1)
@@ -342,8 +376,8 @@ class _Recursive:
     and failures.  Panels come one at a time from the run's own panel
     evaluation."""
 
-    def __init__(self, model, seg, table, tol, order, guard, max_depth):
-        self.st = _SegmentTransport(model, [seg], table, tol, order, guard, max_depth)
+    def __init__(self, model, seg, table, tol, max_depth):
+        self.st = _SegmentTransport(model, [seg], table, tol, max_depth)
         self.table, self.tol, self.max_depth = table, tol, max_depth
         self.err = np.zeros(len(table.words))
 
@@ -387,16 +421,16 @@ class _WholeEveryCall(_Recursive):
         return super().run(t0, t1, depth)
 
 
-def _one_segment(model, seg, table, tol, order, guard, max_depth):
+def _one_segment(model, seg, table, tol, max_depth):
     """The level-synchronous run over one segment, as a list of one."""
-    return _SegmentTransport(model, [seg], table, tol, order, guard, max_depth)
+    return _SegmentTransport(model, [seg], table, tol, max_depth)
 
 
 class TestHalfPanelReuse:
     @staticmethod
-    def _both(model, seg, letters, lmax, tol, guard, max_depth):
+    def _both(model, seg, letters, lmax, tol, max_depth):
         table = _word_table(letters, lmax)
-        args = (model, seg, table, tol, 24, guard, max_depth)
+        args = (model, seg, table, tol, max_depth)
         new, old = _one_segment(*args), _WholeEveryCall(*args)
         (vals_new,), vals_old = new.run(), old.run()
         assert np.array_equal(vals_new, vals_old)
@@ -412,10 +446,10 @@ class TestHalfPanelReuse:
         d = 3e-3 * L.min_period()
         c = L.omega1 + 1j * d * L.omega1 / abs(L.omega1)
         seg = LineSeg(c - 0.4 * L.omega1, c + 0.4 * L.omega1)
-        self._both(model, seg, ("w1", "w2"), 2, 1e-10, model.guard, 14)
+        self._both(model, seg, ("w1", "w2"), 2, 1e-10, 14)
 
     def test_p1_segment_near_zero(self):
-        self._both(P1Model(guard=0.0), LineSeg(1e-4, 0.5), ("om0", "om1"), 3, 1e-11, 0.0, 16)
+        self._both(P1Model(guard=0.0), LineSeg(1e-4, 0.5), ("om0", "om1"), 3, 1e-11, 16)
 
 
 def _steep_line(L, clearance, point=0, direction=0):
@@ -444,7 +478,7 @@ class TestLevelSynchronous:
     @staticmethod
     def _against_oracle(model, seg, letters, lmax, tol=1e-10, max_depth=14):
         table = _word_table(tuple(letters), lmax)
-        args = (model, seg, table, tol, 24, model.guard, max_depth)
+        args = (model, seg, table, tol, max_depth)
         new, ref = _one_segment(*args), _Recursive(*args)
         (vals,), ref_vals = new.run(), ref.run()
         assert np.array_equal(vals, ref_vals)
@@ -489,7 +523,7 @@ class TestLevelSynchronous:
         model = EdaggerModel(ExtLattice(lattice_from_curve(CurveSpec(2, 3)), nmax=4))
         seg = _steep_line(model.ext.lattice, 1e-3)
         table = _word_table(("w4",), 2)
-        args = (model, seg, table, 1e-10, 24, model.guard, 14)
+        args = (model, seg, table, 1e-10, 14)
         with pytest.raises(QuadratureFailure) as ref:
             _Recursive(*args).run()
         with pytest.raises(QuadratureFailure) as got:
@@ -502,7 +536,7 @@ class TestLevelSynchronous:
         seg = _steep_line(ext.lattice, 3e-3)
         table = _word_table(("w1",), 1)
         for max_depth in range(6):
-            args = (model, seg, table, 1e-13, 24, model.guard, max_depth)
+            args = (model, seg, table, 1e-13, max_depth)
             with pytest.raises(QuadratureFailure) as ref:
                 _Recursive(*args).run()
             with pytest.raises(QuadratureFailure) as got:
@@ -518,12 +552,12 @@ class TestLevelSynchronous:
         table = _word_table(("w1", "w2"), 2)
         for seg in segs:
             calls.clear()
-            st = _one_segment(model4, seg, table, 1e-10, 24, model4.guard, 14)
+            st = _one_segment(model4, seg, table, 1e-10, 14)
             st.run()
             assert len(calls) <= len(st.panels_by_depth[0])  # depth reached + 1
         # and all four segments in one run: one evaluation per depth in all
         calls.clear()
-        st = _SegmentTransport(model4, segs, table, 1e-10, 24, model4.guard, 14)
+        st = _SegmentTransport(model4, segs, table, 1e-10, 14)
         st.run()
         assert len(calls) <= max(len(d) for d in st.panels_by_depth)
 
@@ -545,7 +579,7 @@ class TestLevelSynchronous:
         # six-letter table to length 4, the interval cap at small tables
         def cap(letters, lmax):
             table = _word_table(letters, lmax)
-            return _one_segment(model4, _readme_path().segments[0], table, 1e-10, 24, 0.0, 14).cap
+            return _one_segment(model4, _readme_path().segments[0], table, 1e-10, 14).cap
 
         assert len(_word_table(model4.letters(), 4).words) == 1555
         assert cap(model4.letters(), 4) == 14
@@ -557,7 +591,7 @@ class TestLevelSynchronous:
         # cap and the leftmost path down to max_depth meets the failure
         (seg,) = _readme_path().segments
         table = _word_table(("w1", "w2"), 2)
-        args = (model4, seg, table, 1e-18, 24, model4.guard, 14)
+        args = (model4, seg, table, 1e-18, 14)
         with pytest.raises(QuadratureFailure) as ref:
             _Recursive(*args).run()
         st = _one_segment(*args)
@@ -597,7 +631,7 @@ class TestManySegments:
         else:
             path, letters, lmax = _two_line_path(model4.ext.lattice), ("w1", "w2"), 2
         table = _word_table(tuple(letters), lmax)
-        rest = (table, 1e-10, 24, model4.guard, 14)
+        rest = (table, 1e-10, 14)
         st = _SegmentTransport(model4, path.segments, *rest)
         series = st.run()
         acc, err = None, np.zeros(len(table.words))
@@ -626,7 +660,7 @@ class TestManySegments:
         # ends, in one run, each as in a run over that segment alone
         model = P1Model(guard=0.0)
         segs = [LineSeg(1e-4, 0.5), LineSeg(0.5, 1 - 1e-4), LineSeg(1e-4, 1 - 1e-4)]
-        rest = (_word_table(("om0", "om1"), 3), 1e-11, 24, 0.0, 16)
+        rest = (_word_table(("om0", "om1"), 3), 1e-11, 16)
         st = _SegmentTransport(model, segs, *rest)
         series = st.run()
         for j, seg in enumerate(segs):
@@ -644,7 +678,7 @@ class TestManySegments:
         L = model4.ext.lattice
         a, b = _steep_line(L, 3e-3), _steep_line(L, 1e-3, 1, 1)
         table = _word_table(("w1",), 1)
-        args = (table, 1e-13, 24, model4.guard, 3)
+        args = (table, 1e-13, 3)
         alone = {}
         for seg in (a, b):
             with pytest.raises(QuadratureFailure) as ref:
@@ -847,7 +881,7 @@ def _full_table_schedule(letters, tol=1e-9, kmin=14, kmax=30, substeps=2):
     widx = table.index[letters]
 
     def seg_series(model, z0, z1):
-        (vals,) = _one_segment(model, LineSeg(z0, z1), table, min(tol, 1e-11), 24, 0.0, 16).run()
+        (vals,) = _one_segment(model, LineSeg(z0, z1), table, min(tol, 1e-11), 16).run()
         return vals
 
     acc = compose_series(seg_series(model1, -0.5, -eps[0]), seg_series(model0, eps[0], 0.5), table)

@@ -44,6 +44,22 @@ class TestNCPoly:
         rhs = b.bracket(a).scale(-1)
         assert lhs == rhs
 
+    def test_arithmetic_stays_ncpoly(self):
+        # sums, differences and scalings keep the 0/1 word check and .mul
+        a = NCPoly({(0,): 1, (1,): 2})
+        b = NCPoly({(0, 1): 3})
+        for p in (a + b, a - b, a.scale(2), a.scale(0)):
+            assert type(p) is NCPoly
+        assert (a + b).mul(b).terms == {(0, 0, 1): 3, (1, 0, 1): 6, (0, 1, 0, 1): 9}
+        assert a.scale(Fraction(1, 2)).mul(a, lmax=1).is_zero()
+        with pytest.raises(ValueError):
+            NCPoly({(0, 2): 1})
+        with pytest.raises(ValueError):
+            (a - b).add_term("12", 1)
+        with pytest.raises(ValueError):
+            a + BarElement({("nu",): 1})
+        assert a != BarElement(a.terms) and BarElement(a.terms) != a
+
 
 class TestAdPower:
     def test_small_cases(self):
