@@ -24,6 +24,7 @@ import itertools
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .errors import DimensionBound, UnknownSymbol
 
@@ -77,12 +78,18 @@ class DGAPresentation:
                 if img.get(c, Fraction(0)) != -rev.get(c, Fraction(0)):
                     raise ValueError(f"wedge table not antisymmetric at ({a},{b})")
 
+    @cached_property
+    def degrees(self) -> dict:
+        """Letter -> degree (1 or 2), built once per presentation."""
+        deg = dict.fromkeys(self.deg1, 1)
+        deg.update(dict.fromkeys(self.deg2, 2))
+        return deg
+
     def degree(self, letter) -> int:
-        if letter in self.deg1:
-            return 1
-        if letter in self.deg2:
-            return 2
-        raise UnknownSymbol(f"letter {letter!r} not in presentation")
+        try:
+            return self.degrees[letter]
+        except KeyError:
+            raise UnknownSymbol(f"letter {letter!r} not in presentation") from None
 
     def d_letter(self, letter) -> dict:
         if letter in self.deg2:
@@ -214,8 +221,7 @@ def bar_degree(P: DGAPresentation, word) -> int:
 def bar_differential(P: DGAPresentation, xi: BarElement) -> BarElement:
     """The reduced-bar differential; input must be homogeneous of bar
     degree 0 or 1."""
-    deg = dict.fromkeys(P.deg1, 1)
-    deg.update(dict.fromkeys(P.deg2, 2))
+    deg = P.degrees
     try:
         degs = {sum(map(deg.__getitem__, w)) - len(w) for w in xi.terms}
     except KeyError as exc:

@@ -369,12 +369,10 @@ class EdaggerModel:
         reduced indices: every lattice point less than two lattice spacings
         (area over longest period) from the corners' convex hull."""
         L = self.ext.lattice
-        ms, ns = zip(*(reduce_mod_lattice(L, c)[1] for c in corners))
-        return [
-            m * L.omega1 + n * L.omega2
-            for m in range(min(ms) - 2, max(ms) + 3)
-            for n in range(min(ns) - 2, max(ns) + 3)
-        ]
+        _, (m, n) = reduce_mod_lattice(L, np.asarray(corners, dtype=complex))
+        ms = np.arange(m.min() - 2, m.max() + 3)
+        ns = np.arange(n.min() - 2, n.max() + 3)
+        return (ms[:, None] * L.omega1 + ns[None, :] * L.omega2).ravel()
 
     def phi_rows(self, letters, z, s, dz, ds):
         rows = np.empty((len(letters), z.shape[0]), dtype=complex)

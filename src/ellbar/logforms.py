@@ -9,10 +9,24 @@ coordinate of the extension.  The basic letters are
 
 where the f_n come from the sigma-kernel generating series
 ``w * sigma(z + w) / (sigma(z) sigma(w)) * exp(-s w) = sum_n f_n(z, s) w^n``.
-The f_n are computed by a power-series recursion in w (zeta/wp derivatives
-plus the even lattice coefficients), never by dividing sigmas; the direct
-sigma quotient ``kernel_F`` is kept separate so the two routes can be played
-against each other.
+With w F(z, w) = sum_m g_m(z) w^m, f_n = sum_j (-s)^j / j! g_{n-j}.  The g_m
+come from one of two power-series routes in w, never from dividing sigmas:
+
+* far from the lattice, g = exp(C(w)) with C from zeta and the wp tower
+  (one theta pass) plus the even Eisenstein part;
+* at reduced points z0 with |z0| <= 1/2 of the shortest period, from
+  sigma(z) = z exp(-sum_k G_2k z^2k / 2k): w F = (1 + w/z0) exp(R(z0, w)),
+  R = -sum_k G_2k / 2k ((z0 + w)^2k - z0^2k - w^2k).  Its coefficients
+  r_m(z0) = -sum_k G_2k / 2k C(2k, m) z0^(2k-m) are one product of a table
+  with the powers of z0, and g_m = e_m + e_{m-1} / z0 for e = exp(R).  The
+  pole is exact, so nothing cancels near the lattice point (the theta route
+  there cancels poles of order up to m).  For z = z0 + lam the shift is
+  carried by s: s - eta(lam) replaces s.  The table stops at the smallest
+  K whose dropped terms, bounded through |G_2k| <= sum |lam|^-2k, sum to
+  at most the unit roundoff.
+
+The direct sigma quotient ``kernel_F`` is kept separate so the routes can be
+played against each other.
 
 Differentials: d(nu) = 0, d(w0) = 0 and d(w{n}) = -nu ^ w{n-1} for n >= 1;
 the only nonzero wedges are nu ^ w{n}.  Both statements are encoded exactly
@@ -21,6 +35,8 @@ in the presentation returned by :func:`dga_presentation`.
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -29,8 +45,16 @@ from functools import cached_property
 import numpy as np
 
 from .barcx import DGAPresentation
-from .errors import TruncationExceeded
-from .wlattice import LatticeData, _wp_zeta, eisenstein_from_invariants, wsigma
+from .errors import NearPole, TruncationExceeded
+from .wlattice import (
+    LatticeData,
+    _U,
+    _eis_constants,
+    _reduce,
+    _wp_zeta,
+    eisenstein_from_invariants,
+    wsigma,
+)
 from .wlattice import wp, wzeta  # noqa: F401  (perfbench/tracing.py wraps them here)
 
 __all__ = [
@@ -59,9 +83,44 @@ class ExtLattice:
             raise ValueError("nmax must lie in [0, 30]")
 
     @cached_property
+    def _series(self):
+        """(G, a, t, B), all from one eisenstein_from_invariants call up to
+        G_2K, K = _sigma_order: G the theta route's even part G_4, G_6, ...
+        up to nmax (G_4 and G_6 at least), a the shortest period, t the
+        power of 2 in (a/2, a] and B the sigma-product table.
+
+        The call runs on the invariants of the lattice divided by t, whose
+        G_2k t^2k stay below a^4 sum |lam|^-4 at any scale, where G_2k alone
+        over- or underflows for a far from 1.  Scaling by a power of 2
+        commutes with rounding, so G holds the floats of the call on (g2, g3)
+        itself wherever those are normal numbers.
+
+        In units of t, t^m r_m(z0) = x^(m mod 2) sum_i B[m, i] y^i with
+        x = z0 / t and y = x^2: the term of G_2k has the power 2k - m of x,
+        so i = k - ceil(m/2) and B[m, i] = -G_2k t^2k / 2k C(2k, m) for
+        2 <= k <= K, 1 <= m <= min(nmax, 2k - 1).  A lattice whose invariants
+        are not finite keeps the theta route everywhere (a = 0).
+        """
+        L = self.lattice
+        a = abs(L._w1r)
+        e = math.frexp(a)[1] - 1
+        t = math.ldexp(1.0, e)
+        K = _sigma_order(self.nmax, (a / t) ** 4 * _eis_constants(L._w1r / t, L._w2r / t, 4)[3])
+        G = eisenstein_from_invariants(_ldexp(L.g2, 4 * e), _ldexp(L.g3, 6 * e), 2 * K)
+        B = np.zeros((self.nmax + 1, K), dtype=complex)
+        for k in range(2, K + 1):
+            Gk = -G[2 * k] / (2 * k)
+            for m in range(1, min(self.nmax, 2 * k - 1) + 1):
+                B[m, k - (m + 1) // 2] = Gk * math.comb(2 * k, m)
+        kmax = max(6, 2 * (self.nmax // 2))
+        theta_part = {k: _ldexp(G[k], -e * k) for k in range(4, kmax + 1, 2)}
+        return theta_part, (a if np.all(np.isfinite(B)) else 0.0), t, B
+
+    @property
     def eisenstein_coeffs(self) -> dict:
-        """G_4, G_6, ... up to nmax from (g2, g3), computed once per instance."""
-        return eisenstein_from_invariants(self.lattice.g2, self.lattice.g3, 2 * (self.nmax // 2))
+        """G_4, G_6, ... up to nmax (G_4 and G_6 at least), computed once per
+        instance."""
+        return self._series[0]
 
 
 def letters(nmax: int):
@@ -73,11 +132,68 @@ def two_form_letters(nmax: int):
     return tuple(f"nu^w{n}" for n in range(nmax + 1))
 
 
+def _ldexp(v, e):
+    """v 2^e for complex v: exact where the result is a normal number, inf
+    (not OverflowError) past the largest."""
+    with np.errstate(over="ignore"):
+        return complex(np.ldexp(v.real, e), np.ldexp(v.imag, e))
+
+
 # --------------------------------------------------------------------------
 # the f_n series
 
+# The sigma-product branch takes reduced points within _RHO shortest periods
+# of the lattice point 0, and drops terms that sum to at most _U.
+_RHO = 0.5
 
-def _g_coeffs(E: ExtLattice, z):
+
+def _sigma_order(N, c):
+    """Smallest K >= max(2, (N+1)/2) such that, for m = 1..N,
+
+        c sum_{k > K, 2k > m} C(2k, m) / 2k RHO^(2k-m-1) <= U.
+
+    With a the shortest period, |G_2k| <= sum |lam|^-2k <= c a^-2k for
+    c = a^4 sum |lam|^-4.  So for |z0| = x a <= RHO a the terms that the
+    table drops from a^m r_m(z0), divided by x, sum to at most the left
+    side: the truncation error of e_{m-1} / z0 stays below U a^-m.  The
+    ratio of consecutive terms decreases in k, so once it is q < 1 the
+    rest sums to at most q / (1 - q) times the last term.
+    """
+    K = max(2, (N + 2) // 2)
+    for m in range(1, N + 1):
+        k0 = max(2, m // 2 + 1)
+        terms = []
+        for k in itertools.count(k0):
+            t = c * math.comb(2 * k, m) / (2 * k) * _RHO ** (2 * k - m - 1)
+            q = (2 * k + 1) * (2 * k) / ((2 * k + 2 - m) * (2 * k + 1 - m)) * _RHO ** 2
+            terms.append(t)
+            if q < 1 and t * q / (1 - q) <= _U / 2:
+                break
+        tail = t * q / (1 - q)
+        for k in range(k0 + len(terms) - 1, k0 - 1, -1):
+            t = terms[k - k0]
+            if tail + t > _U:
+                K = max(K, k)
+                break
+            tail += t
+    return K
+
+
+def _exp_series(C):
+    """Coefficients of exp(sum_j C_j w^j), C_0 = 0: E_0 = 1 and
+    E_m = (1/m) sum_{j=1}^m j C_j E_{m-j}."""
+    N, P = C.shape[0] - 1, C.shape[1]
+    g = np.zeros((N + 1, P), dtype=complex)
+    g[0] = 1.0
+    for m in range(1, N + 1):
+        acc = np.zeros(P, dtype=complex)
+        for j in range(1, m + 1):
+            acc += j * C[j] * g[m - j]
+        g[m] = acc / m
+    return g
+
+
+def _g_theta(E: ExtLattice, z):
     """Coefficients g_m of w F(z, w) = sum_m g_m(z) w^m for m <= nmax.
 
     F is reconstructed as exp(A(w) + B(w)) with A from zeta and wp
@@ -86,7 +202,6 @@ def _g_coeffs(E: ExtLattice, z):
     """
     L = E.lattice
     N = E.nmax
-    z = np.atleast_1d(np.asarray(z, dtype=complex))
     P = z.shape[0]
     # wp derivative tower p_j = wp^{(j)}, j = 0..N-2
     C = np.zeros((N + 1, P), dtype=complex)  # series exponent coefficients
@@ -114,33 +229,83 @@ def _g_coeffs(E: ExtLattice, z):
         G = E.eisenstein_coeffs
         for k2 in range(4, N + 1, 2):
             C[k2] = C[k2] + G[k2] / k2
-    # exponentiate: E_0 = 1, E_m = (1/m) sum_{j=1}^m j C_j E_{m-j}
-    g = np.zeros((N + 1, P), dtype=complex)
-    g[0] = 1.0
-    for m in range(1, N + 1):
-        acc = np.zeros(P, dtype=complex)
-        for j in range(1, m + 1):
-            acc += j * C[j] * g[m - j]
-        g[m] = acc / m
-    return g
+    return _exp_series(C)
+
+
+def _g_sigma(E: ExtLattice, z0):
+    """g_m at reduced points z0 near 0 from w F = (1 + w/z0) exp(R(z0, w)),
+    computed in units of t (see ExtLattice._series)."""
+    _, _, t, B = E._series
+    x = z0 / t
+    Y = np.empty((B.shape[1], x.shape[0]), dtype=complex)  # y^0 .. y^(K-1)
+    Y[0] = 1.0
+    Y[1] = x * x
+    k = 1
+    while k < len(Y) - 1:
+        # both factors full arrays: a row broadcast against a block would
+        # take numpy's scalar-operand loop for one point and its array loop
+        # for several, which round differently
+        h = min(k, len(Y) - 1 - k)
+        Y[k + 1 : k + 1 + h] = Y[1 : 1 + h] * np.repeat(Y[k : k + 1], h, axis=0)
+        k += h
+    # numpy hands one column to gemv, which rounds differently from gemm
+    R = B @ Y if len(x) > 1 else (B @ np.repeat(Y, 2, axis=1))[:, :1]
+    for m in range(1, E.nmax + 1, 2):
+        R[m] = R[m] * x
+    g = _exp_series(R)
+    g[1:] += g[:-1] / x
+    return g * (t ** -np.arange(E.nmax + 1.0))[:, None]
+
+
+def _g_coeffs(E: ExtLattice, z, s):
+    """(g, s'): g_m at z from the route each point takes, and s' the s to
+    expand them with (s - eta(lam) where g belongs to z0 = z - lam)."""
+    L = E.lattice
+    z0, m, n = _reduce(z, L._w1r, L._w2r, L._red_inv)
+    r = np.abs(z0)
+    near = r <= _RHO * E._series[1]
+    # within half the shortest period, |z0| is the distance to the lattice
+    if np.any(r[near] < L.guard):
+        raise NearPole(f"f_batch: point within guard radius {L.guard:g} of the lattice")
+    if not near.any():
+        return _g_theta(E, z), s
+    s_near = s - (m * L._H1r + n * L._H2r)
+    if near.all():
+        return _g_sigma(E, z0), s_near
+    g = np.empty((E.nmax + 1, z.shape[0]), dtype=complex)
+    g[:, near] = _g_sigma(E, z0[near])
+    g[:, ~near] = _g_theta(E, z[~near])
+    return g, np.where(near, s_near, s)
+
+
+@functools.lru_cache(maxsize=None)
+def _convolution_plan(N):
+    """(j, n - j) over the pairs j <= n <= N, j-major, and the column of
+    j! for j = 1..N as a running float product.  Shared by every call with
+    this N, which only reads them."""
+    j, n = np.triu_indices(N + 1)
+    return j, n - j, np.cumprod(np.arange(1.0, N + 1))[:, None]
 
 
 def f_batch(E: ExtLattice, z, s):
     """All f_0..f_nmax at (z, s); returns array of shape (nmax+1, len(z))."""
     z = np.atleast_1d(np.asarray(z, dtype=complex))
     s = np.broadcast_to(np.asarray(s, dtype=complex), z.shape)
-    g = _g_coeffs(E, z)
+    g, s = _g_coeffs(E, z, s)
     N = E.nmax
-    out = np.zeros((N + 1, z.shape[0]), dtype=complex)
-    # f_n = sum_{j<=n} (-s)^j / j! g_{n-j}
-    spow = np.ones_like(z)
-    fact = 1.0
-    for j in range(N + 1):
-        if j > 0:
-            spow = spow * (-s)
-            fact *= j
-        for n in range(j, N + 1):
-            out[n] += spow / fact * g[n - j]
+    # f_n = sum_{j<=n} (-s)^j / j! g_{n-j}: one convolution, every product
+    # S_j g_{n-j} (j <= n) in one step, j-major, then added in j order
+    j, i, fact = _convolution_plan(N)
+    S = np.empty_like(g)
+    S[0] = 1.0
+    for k in range(1, N + 1):
+        S[k] = S[k - 1] * -s
+    S[1:] /= fact
+    terms = S[j] * g[i]
+    out = np.zeros_like(g)
+    for k in range(N + 1):
+        out[k:] += terms[: N + 1 - k]
+        terms = terms[N + 1 - k :]
     return out
 
 

@@ -223,11 +223,19 @@ def crit_form_identities(cfg):
     for n in range(E.nmax + 1):
         rhs += fb[n] * w**n
     worst_gen = float(np.max(np.abs(lhs - rhs)))
+    # the same at reduced points 0.1-0.4 periods from the lattice point 0,
+    # where f_batch takes the sigma-product branch
+    zn = mp_ * np.array([0.1, 0.2, 0.3, 0.4]) * np.exp(1j * np.array([0.4, 1.9, 3.3, 5.1]))
+    fn = f_batch(E, zn, ss[:4])
+    lhs = w * kernel_F(E, zn, np.full(4, w)) * np.exp(-ss[:4] * w)
+    rhs = sum(fn[n] * w**n for n in range(E.nmax + 1))
+    worst_near = float(np.max(np.abs(lhs - rhs)))
     ok = (
         worst_ladder <= 1e-6
         and worst_inv <= 1e-8
         and worst_resid <= 1e-6
         and worst_gen <= 1e-7
+        and worst_near <= 1e-7
     )
     return _res(
         ok,
@@ -236,12 +244,14 @@ def crit_form_identities(cfg):
             "lattice_invariance": worst_inv,
             "residue": worst_resid,
             "generating_series": worst_gen,
+            "generating_series_near_lattice": worst_near,
         },
         tolerances={
             "s_ladder": 1e-6,
             "lattice_invariance": 1e-8,
             "residue": 1e-6,
             "generating_series": 1e-7,
+            "generating_series_near_lattice": 1e-7,
         },
     )
 

@@ -1,0 +1,83 @@
+"""mpmath references for the letter coefficients, independent of ellbar's
+series: sigma from mpmath's theta_1 on the lattice's own periods, and g_m as
+the Cauchy coefficients of w sigma(z + w) / (sigma(z) sigma(w)) in w."""
+
+import mpmath as mp
+
+
+class SigmaReference:
+    """sigma, g_m and f_n for one lattice at ``dps`` digits.
+
+    The g_m are trapezoid sums over ``nodes`` points of the circle
+    |w| = a/6, a the shortest period; the nearest pole in w is at distance
+    a, so each coefficient is exact to 6^-nodes relative.
+    """
+
+    def __init__(self, L, dps=40, nodes=24):
+        self.dps = dps
+        with mp.workdps(dps):
+            self.w1 = mp.mpc(L._w1r)
+            self.q = mp.exp(1j * mp.pi * mp.mpc(L._w2r) / self.w1)
+            th1 = mp.jtheta(1, 0, self.q, 1)
+            # sigma on Z + tau Z is exp(e1 u^2 / 2) theta_1(u) / theta_1'(0)
+            # with no u^3 term: e1 = -theta_1'''(0) / (3 theta_1'(0)) in u
+            self.e1 = -(mp.pi ** 2) / 3 * mp.jtheta(1, 0, self.q, 3) / th1
+            self.th1p = mp.pi * th1
+            r = abs(self.w1) / 6
+            self.ws = [r * mp.expjpi(mp.mpf(2 * k) / nodes) for k in range(nodes)]
+            self.sws = [self.sigma(w) for w in self.ws]
+
+    def sigma(self, x):
+        u = x / self.w1
+        return self.w1 * mp.exp(self.e1 * u * u / 2) * mp.jtheta(1, mp.pi * u, self.q) / self.th1p
+
+    def eta1(self):
+        """zeta(z + omega) - zeta(z) for the shortest period omega."""
+        with mp.workdps(self.dps):
+            return self.e1 / self.w1
+
+    def g(self, z, nmax):
+        """[g_0, ..., g_nmax] at z (not reduced) as mpc."""
+        with mp.workdps(self.dps):
+            z = mp.mpc(z)
+            sz = self.sigma(z)
+            vals = [w * self.sigma(z + w) / (sz * sw) for w, sw in zip(self.ws, self.sws)]
+            return [mp.fsum(v * w ** -m for v, w in zip(vals, self.ws)) / len(vals)
+                    for m in range(nmax + 1)]
+
+    def f(self, z, s, nmax):
+        """[f_0, ..., f_nmax] at (z, s): sum_j (-s)^j / j! g_{n-j}."""
+        g = self.g(z, nmax)
+        with mp.workdps(self.dps):
+            s = mp.mpc(s)
+            return [mp.fsum((-s) ** j / mp.factorial(j) * g[n - j] for j in range(n + 1))
+                    for n in range(nmax + 1)]
+
+    def line_integrals(self, za, zb, lam, eta, nmax):
+        """[int f_n(z, 0) dz for n = 1..nmax] along the line za -> zb at
+        s = 0, which passes the lattice point lam with eta(lam) = eta.
+
+        f_n has the simple pole eta^(n-1) / (n-1)! / (z - lam) there; its
+        integral is taken exactly, and the smooth rest by mpmath's
+        Gauss-Legendre quadrature to 20 digits.  Returns (values,
+        quadrature error).
+        """
+        cache = {}
+        with mp.workdps(self.dps):
+            za, zb, lam, eta = (mp.mpc(v) for v in (za, zb, lam, eta))
+
+            def rest(t, n):
+                if t not in cache:
+                    z = za + t * (zb - za)
+                    cache[t] = (z, self.f(z, 0, nmax))
+                z, f = cache[t]
+                return (f[n] - eta ** (n - 1) / mp.factorial(n - 1) / (z - lam)) * (zb - za)
+
+            vals, err = [], mp.mpf(0)
+            for n in range(1, nmax + 1):
+                with mp.workdps(20):
+                    v, e = mp.quad(lambda t: rest(t, n), [0, 1], method="gauss-legendre", error=True)
+                pole = eta ** (n - 1) / mp.factorial(n - 1) * mp.log((zb - lam) / (za - lam))
+                vals.append(complex(v + pole))
+                err = max(err, e)
+            return vals, float(err)

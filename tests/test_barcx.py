@@ -127,6 +127,25 @@ class TestDifferential:
         with pytest.raises(ValueError):
             bar_differential(P, xi)
 
+    def test_degree_table_built_once(self):
+        # bar_differential reads the presentation's one letter -> degree
+        # table, cached on the presentation
+        P = dga_presentation(2)
+        assert P.degrees == {**dict.fromkeys(P.deg1, 1), **dict.fromkeys(P.deg2, 2)}
+        assert P.degrees is P.degrees
+
+        class Spy(dict):
+            reads = 0
+
+            def __getitem__(self, letter):
+                Spy.reads += 1
+                return super().__getitem__(letter)
+
+        vars(P)["degrees"] = Spy(P.degrees)
+        xi = random_deg0_element(P, random.Random(3))
+        bar_differential(P, bar_differential(P, xi))
+        assert Spy.reads > 0
+
 
 class TestKernel:
     def test_p1_dimensions(self):

@@ -52,7 +52,9 @@ from ellbar.wlattice import (
     _reduce,
     eta_lambda,
     lattice_from_curve,
+    reduce_mod_lattice,
 )
+from mpref import SigmaReference
 
 ZETA2 = math.pi**2 / 6
 ZETA3 = 1.2020569031595942854
@@ -519,16 +521,32 @@ class TestLevelSynchronous:
         st = self._against_oracle(model, LineSeg(z0, z1), ("om0", "om1"), 3, 1e-11, 16)
         assert len(st.panels_by_depth[0]) >= 10
 
-    def test_steep_w4_line_fails_as_the_oracle(self):
-        model = EdaggerModel(ExtLattice(lattice_from_curve(CurveSpec(2, 3)), nmax=4))
-        seg = _steep_line(model.ext.lattice, 1e-3)
-        table = _word_table(("w4",), 2)
-        args = (model, seg, table, 1e-10, 14)
-        with pytest.raises(QuadratureFailure) as ref:
-            _Recursive(*args).run()
-        with pytest.raises(QuadratureFailure) as got:
-            _one_segment(*args).run()
-        assert str(got.value) == str(ref.value)
+    def test_steep_w2_to_w6_lines_converge(self):
+        # lines past the lattice point omega1 at clearances down to 1e-5 of
+        # the minimum period: each letter against an mpmath quadrature of
+        # sigma quotients, and every pair by the shuffle relation.  The
+        # depth cap is raised because the node positions, rounded to doubles,
+        # make the panel values next to a pole noisy at ~1e-16 |omega1| /
+        # clearance relative, which any letter with a pole (w1 too) only
+        # gets below tol 1e-12 on panels ~27 bisections deep at 1e-5
+        L = lattice_from_curve(CurveSpec(2, 3))
+        assert L.omega1 == L._w1r
+        model = EdaggerModel(ExtLattice(L, nmax=6))
+        ref = SigmaReference(L, dps=30, nodes=24)
+        letters = tuple(f"w{n}" for n in range(2, 7))
+        for clearance in (1e-2, 1e-3, 1e-4, 1e-5):
+            seg = _steep_line(L, clearance)
+            r = chen_transport(model, PathSpec(model="edagger", segments=(seg,)), letters=letters,
+                               lmax=2, tol=1e-12, max_depth=30)
+            want, quad_err = ref.line_integrals(seg.z0, seg.z1, L.omega1, ref.eta1(), 6)
+            assert quad_err < 1e-15
+            for n in range(2, 7):
+                got = r.values[(f"w{n}",)]
+                assert abs(got - want[n - 1]) <= r.err_by_length[1] + 1e-12, (clearance, n)
+            for u in letters:
+                for v in letters:
+                    rhs = sum(c * r.values[w] for w, c in shuffle((u,), (v,)).items())
+                    assert abs(r.values[(u,)] * r.values[(v,)] - rhs) <= 1e-11, (clearance, u, v)
 
     def test_max_depth_failure_is_the_leftmost(self, ext, model):
         # the steep geometry of test_quadrature_failure_near_pole, cut off
@@ -704,6 +722,27 @@ class TestManySegments:
         with pytest.raises(GuardViolation):
             chen_transport(model, path, letters=("w1",), lmax=1, tol=1e-8)
         assert calls == []
+
+    def test_punctures_from_one_reduction(self, ext, model):
+        # all corners reduced in one array call give the lattice points that
+        # a reduction per corner gives, in the same order
+        L = ext.lattice
+
+        def per_corner(corners):
+            ms, ns = zip(*(reduce_mod_lattice(L, c)[1] for c in corners))
+            return [m * L.omega1 + n * L.omega2
+                    for m in range(min(ms) - 2, max(ms) + 3)
+                    for n in range(min(ns) - 2, max(ns) + 3)]
+
+        segs = [seg for _, g1, g2 in loop_pair_library(ext) for g in (g1, g2) for seg in g.segments]
+        rng = np.random.default_rng(17)
+        for _ in range(40):
+            z0, z1 = rng.uniform(-4, 4, 2) + 1j * rng.uniform(-4, 4, 2)
+            a0, a1 = rng.uniform(-7, 7, 2)
+            segs += [LineSeg(z0, z1), ArcSeg(z0, abs(z1) / 2, a0, a1)]
+        for seg in segs:
+            got = model.punctures(seg.corners)
+            assert np.array_equal(got, per_corner(seg.corners)), seg
 
 
 class TestBarPairing:

@@ -1,10 +1,13 @@
 """Tests for the logarithmic form coefficients on the extended curve.
 
-The f_n series route (zeta/wp tower, exponentiated) is played against the
-direct sigma-quotient kernel (Fourier coefficient extraction on a circle),
-plus the structural identities: s-derivative ladder, lattice invariance,
-residues at the origin, holomorphy in z.
+The f_n series routes (the zeta/wp tower, exponentiated, and near lattice
+points the sigma product) are played against the direct sigma-quotient
+kernel (Fourier coefficient extraction on a circle) and against 40-digit
+mpmath sigma quotients, plus the structural identities: s-derivative
+ladder, lattice invariance, residues at the origin, holomorphy in z.
 """
+
+import math
 
 import numpy as np
 import pytest
@@ -23,7 +26,8 @@ from ellbar.logforms import (
     two_form_coeff,
     two_form_letters,
 )
-from ellbar.wlattice import fundamental_points
+from ellbar.wlattice import fundamental_points, lattice_from_periods, reduce_mod_lattice
+from mpref import SigmaReference
 
 CURVES = [(4, 0), (5, 2)]
 
@@ -254,6 +258,23 @@ class TestFusedTheta:
         # nmax 0 needs no theta evaluation at all
         assert len(calls) == (0 if nmax == 0 else 1)
 
+    @pytest.mark.parametrize("nmax", [0, 1, 4, 8])
+    def test_convolution_matches_the_double_loop(self, ext, nmax):
+        # f_n = sum_j (-s)^j / j! g_{n-j} as one convolution gives the floats
+        # of the term-by-term loop, theta and sigma-product points alike
+        E = ExtLattice(ext.lattice, nmax=nmax)
+        zz = np.concatenate([fundamental_points(ext.lattice, 8, seed=nmax), _near_points(E)])
+        ss = S0 + 0.2j * np.arange(zz.size)
+        g, s = logforms._g_coeffs(E, zz, ss)
+        want = np.zeros_like(g)
+        spow, fact = np.ones_like(s), 1.0
+        for j in range(nmax + 1):
+            if j > 0:
+                spow, fact = spow * (-s), fact * j
+            for n in range(j, nmax + 1):
+                want[n] += spow / fact * g[n - j]
+        assert np.array_equal(f_batch(E, zz, ss), want)
+
     def test_point_inside_guard_raises(self, ext):
         L = ext.lattice
         zz = np.concatenate([fundamental_points(L, 4), [L.omega1 + 0.5 * L.guard]])
@@ -281,3 +302,123 @@ def test_eisenstein_coefficients_computed_once(monkeypatch):
     for _ in range(3):
         assert np.array_equal(logforms.f_batch(fresh, zs, s), B)
     assert len(calls) == 1
+
+
+# --------------------------------------------------------------------------
+# near lattice points: the sigma-product branch
+
+
+NEAR_CURVES = [(2, 3), (5, 2), (1, -3)]
+RADII = (1.5e-6, 1e-4, 1e-2, 0.1, 0.3, 0.5)  # in shortest periods
+
+
+@pytest.fixture(scope="module", params=NEAR_CURVES, ids=lambda ab: f"a{ab[0]}b{ab[1]}")
+def near_ext(request):
+    return ExtLattice(lattice_from_curve(CurveSpec(*request.param)), nmax=8)
+
+
+def _near_points(E, radii=RADII, seed=5):
+    a = abs(E.lattice._w1r)
+    rng = np.random.default_rng(seed)
+    return np.array([r * a * np.exp(2j * np.pi * rng.uniform()) for r in radii])
+
+
+def _translates(E, z0):
+    L = E.lattice
+    lams = [(1, 0), (0, 1), (1, 1), (-1, 2), (2, -1), (0, -1)]
+    return z0 + np.array([m * L.omega1 + n * L.omega2 for m, n in lams][: len(z0)])
+
+
+class TestNearLattice:
+    def test_against_mpmath(self, near_ext):
+        # g_m at reduced points and f_n at their translates, against sigma
+        # quotients at 40 digits, each relative to its own size
+        E = near_ext
+        ref = SigmaReference(E.lattice, dps=40, nodes=64)
+        z0 = _near_points(E)
+        got = f_batch(E, z0, 0.0)
+        for i, z in enumerate(z0):
+            want = np.array([complex(v) for v in ref.g(z, E.nmax)])
+            assert np.all(np.abs(got[:, i] - want) <= 1e-13 * np.abs(want)), (i, got[:, i], want)
+        zt = _translates(E, z0)
+        got = f_batch(E, zt, S0)
+        for i, z in enumerate(zt):
+            want = np.array([complex(v) for v in ref.f(z, S0, E.nmax)])
+            assert np.all(np.abs(got[:, i] - want) <= 1e-13 * np.abs(want)), (i, got[:, i], want)
+
+    def test_branches_agree_at_the_switch_radius(self, near_ext):
+        E = near_ext
+        a = abs(E.lattice._w1r)
+        z0 = logforms._RHO * a * np.exp(2j * np.pi * (np.arange(16) + 0.3) / 16)
+        near = logforms._g_sigma(E, z0)
+        far = logforms._g_theta(E, z0)
+        assert np.all(np.abs(near - far) <= 1e-12 * np.abs(far))
+
+    def test_a_point_alone_and_in_a_mixed_batch(self, near_ext):
+        E = near_ext
+        L = E.lattice
+        z0 = _near_points(E)
+        zz = np.concatenate([fundamental_points(L, 6, seed=2), z0, _translates(E, z0),
+                             fundamental_points(L, 6, seed=3)])
+        ss = S0 + 0.1j * np.arange(zz.size)
+        batch = f_batch(E, zz, ss)
+        for i in range(zz.size):
+            assert np.array_equal(f_batch(E, zz[i : i + 1], ss[i : i + 1])[:, 0], batch[:, i]), i
+
+    def test_near_only_batch_makes_no_theta_call(self, near_ext, monkeypatch):
+        E = near_ext
+        z0 = _near_points(E, RADII[:-1] + (0.45,))  # translates round |z0|
+        zz = np.concatenate([z0, _translates(E, z0)])
+        want = f_batch(E, zz, S0)
+
+        def no_theta(*args):
+            raise AssertionError("theta route called")
+
+        monkeypatch.setattr(logforms, "_wp_zeta", no_theta)
+        assert np.array_equal(f_batch(E, zz, S0), want)
+        a = abs(E.lattice._w1r)
+        far = [z for z in fundamental_points(E.lattice, 20, seed=1)
+               if abs(reduce_mod_lattice(E.lattice, z)[0]) > 0.6 * a]
+        with pytest.raises(AssertionError, match="theta route"):
+            f_batch(E, np.concatenate([zz, far[:1]]), S0)
+
+    @pytest.mark.parametrize("scale", [1e4, 1e-4])
+    def test_periods_far_from_one(self, scale):
+        # at these scales G_2k for the table's k over- or underflows; the
+        # table comes from the invariants scaled by a power of 2, so near
+        # points match sigma quotients, and far points keep the theta route
+        # with the G_2k of (g2, g3) themselves
+        L = lattice_from_periods(scale, scale * (0.5 + 0.87j))
+        ref = SigmaReference(L, dps=40, nodes=64)
+        s = 0.3 / scale
+        far = [z for z in fundamental_points(L, 20, seed=1)
+               if abs(reduce_mod_lattice(L, z)[0]) > 0.6 * scale][:3]
+        for nmax in (5, 8):
+            E = ExtLattice(L, nmax=nmax)
+            G = logforms.eisenstein_from_invariants(L.g2, L.g3, max(6, nmax // 2 * 2))
+            assert E.eisenstein_coeffs == G
+            z0 = _near_points(E)
+            zz = np.concatenate([z0, _translates(E, z0), far])
+            got = f_batch(E, zz, s)
+            for i, z in enumerate(zz):
+                want = np.array([complex(v) for v in ref.f(z, s, nmax)])
+                assert np.all(np.abs(got[:, i] - want) <= 1e-13 * np.abs(want)), (i, got[:, i], want)
+            g, _ = logforms._g_coeffs(E, np.array(far), s)
+            assert np.array_equal(g, logforms._g_theta(E, np.array(far)))
+
+    @pytest.mark.parametrize("nmax", [0, 1, 4, 8, 30])
+    def test_truncation_bound(self, nmax):
+        # the dropped terms c sum_{k>K} C(2k, m)/(2k) rho^(2k-m-1), summed
+        # directly far beyond K, are at most the unit roundoff for every m,
+        # and K is the smallest order for which that holds
+        c = 8.0
+        K = logforms._sigma_order(nmax, c)
+
+        def tail(K, m):
+            return sum(c * math.comb(2 * k, m) / (2 * k) * logforms._RHO ** (2 * k - m - 1)
+                       for k in range(K + 1, K + 4000) if 2 * k > m)
+
+        assert 2 * K > nmax and K >= 2
+        assert all(tail(K, m) <= logforms._U for m in range(1, nmax + 1))
+        if K > max(2, (nmax + 2) // 2):
+            assert any(tail(K - 1, m) > logforms._U for m in range(1, nmax + 1))
