@@ -36,7 +36,6 @@ from .barcx import (
     BarElement,
     DGAPresentation,
     bar_differential,
-    deconcat,
     h0_basis,
     shuffle,
 )
@@ -46,7 +45,6 @@ from .logforms import (
     f_batch,
     f_n,
     kernel_F,
-    pullback_coeff,
     residue_expected,
     two_form_coeff,
 )
@@ -69,7 +67,6 @@ from .chenint import (
     compose_paths,
     eval_bar_element,
     homotopy_certificate,
-    homotopy_report,
     line_path,
     loop_path,
     path_from_json,

@@ -31,11 +31,9 @@ from .errors import DimensionBound, UnknownSymbol
 __all__ = [
     "DGAPresentation",
     "BarElement",
-    "bar_degree",
     "bar_differential",
     "h0_basis",
     "shuffle",
-    "deconcat",
     "words_upto",
 ]
 
@@ -213,11 +211,6 @@ def _element(terms) -> BarElement:
     return el
 
 
-def bar_degree(P: DGAPresentation, word) -> int:
-    """Bar degree of a word: sum over letters of (deg - 1)."""
-    return sum(P.degree(a) - 1 for a in word)
-
-
 def bar_differential(P: DGAPresentation, xi: BarElement) -> BarElement:
     """The reduced-bar differential; input must be homogeneous of bar
     degree 0 or 1."""
@@ -253,7 +246,7 @@ def bar_differential(P: DGAPresentation, xi: BarElement) -> BarElement:
 
 
 # --------------------------------------------------------------------------
-# words, shuffles, deconcatenation
+# words and shuffles
 
 
 def words_upto(letters, lmax: int):
@@ -283,12 +276,6 @@ def shuffle(u, v) -> dict:
 
     rec(u, v, ())
     return out
-
-
-def deconcat(w):
-    """All splittings w = u . v, including the empty ends."""
-    w = tuple(w)
-    return [(w[:i], w[i:]) for i in range(len(w) + 1)]
 
 
 # --------------------------------------------------------------------------

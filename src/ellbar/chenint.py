@@ -28,11 +28,10 @@ A word table need not hold every word up to a length: any word set closed
 under taking factors (contiguous subwords) composes and transports, which is
 all that one word's series needs.
 
-The genus-zero regularized integrals shrink a cutoff eps toward the
-punctures on a geometric schedule and strip the divergence by a fit against
-{log^j eps, eps log^j eps, eps^2 log^j eps}; the constant term is the
-regularized value.  They transport only the factors of their word, and the
-end pieces at each puncture in one run.
+The genus-zero regularized integrals run between the tangential base
+points at 0 and 1.  Their end pieces, [0, 1/4] and [3/4, 1], come from the
+local series in z and log z at those points, with a proven bound on the cut
+tails; only the middle piece is transported, on the factors of the word.
 """
 
 from __future__ import annotations
@@ -48,8 +47,8 @@ import numpy as np
 from . import _kernels
 from .barcx import words_upto
 from .errors import (
+    ConvergenceFailure,
     EndpointMismatch,
-    FitInstability,
     GuardViolation,
     QuadratureFailure,
 )
@@ -69,13 +68,11 @@ __all__ = [
     "P1Model",
     "compose_paths",
     "reverse_path",
-    "loop_deck",
     "TransportResult",
     "chen_transport",
     "compose_series",
     "eval_bar_element",
     "eval_bar_with_result",
-    "homotopy_report",
     "homotopy_certificate",
     "loop_pair_library",
     "surface_difference",
@@ -408,34 +405,25 @@ class EdaggerModel:
 
 
 class P1Model:
-    """Letters om0 = dz/z and om1 = dz/(z - 1) on C minus {0, 1}.
-
-    An origin offset makes path coordinates local: points are origin + w.
-    Integrating a piece that hugs the puncture at 1 in w = z - 1 keeps
-    dz/(z - 1) = dw/w exact where the absolute coordinate would cancel
-    catastrophically.
-    """
+    """Letters om0 = dz/z and om1 = dz/(z - 1) on C minus {0, 1}."""
 
     name = "p1"
-
-    def __init__(self, guard: float = 1e-12, origin: complex = 0j):
-        self.guard = guard
-        self.origin = complex(origin)
+    guard = 1e-12
 
     def letters(self):
         return ("om0", "om1")
 
     def punctures(self, corners):
-        """0 and 1 in local coordinates, wherever the corners lie."""
-        return [-self.origin, 1.0 - self.origin]
+        """0 and 1, wherever the corners lie."""
+        return [0.0, 1.0]
 
     def phi_rows(self, letters, z, s, dz, ds):
         rows = np.empty((len(letters), z.shape[0]), dtype=complex)
         for i, letter in enumerate(letters):
             if letter == "om0":
-                rows[i] = dz / (z + self.origin)
+                rows[i] = dz / z
             elif letter == "om1":
-                rows[i] = dz / (z + (self.origin - 1.0))
+                rows[i] = dz / (z - 1.0)
             else:
                 raise ValueError(f"unknown genus-zero letter {letter!r}")
         return rows
@@ -484,17 +472,6 @@ def reverse_path(g: PathSpec) -> PathSpec:
         model=g.model,
         segments=tuple(seg.reversed() for seg in reversed(g.segments)),
     )
-
-
-def loop_deck(L: LatticeData, g: PathSpec):
-    """Deck element (m, n) closing the path in the quotient, or None.
-
-    The path is a loop when end - start = (lam, -eta(lam)) for lam =
-    m omega1 + n omega2; (0, 0) means an honest closed loop in the cover.
-    """
-    model = EdaggerModel(ExtLattice(L, nmax=0))
-    off = model.congruence_offset(g.start, g.end, tol=1e-10)
-    return None if off is None else off[2]
 
 
 # --------------------------------------------------------------------------
@@ -618,15 +595,13 @@ class _SegmentTransport:
         self.table = table
         self.tol = tol
         self.max_depth = max_depth
-        guard = model.guard
-        if guard > 0:
-            for seg in self.segs:
-                dmin = float(seg.distance(np.asarray(model.punctures(seg.corners))).min())
-                if dmin < guard:
-                    raise GuardViolation(
-                        f"segment passes within {dmin:.3e} of a puncture "
-                        f"(guard {guard:.3e})"
-                    )
+        for seg in self.segs:
+            dmin = float(seg.distance(np.asarray(model.punctures(seg.corners))).min())
+            if dmin < model.guard:
+                raise GuardViolation(
+                    f"segment passes within {dmin:.3e} of a puncture "
+                    f"(guard {model.guard:.3e})"
+                )
         self.x, self.w, self.Q = _ref_quad(_ORDER)
         m = len(self.segs)
         self.err = [np.zeros(len(table.words)) for _ in range(m)]
@@ -834,27 +809,6 @@ def eval_bar_element(model, xi, path: PathSpec, tol: float = 1e-10) -> complex:
     return eval_bar_with_result(xi, res)
 
 
-@dataclass(frozen=True)
-class HomotopyReport:
-    value1: complex
-    value2: complex
-    difference: float
-
-
-def homotopy_report(model, xi, g1: PathSpec, g2: PathSpec, tol: float = 1e-10):
-    """Evaluate the element on both paths and report the discrepancy.
-
-    The paths must share endpoints (up to lattice translation in the curve
-    model); no judgment is made about whether the discrepancy is small.
-    """
-    for p, q, name in ((g1.start, g2.start, "start"), (g1.end, g2.end, "end")):
-        if model.congruence_offset(p, q) is None:
-            raise EndpointMismatch(f"paths differ at {name}: {p} vs {q}")
-    v1 = eval_bar_element(model, xi, g1, tol=tol)
-    v2 = eval_bar_element(model, xi, g2, tol=tol)
-    return HomotopyReport(value1=v1, value2=v2, difference=abs(v1 - v2))
-
-
 # --------------------------------------------------------------------------
 # homotopy certificates for curated pairs
 
@@ -1049,110 +1003,117 @@ def _p1_word(word) -> tuple:
     return tuple(out)
 
 
-# The cutoff schedule eps = 2^{-k}, k = _KMIN .. _KMAX in 1/_SUBSTEPS steps.
-_KMIN, _KMAX, _SUBSTEPS = 14, 30, 2
+# Near the tangential base point at 0 (tangent 1), an iterated integral from
+# it is a finite sum of log^j z times power series in z (Borwein, Bradley,
+# Broadhurst and Lisonek, arXiv:math/9910045; Vollinga and Weinzierl,
+# arXiv:hep-ph/0410259).  A word's coefficients c[j, p] follow from its
+# suffix's.  Prepending om0 integrates against dt/t:
+#
+#     int_0^z t^(p-1) log^j t dt = z^p sum_i (-1)^i j!/(j-i)! log^(j-i) z / p^(i+1)
+#
+# for p >= 1, and log^(j+1) z / (j+1) for p = 0.  Prepending om1 first
+# multiplies by t/(t - 1) = -sum_{m>=1} t^m, then does the same.  Powers
+# past K are dropped, and a bound T_j >= sum_{p>K} |c[j, p]| delta^p takes
+# the same steps: om1 maps T to (delta^(K+1) sum_{p<=K} |c_p| + delta T) /
+# (1 - delta), and om0 sends T_j to T_(j-i) with the factor
+# j!/(j-i)!/(K+1)^(i+1).
+
+# The end pieces are [0, _DELTA] and [1 - _DELTA, 1]; their local series
+# keep the powers up to _K, which leaves tails below 1e-19.
+_DELTA = 0.25
+_K = 32
 
 
-def _cutoff_schedule(letters, tol):
-    """The word's iterated integral over [eps, 1 - eps] on the cutoff schedule.
+def _tangential_series(table, K, right):
+    """Values and proven truncation bounds of I(0+; f; delta) for every word
+    f of the table, the local series cut after the power K.
 
-    Returns eps, the values and the two transport runs.  Only the word's
-    factor table is transported.  The first point covers [eps_0, 1/2] and
-    [1/2, 1 - eps_0]; each later one composes the two short end pieces onto
-    the previous series.  All end pieces near 0 go through one transport
-    run, in the absolute coordinate, and all pieces near 1 through another,
-    in the local coordinate w = z - 1, so that dz/(z-1) never cancels.
+    With ``right``, those of I(1 - delta; f; 1-) = (-1)^|f| I(0+; rev swap f;
+    delta) instead, swap exchanging om0 and om1: z -> 1 - z swaps the
+    letters and reverses the path.  The suffixes of rev swap f are the rev
+    swap of f's prefixes, so the one factor table serves both ends.
     """
-    table = _factor_table(("om0", "om1"), letters)
-    ks = np.arange(_KMIN * _SUBSTEPS, _KMAX * _SUBSTEPS + 1) / _SUBSTEPS
-    eps = 2.0 ** (-ks)
-    lo = [LineSeg(eps[0], 0.5)] + [LineSeg(eps[j], eps[j - 1]) for j in range(1, len(eps))]
-    hi = [LineSeg(-0.5, -eps[0])] + [LineSeg(-eps[j - 1], -eps[j]) for j in range(1, len(eps))]
-    runs = [
-        _SegmentTransport(
-            P1Model(guard=0.0, origin=origin), segs, table, tol=min(tol, 1e-11), max_depth=16
-        )
-        for origin, segs in ((0.0, lo), (1.0, hi))
-    ]
-    near0, near1 = (st.run() for st in runs)
-    widx = table.index[letters]
-    acc = compose_series(near1[0], near0[0], table)
-    vals = [acc[widx]]
-    for a, b in zip(near0[1:], near1[1:]):
-        acc = compose_series(b, compose_series(acc, a, table), table)
-        vals.append(acc[widx])
-    return eps, np.asarray(vals, dtype=complex), runs
+    p = np.arange(1, K + 1)
+    powers = _DELTA ** np.arange(K + 1)
+    coeffs, tails = [np.eye(1, K + 1)], [np.zeros(1)]
+    for w in table.words[1:]:
+        if right:  # rev swap w = swap(w[-1]) . rev swap w[:-1]
+            i, om1 = table.index[w[:-1]], w[-1] == "om0"
+        else:
+            i, om1 = table.index[w[1:]], w[0] == "om1"
+        c, T = coeffs[i], tails[i]
+        if om1:
+            T = (powers[-1] * _DELTA * np.abs(c).sum(axis=1) + _DELTA * T) / (1 - _DELTA)
+            c = np.concatenate([np.zeros((len(c), 1)), -np.cumsum(c[:, :-1], axis=1)], axis=1)
+        n = len(c)
+        c1, T1 = np.zeros((n + 1, K + 1)), np.zeros(n + 1)
+        c1[1:, 0] = c[:, 0] / np.arange(1, n + 1)
+        e = f = 0.0
+        for j in range(n - 1, -1, -1):
+            e = c[j, 1:] - (j + 1) * e / p
+            f = T[j] + (j + 1) * f / (K + 1)
+            c1[j, 1:] = e / p
+            T1[j] = f / (K + 1)
+        coeffs.append(c1)
+        tails.append(T1)
+    logd = math.log(_DELTA)
+    values = np.array([logd ** np.arange(len(c)) @ (c @ powers) for c in coeffs])
+    bounds = np.array([abs(logd) ** np.arange(len(T)) @ T for T in tails])
+    return (-1.0) ** table.lengths * values if right else values, bounds
 
 
 def regularized_integral_p1(word, tol: float = 1e-9, full: bool = False):
     """Regularized iterated integral from the tangential base at 0 to the
     tangential base at 1.
 
-    The integral I(eps) over the straight path from eps to 1 - eps is
-    computed on the geometric schedule eps = 2^{-k}, k = 14 .. 30 in half
-    steps, extended incrementally by composing the short end pieces onto
-    the previous series.  Only the word's factors (its contiguous subwords)
-    are transported, and the end pieces at each puncture go through one
-    level-synchronous run.  A least-squares fit against {log^j eps} +
-    {eps log^j eps} + {eps^2 log^j eps}, j <= word length, strips the
-    divergence; the constant term is returned.
+    The path is cut at delta = 1/4 and 1 - delta.  The end pieces come from
+    the local series at each tangential base point (``_tangential_series``),
+    for every factor (contiguous subword) of the word; the middle piece is
+    transported on the same factor table.  The three are composed.  A proven
+    bound on what the series' cut tails move in the composed value exceeding
+    tol raises ConvergenceFailure.
 
-    For admissible words (leading om0, trailing om1) the log coefficients
-    must come out zero within tolerance; any fit residual above tolerance
-    raises FitInstability.  With ``full`` a dict is returned: the value, the
-    log coefficients, the fit residual, the number of schedule points, and
-    the panels and rejected bisections summed over the schedule.
+    With ``full`` a dict is returned: the value, that ``tail_bound``, the
+    middle piece's panels and rejected bisections, and the log coefficients.
+    The integral from eps to 1 - eps is exp(L om1) Reg exp(-L om0) +
+    O(eps log^n eps) with L = log eps, so the coefficient of L^j, j = 1 .. n,
+    sums (-1)^k Reg(v) / (m! k!) over the splittings of the word as
+    om1^m v om0^k with m + k = j; each is exactly 0 for admissible words
+    (leading om0, trailing om1).
     """
     letters = _p1_word(word)
     if not letters:
         raise ValueError("word must be nonempty")
+    table = _factor_table(("om0", "om1"), letters)
+    left, e_left = _tangential_series(table, _K, right=False)
+    right, e_right = _tangential_series(table, _K, right=True)
+    st = _SegmentTransport(P1Model(), [LineSeg(_DELTA, 1 - _DELTA)], table, min(tol, 1e-11), 16)
+    (mid,) = st.run()
+    # a composition with cut tails e_A, e_B moves by at most |A| e_B + e_A (|B| + e_B)
+    inner = compose_series(mid, left, table)
+    e_inner = compose_series(np.abs(mid), e_left, table)
+    total = compose_series(right, inner, table)
+    e_total = compose_series(np.abs(right), e_inner, table)
+    e_total += compose_series(e_right, np.abs(inner) + e_inner, table)
+    w = table.index[letters]
+    tail_bound = float(e_total[w])
+    if tail_bound > tol:
+        raise ConvergenceFailure(f"series tail bound {tail_bound:.3e} exceeds tol {tol:.3e}")
+    value = complex(total[w])
+    if not full:
+        return value
     n = len(letters)
-    eps, vals, runs = _cutoff_schedule(letters, tol)
-    # Fit columns: log^j eps for the divergent part, eps log^j and
-    # eps^2 log^j for the cutoff corrections.  An admissible word (leading
-    # om0, trailing om1) converges outright, so its divergent block is
-    # dropped; keeping those near-collinear columns would let the solver
-    # smear noise into them.  A first full fit cross-checks that choice.
-    admissible = letters[0] == "om0" and letters[-1] == "om1"
-    lg = np.log(eps)
-
-    def dofit(with_logs):
-        cols = [eps**0]
-        if with_logs:
-            cols.extend(lg**j for j in range(1, n + 1))
-        nlog = len(cols) - 1
-        for p in (1, 2):
-            cols.extend(eps**p * lg**j for j in range(n + 1))
-        A = np.stack(cols, axis=1)
-        norms = np.max(np.abs(A), axis=0)
-        c, _, _, _ = np.linalg.lstsq(A / norms, vals, rcond=None)
-        c = c / norms
-        resid = float(np.max(np.abs(A @ c - vals)))
-        return c, resid, nlog
-
-    scale = max(1.0, float(np.max(np.abs(vals))))
-    c, resid, nlog = dofit(with_logs=not admissible)
-    if admissible:
-        cfull, _, nfull = dofit(with_logs=True)
-        worst_log = float(np.max(np.abs(cfull[1 : nfull + 1]), initial=0.0))
-        if worst_log > 1e-4 * scale:
-            raise FitInstability(
-                "word should converge but the cutoff fit found a divergent "
-                f"part of size {worst_log:.3e}"
-            )
-    if resid > max(tol, 1e-10) * scale:
-        raise FitInstability(
-            f"cutoff fit residual {resid:.3e} exceeds tolerance (scale {scale:.1e})"
-        )
-    value = complex(c[0])
-    logcoeffs = c[1 : nlog + 1]
-    if full:
-        return {
-            "value": value,
-            "log_coefficients": [complex(x) for x in logcoeffs],
-            "residual": resid,
-            "n_points": len(eps),
-            "panels": sum(sum(st.npanels) for st in runs),
-            "rejected_bisections": sum(sum(st.rejected) for st in runs),
-        }
-    return value
+    logs = [0j] * n
+    for m in range(n + 1):
+        for k in range(n + 1 - m):
+            if 0 < m + k and set(letters[:m]) <= {"om1"} and set(letters[n - k:]) <= {"om0"}:
+                v = table.index[letters[m:n - k]]
+                c = (-1) ** k / (math.factorial(m) * math.factorial(k))
+                logs[m + k - 1] += c * complex(total[v])
+    return {
+        "value": value,
+        "log_coefficients": logs,
+        "tail_bound": tail_bound,
+        "panels": sum(st.npanels),
+        "rejected_bisections": sum(st.rejected),
+    }

@@ -14,7 +14,7 @@ class DegenerateCurve(EllbarError):
 
 
 class ConvergenceFailure(EllbarError):
-    """An iteration (AGM, series tail, epsilon schedule) failed to converge."""
+    """An iteration or series (AGM, series tail) failed to converge."""
 
 
 class NearPole(EllbarError):
@@ -38,7 +38,12 @@ class QuadratureFailure(EllbarError):
 
 
 class FitInstability(EllbarError):
-    """Regularization fit has residual or drift above tolerance."""
+    """Regularization fit has residual or drift above tolerance.
+
+    Nothing in ellbar raises it since the genus-zero regularization became
+    local series; it stays because the benchmark's genus0 defect probe
+    names it.
+    """
 
 
 class TruncationExceeded(EllbarError):

@@ -65,7 +65,6 @@ __all__ = [
     "f_batch",
     "kernel_F",
     "residue_expected",
-    "pullback_coeff",
     "two_form_coeff",
     "dga_presentation",
 ]
@@ -336,45 +335,6 @@ def residue_expected(n: int, s) -> complex:
     if n < 1:
         raise ValueError("only the letters w{n}, n >= 1, have a pole")
     return (-complex(s)) ** (n - 1) / math.factorial(n - 1)
-
-
-# --------------------------------------------------------------------------
-# coefficients for pullbacks along paths
-
-
-def pullback_coeff(E: ExtLattice, form, z, s):
-    """Coefficients (cz, cs) with  form = cz dz + cs ds  at (z, s).
-
-    ``form`` is a letter name or a dict {letter: coefficient}; nu
-    contributes (0, 1), w{n} contributes (f_n, 0).
-    """
-    if isinstance(form, str):
-        form = {form: 1}
-    z = np.atleast_1d(np.asarray(z, dtype=complex))
-    cz = np.zeros(z.shape, dtype=complex)
-    cs = np.zeros(z.shape, dtype=complex)
-    fb = None
-    for letter, coeff in form.items():
-        c = complex(coeff)
-        if letter == "nu":
-            cs += c
-        elif letter.startswith("w"):
-            n = int(letter[1:])
-            if n < 0:
-                raise ValueError(f"unknown letter {letter!r}")
-            if n > E.nmax:
-                raise TruncationExceeded(
-                    f"letter {letter!r} beyond truncation nmax={E.nmax}"
-                )
-            if n == 0:
-                cz += c
-            else:
-                if fb is None:
-                    fb = f_batch(E, z, s)
-                cz += c * fb[n]
-        else:
-            raise ValueError(f"unknown letter {letter!r}")
-    return cz, cs
 
 
 def two_form_coeff(E: ExtLattice, name: str, z, s):

@@ -10,9 +10,7 @@ from ellbar.barcx import (
     BarElement,
     DGAPresentation,
     _rref,
-    bar_degree,
     bar_differential,
-    deconcat,
     h0_basis,
     shuffle,
     words_upto,
@@ -22,6 +20,12 @@ from ellbar.logforms import dga_presentation
 from ellbar.p1model import p1_dga
 
 P1 = DGAPresentation(deg1=("om0", "om1"), deg2=(), diff={}, wedge={})
+
+
+def deconcat(w):
+    """All splittings w = u . v, including the empty ends."""
+    w = tuple(w)
+    return [(w[:i], w[i:]) for i in range(len(w) + 1)]
 
 
 def shuffle_elements(u: BarElement, v: BarElement) -> BarElement:
@@ -413,9 +417,13 @@ class TestHopf:
 
 class TestBarElement:
     def test_degree(self):
+        # the differential takes bar degree sum(deg - 1) from 0 to 1 and
+        # refuses degree 2
         P = dga_presentation(3)
-        assert bar_degree(P, ("nu", "w0")) == 0
-        assert bar_degree(P, ("nu", "nu^w0")) == 1
+        d = bar_differential(P, BarElement({("nu", "w1"): Fraction(1)}))
+        assert d.terms and all(sum(map(P.degrees.get, w)) - len(w) == 1 for w in d.terms)
+        with pytest.raises(ValueError):
+            bar_differential(P, BarElement({("nu^w0", "nu^w0"): Fraction(1)}))
 
     def test_json_roundtrip(self):
         e = BarElement({("nu", "w0"): Fraction(1, 3), ("w1",): Fraction(-2)})

@@ -25,9 +25,7 @@ from ellbar.chenint import (
     eval_bar_element,
     eval_bar_with_result,
     homotopy_certificate,
-    homotopy_report,
     line_path,
-    loop_deck,
     loop_pair_library,
     loop_path,
     path_from_json,
@@ -39,13 +37,12 @@ from ellbar.chenint import (
 )
 from ellbar.errors import (
     EndpointMismatch,
-    FitInstability,
     GuardViolation,
     QuadratureFailure,
 )
 from ellbar.kzbword import c_w, canonical_series
 from ellbar.logforms import ExtLattice
-from ellbar.p1model import MZVIndex, mzv_integral
+from ellbar.p1model import MZVIndex, mzv_integral, mzv_series
 from ellbar.wlattice import (
     CurveSpec,
     _dist_to_lattice,
@@ -174,15 +171,19 @@ class TestPathAlgebra:
         assert r.end == g.start
         assert len(r.segments) == 2
 
-    def test_loop_deck(self, ext):
+    def test_loop_deck(self, ext, model):
+        # the deck element (m, n) that closes a path in the quotient, from
+        # the congruence test that compose_paths uses
         L = ext.lattice
         z0 = _base(ext)
-        circ = loop_path(0j, 0.3 * L.min_period(), s0=0.1j)
-        assert loop_deck(L, circ) == (0, 0)
-        tr = translate_path(L, (1, -2), z0, 0.2j)
-        assert loop_deck(L, tr) == (1, -2)
-        open_path = line_path("edagger", z0, z0 + 0.3 * L.omega1)
-        assert loop_deck(L, open_path) is None
+
+        def deck(g):
+            off = model.congruence_offset(g.start, g.end, tol=1e-10)
+            return None if off is None else off[2]
+
+        assert deck(loop_path(0j, 0.3 * L.min_period(), s0=0.1j)) == (0, 0)
+        assert deck(translate_path(L, (1, -2), z0, 0.2j)) == (1, -2)
+        assert deck(line_path("edagger", z0, z0 + 0.3 * L.omega1)) is None
 
 
 class TestLengthOnePeriods:
@@ -343,7 +344,7 @@ class TestGuardsAndFailure:
     def test_p1_guard(self):
         g = line_path("p1", -0.5, 0.5)
         with pytest.raises(GuardViolation):
-            chen_transport(P1Model(guard=1e-6), g, lmax=1, tol=1e-8)
+            chen_transport(P1Model(), g, lmax=1, tol=1e-8)
 
     def test_quadrature_failure_near_pole(self, ext, model):
         # legal approach (outside the guard) but too steep for the allowed
@@ -360,16 +361,6 @@ class TestGuardsAndFailure:
         # the same geometry converges once allowed to subdivide
         r = chen_transport(model, g, letters=("w1",), lmax=1, tol=1e-13, max_depth=10)
         assert r.panels_by_segment[0] > 30
-
-    def test_origin_shift_consistency(self):
-        # same physical path in absolute and 1-based local coordinates
-        tab = _word_table(("om0", "om1"), 2)
-        r0 = chen_transport(P1Model(), line_path("p1", 0.3, 0.7), lmax=2, tol=1e-12)
-        r1 = chen_transport(
-            P1Model(origin=1.0), line_path("p1", -0.7, -0.3), lmax=2, tol=1e-12
-        )
-        for w in tab.words:
-            assert abs(r0.values[w] - r1.values[w]) < 1e-13
 
 
 class _Recursive:
@@ -451,7 +442,7 @@ class TestHalfPanelReuse:
         self._both(model, seg, ("w1", "w2"), 2, 1e-10, 14)
 
     def test_p1_segment_near_zero(self):
-        self._both(P1Model(guard=0.0), LineSeg(1e-4, 0.5), ("om0", "om1"), 3, 1e-11, 16)
+        self._both(P1Model(), LineSeg(1e-4, 0.5), ("om0", "om1"), 3, 1e-11, 16)
 
 
 def _steep_line(L, clearance, point=0, direction=0):
@@ -509,16 +500,15 @@ class TestLevelSynchronous:
         st = self._against_oracle(model4, seg, letters, 2)
         assert len(st.panels_by_depth[0]) >= 5  # bisected deep near the pole
 
-    @pytest.mark.parametrize("origin,z0,z1", [
-        (0.0, 1e-4, 0.5),  # deep at the left end
-        (1.0, -0.5, -1e-4),  # deep at the right end
-        (0.0, 1e-4, 1 - 1e-4),  # deep at both ends
+    @pytest.mark.parametrize("z0,z1", [
+        (1e-4, 0.5),  # deep at the left end
+        (0.5, 1e-4),  # deep at the right end
+        (1e-4, 1 - 1e-4),  # deep at both ends
     ])
-    def test_p1_deep_ends(self, origin, z0, z1):
+    def test_p1_deep_ends(self, z0, z1):
         # trees that hang off either end: at the right end the last leaf
         # completes every subtree above it at once
-        model = P1Model(guard=0.0, origin=origin)
-        st = self._against_oracle(model, LineSeg(z0, z1), ("om0", "om1"), 3, 1e-11, 16)
+        st = self._against_oracle(P1Model(), LineSeg(z0, z1), ("om0", "om1"), 3, 1e-11, 16)
         assert len(st.panels_by_depth[0]) >= 10
 
     def test_steep_w2_to_w6_lines_converge(self):
@@ -676,7 +666,7 @@ class TestManySegments:
     def test_p1_deep_ends_match_per_segment_runs(self):
         # bisection trees deep at the left end, at the right end and at both
         # ends, in one run, each as in a run over that segment alone
-        model = P1Model(guard=0.0)
+        model = P1Model()
         segs = [LineSeg(1e-4, 0.5), LineSeg(0.5, 1 - 1e-4), LineSeg(1e-4, 1 - 1e-4)]
         rest = (_word_table(("om0", "om1"), 3), 1e-11, 16)
         st = _SegmentTransport(model, segs, *rest)
@@ -771,6 +761,15 @@ class TestBarPairing:
         assert abs(eval_bar_with_result(xi, res) - direct) < 1e-12
 
 
+def _on_both_paths(model, xi, g1, g2, tol=1e-10):
+    """The element's values on both paths, which must share endpoints (up to
+    a lattice translation in the curve model)."""
+    for p, q, name in ((g1.start, g2.start, "start"), (g1.end, g2.end, "end")):
+        if model.congruence_offset(p, q) is None:
+            raise EndpointMismatch(f"paths differ at {name}: {p} vs {q}")
+    return eval_bar_element(model, xi, g1, tol=tol), eval_bar_element(model, xi, g2, tol=tol)
+
+
 class TestHomotopy:
     def test_curated_pairs_certified(self, ext, model):
         pairs = loop_pair_library(ext)
@@ -836,16 +835,16 @@ class TestHomotopy:
         S = canonical_series(4, 2)
         xi = c_w(S, "01")
         for name, g1, g2 in loop_pair_library(ext):
-            rep = homotopy_report(model, xi, g1, g2, tol=1e-12)
-            assert rep.difference < 1e-9, f"pair {name}: {rep.difference}"
+            v1, v2 = _on_both_paths(model, xi, g1, g2, tol=1e-12)
+            assert abs(v1 - v2) < 1e-9, f"pair {name}: {abs(v1 - v2)}"
 
     def test_non_closed_letter_stokes(self, ext, model):
         name, g1, g2 = loop_pair_library(ext)[0]
         w1 = BarElement()
         w1.add_term(("w1",), 1)
-        rep = homotopy_report(model, w1, g1, g2, tol=1e-12)
+        v1, v2 = _on_both_paths(model, w1, g1, g2, tol=1e-12)
         predicted = stokes_defect(ext, "w1", g1, g2)
-        actual = rep.value1 - rep.value2
+        actual = v1 - v2
         assert abs(actual) > 1e-3
         assert abs(actual - predicted) < 1e-8
 
@@ -856,7 +855,7 @@ class TestHomotopy:
         xi = BarElement()
         xi.add_term(("nu",), 1)
         with pytest.raises(EndpointMismatch):
-            homotopy_report(model, xi, g1, g2)
+            _on_both_paths(model, xi, g1, g2)
 
 
 class TestRegularized:
@@ -910,54 +909,38 @@ def _perfbench_workloads():
     return module
 
 
-def _full_table_schedule(letters, tol=1e-9, kmin=14, kmax=30, substeps=2):
-    """The cutoff schedule as first written: the full table of every word up
-    to the word's length, and one transport run per end piece."""
-    table = _word_table(("om0", "om1"), len(letters))
-    model0, model1 = P1Model(guard=0.0), P1Model(guard=0.0, origin=1.0)
-    ks = np.arange(kmin * substeps, kmax * substeps + 1) / substeps
-    eps = 2.0 ** (-ks)
-    widx = table.index[letters]
-
-    def seg_series(model, z0, z1):
-        (vals,) = _one_segment(model, LineSeg(z0, z1), table, min(tol, 1e-11), 16).run()
-        return vals
-
-    acc = compose_series(seg_series(model1, -0.5, -eps[0]), seg_series(model0, eps[0], 0.5), table)
-    vals = [acc[widx]]
-    for j in range(1, len(eps)):
-        lo = seg_series(model0, eps[j], eps[j - 1])
-        hi = seg_series(model1, -eps[j - 1], -eps[j])
-        acc = compose_series(hi, compose_series(acc, lo, table), table)
-        vals.append(acc[widx])
-    return np.asarray(vals, dtype=complex)
-
-
-def test_factor_table_schedule_matches_full_table():
-    # over all 63 supported indices the factor tables and the batched end
-    # pieces give the schedule values of the full table, piece by piece, and
-    # the fit fails on exactly the known nine
-    bench = _perfbench_workloads()
-    indices = bench.supported_indices()
+def test_regularized_matches_series_on_supported_indices():
+    # every supported index, the nine on which the former cutoff fit failed
+    # included, against the Hölder series
+    indices = _perfbench_workloads().supported_indices()
     assert len(indices) == 63
-    unstable = []
     for ks in indices:
-        letters = chenint._p1_word(MZVIndex(ks).word())
-        _, vals, _ = chenint._cutoff_schedule(letters, 1e-9)
-        assert np.array_equal(vals, _full_table_schedule(letters)), ks
-        try:
-            mzv_integral(ks)
-        except FitInstability:
-            unstable.append(ks)
-    assert sorted(unstable) == sorted(bench.FIT_INSTABLE)
+        assert abs(mzv_integral(ks) - mzv_series(ks, tol=1e-14)) <= 1e-12, ks
+
+
+def test_tangential_tail_bound():
+    # per factor and at both ends, the propagated bound covers the tail that
+    # doubling K adds and is within 2x of it; at K = 8 the tails stand far
+    # above rounding.  Words of om0 alone have no tail.  At the K used the
+    # bound is below 1e-19
+    for ks in _perfbench_workloads().supported_indices():
+        table = chenint._factor_table(("om0", "om1"), chenint._p1_word(MZVIndex(ks).word()))
+        for right in (False, True):
+            value, bound = chenint._tangential_series(table, 8, right)
+            diff = np.abs(value - chenint._tangential_series(table, 16, right)[0])
+            assert np.all(diff <= bound) and np.all(bound <= 2 * diff), (ks, right)
+            assert np.all(chenint._tangential_series(table, chenint._K, right)[1] < 1e-19)
 
 
 def test_regularized_run_statistics():
     full = regularized_integral_p1("0011", full=True)
-    _, _, runs = chenint._cutoff_schedule(("om0", "om0", "om1", "om1"), 1e-9)
-    assert full["panels"] == sum(sum(st.npanels) for st in runs)
-    assert full["rejected_bisections"] == sum(sum(st.rejected) for st in runs)
-    # 33 schedule points, two end pieces each, three panels a root
-    assert full["n_points"] == 33
-    assert full["panels"] == 2 * 33 * 3 + 4 * full["rejected_bisections"]
+    table = chenint._factor_table(("om0", "om1"), ("om0", "om0", "om1", "om1"))
+    st = _one_segment(P1Model(), LineSeg(chenint._DELTA, 1 - chenint._DELTA), table, 1e-11, 16)
+    st.run()
+    assert full["panels"] == st.npanels[0]
+    assert full["rejected_bisections"] == st.rejected[0]
+    # three panels a root, four per bisection
+    assert full["panels"] == 3 + 4 * full["rejected_bisections"]
+    assert 0 < full["tail_bound"] < 1e-18
+    assert full["log_coefficients"] == [0j] * 4
     assert full == regularized_integral_p1("0011", full=True)

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from ellbar import CurveSpec, eta_lambda, lattice_from_curve, logforms, wp, wzeta
+from ellbar.chenint import EdaggerModel
 from ellbar.errors import NearPole, TruncationExceeded
 from ellbar.logforms import (
     ExtLattice,
@@ -21,7 +22,6 @@ from ellbar.logforms import (
     f_n,
     kernel_F,
     letters,
-    pullback_coeff,
     residue_expected,
     two_form_coeff,
     two_form_letters,
@@ -168,30 +168,26 @@ class TestResidues:
             residue_expected(0, 1.0)
 
 
+def _pullback(E, letters, dz, ds):
+    """Transport's pullback of the letters at the standard point, one row
+    each, for the tangent (dz, ds)."""
+    one = np.ones(1, dtype=complex)
+    return EdaggerModel(E).phi_rows(letters, _zpt(E) * one, S0 * one, dz * one, ds * one)[:, 0]
+
+
 class TestPullback:
     def test_basic_letters(self, ext):
-        z0 = _zpt(ext)
-        cz, cs = pullback_coeff(ext, "nu", z0, S0)
-        assert cz[0] == 0 and cs[0] == 1
-        cz, cs = pullback_coeff(ext, "w0", z0, S0)
-        assert cz[0] == 1 and cs[0] == 0
+        nu, w0 = _pullback(ext, ("nu", "w0"), 2.0, 3.0)
+        assert nu == 3.0 and w0 == 2.0
 
     def test_combination(self, ext):
-        # w1 + 2 nu -> (zeta - s, 2)
-        L = ext.lattice
-        z0 = _zpt(ext)
-        cz, cs = pullback_coeff(ext, {"w1": 1, "nu": 2}, z0, S0)
-        assert abs(cz[0] - (wzeta(L, z0) - S0)) < 1e-12
-        assert cs[0] == 2
+        # w1 + 2 nu -> (zeta - s) dz + 2 ds
+        w1, nu = _pullback(ext, ("w1", "nu"), 1.0, 1.0)
+        assert abs(w1 + 2 * nu - (wzeta(ext.lattice, _zpt(ext)) - S0 + 2)) < 1e-12
 
     def test_truncation_errors(self, ext):
-        z0 = _zpt(ext)
         with pytest.raises(TruncationExceeded):
-            pullback_coeff(ext, "w9", z0, S0)
-        with pytest.raises(TruncationExceeded):
-            f_n(ext, ext.nmax + 1, z0, S0)
-        with pytest.raises(ValueError):
-            pullback_coeff(ext, "bogus", z0, S0)
+            f_n(ext, ext.nmax + 1, _zpt(ext), S0)
 
     def test_two_form_is_minus_fn(self, ext):
         z0 = _zpt(ext)
@@ -228,11 +224,8 @@ class TestPresentationStructure:
 
     def test_omega_wedge_omega_numerically_zero(self, ext):
         # both are multiples of dz at every point, so the wedge vanishes:
-        # the coefficient rows (cz, cs) are proportional with cs = 0
-        z0 = _zpt(ext)
-        for n in [0, 1, 2, 5]:
-            _, cs = pullback_coeff(ext, f"w{n}", z0, S0)
-            assert cs[0] == 0
+        # the w letters have no ds part
+        assert np.all(_pullback(ext, ("w0", "w1", "w2", "w5"), 0.0, 1.0) == 0)
 
 
 class TestFusedTheta:

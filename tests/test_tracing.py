@@ -62,16 +62,16 @@ def test_panel_and_node_counters(tracing):
 
 @pytest.mark.parametrize("ks", [(2,), (3, 2), (2, 2, 3)])
 def test_regularization_counters(tracing, ks):
-    # the regularization transports only the factors of its word, and each
-    # side's end pieces take one kernel call per bisection depth
+    # the regularization transports only the middle piece, on the factors
+    # of its word, with one kernel call per bisection depth
     module, tracer = tracing
     p1model.mzv_integral(ks)
     m, _ = module.summarize(tracer.spans, 1.0)
     letters = chenint._p1_word(p1model.MZVIndex(ks).word())
     table = chenint._factor_table(("om0", "om1"), letters)
-    _, _, runs = chenint._cutoff_schedule(letters, 1e-9)
-    panels = sum(sum(st.npanels) for st in runs)
+    mid = chenint.LineSeg(chenint._DELTA, 1 - chenint._DELTA)
+    st = chenint._SegmentTransport(chenint.P1Model(), [mid], table, 1e-11, 16)
+    st.run()
     assert len(table.words) < len(chenint._word_table(table.letters, len(letters)).words)
-    assert m["kernels.panel_word_nodes"] == len(table.words) * 24 * panels
-    depths = [max(len(d) for d in st.panels_by_depth) for st in runs]
-    assert m["kernels.panel_calls"] <= sum(depths)
+    assert m["kernels.panel_word_nodes"] == len(table.words) * 24 * st.npanels[0]
+    assert m["kernels.panel_calls"] == len(st.panels_by_depth[0])
