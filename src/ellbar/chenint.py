@@ -15,14 +15,26 @@ time-ordered expansion and panels/segments combine by the splitting rule
     I_{AB}(w) = sum_{w = uv} I_B(u) I_A(v)        (B later than A)
 
 which doubles as the accuracy test: one panel versus its composed halves,
-bisecting adaptively until the discrepancy fits the error budget.  The
-bisection is level-synchronous over all the segments of a path at once:
-every interval still open at a depth, in any segment, is tested in one
-batch, one letter evaluation and one panel-kernel call for all their halves
-(the kernel takes the panels side by side).  Once the bisection ends, each
+bisecting adaptively until the discrepancy, plus the panel's own rounding
+(u times its largest value), fits the error budget.  The bisection is
+level-synchronous over all the segments of a path at once: every interval
+still open at a depth, in any segment, is tested in one batch, one letter
+evaluation and one panel-kernel call for all their halves (the kernel takes
+the panels side by side), and their halves are composed together, as many
+at a time as keep the temporaries in cache.  Once the bisection ends, each
 segment's accepted panels are folded once, in t order and in its tree's
 shape, so the floats are those of depth-first recursion over each segment
 alone.
+
+A curve-model line that passes a lattice point lam closer than 1/32 of its
+length is split at its closest approach.  Each half runs outward from that
+point, shifted by (z, s) -> (z - lam, s + eta(lam)) (``eta_lambda``), which
+leaves every letter unchanged (quasi-periodicity), so a node near the pole
+is rounded at the scale of the clearance, not of lam.  Each half starts
+from a dyadic spine of roots [0, 2^-K], [2^-K, 2^(1-K)], ..., [1/2, 1] with
+2^-K at most the clearance over its length, instead of reaching the pole
+by bisection, and the half before the closest point enters through the
+antipode I(gamma^-1; w) = (-1)^|w| I(gamma; rev w).
 
 A word table need not hold every word up to a length: any word set closed
 under taking factors (contiguous subwords) composes and transports, which is
@@ -40,7 +52,7 @@ import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache, reduce
+from functools import cached_property, lru_cache, reduce
 
 import numpy as np
 
@@ -53,7 +65,7 @@ from .errors import (
     QuadratureFailure,
 )
 from .logforms import ExtLattice, f_batch, letters as form_letters
-from .wlattice import LatticeData, eta_lambda, reduce_mod_lattice
+from .wlattice import LatticeData, _cell_shift, eta_lambda, reduce_mod_lattice
 
 __all__ = [
     "LineSeg",
@@ -118,14 +130,17 @@ class LineSeg:
     def end(self):
         return (self.z1, self.s1)
 
-    def distance(self, p):
-        """Distances from the points of the array p to the segment in z."""
+    def nearest(self, p):
+        """Parameters of the segment's points nearest to the points p in z."""
         ab = self.z1 - self.z0
         denom = abs(ab) ** 2
         if denom == 0.0:
-            return np.abs(self.z0 - p)
-        t = np.clip(((p - self.z0) * np.conj(ab)).real / denom, 0.0, 1.0)
-        return np.abs(self.z0 + t * ab - p)
+            return np.zeros(np.shape(p))
+        return np.clip(((p - self.z0) * np.conj(ab)).real / denom, 0.0, 1.0)
+
+    def distance(self, p):
+        """Distances from the points of the array p to the segment in z."""
+        return np.abs(self.z0 + self.nearest(p) * (self.z1 - self.z0) - p)
 
     def reversed(self):
         return LineSeg(self.z1, self.z0, self.s1, self.s0)
@@ -371,6 +386,15 @@ class EdaggerModel:
         ns = np.arange(n.min() - 2, n.max() + 3)
         return (ms[:, None] * L.omega1 + ns[None, :] * L.omega2).ravel()
 
+    def pole_shift(self, lam):
+        """(dz, ds) = (-lam, eta(lam)) for the lattice point lam: the map
+        (z, s) -> (z + dz, s + ds) leaves every f_n unchanged and takes a
+        point near lam to one near 0.  Formed on the reduced basis, as
+        ``f_batch`` forms it (``_cell_shift``), not by ``eta_lambda``'s
+        probes."""
+        _, lam, H = _cell_shift(self.ext.lattice, lam)
+        return -complex(lam), -complex(H)
+
     def phi_rows(self, letters, z, s, dz, ds):
         rows = np.empty((len(letters), z.shape[0]), dtype=complex)
         fb = None
@@ -512,6 +536,16 @@ class WordTable:
         self.split_v = np.asarray(sv, dtype=np.int64)
         self.split_off = np.asarray(off, dtype=np.int64)
 
+    def antipode(self, series):
+        """The series of the reversed path, I(gamma^-1; w) = (-1)^|w|
+        I(gamma; rev w); the table must hold the reverse of each word, as a
+        full table does."""
+        return np.where(self.lengths % 2, -series[self._reversal], series[self._reversal])
+
+    @cached_property
+    def _reversal(self):
+        return np.asarray([self.index[w[::-1]] for w in self.words], dtype=np.int64)
+
 
 @lru_cache(maxsize=32)
 def _word_table(letters, lmax) -> WordTable:
@@ -530,9 +564,10 @@ def _factor_table(letters, word) -> WordTable:
 
 
 def compose_series(later, earlier, table: WordTable):
-    """Series of the concatenated path from the two halves' series."""
-    prod = later[table.split_u] * earlier[table.split_v]
-    return np.add.reduceat(prod, table.split_off[:-1])
+    """Series of the concatenated path from the two halves' series; for 2-D
+    arrays, of each row pair, as the same floats as one row at a time."""
+    prod = later.take(table.split_u, -1) * earlier.take(table.split_v, -1)
+    return np.add.reduceat(prod, table.split_off[:-1], -1)
 
 
 # --------------------------------------------------------------------------
@@ -578,40 +613,111 @@ _ORDER = 24
 _BATCH_ENTRIES = 1 << 20
 _BATCH_INTERVALS = 256
 
+# The intervals of a batch are composed in blocks of at most
+# _COMPOSE_ENTRIES split products, which keeps the temporaries in cache: a
+# block of the 1555-word table is one interval, one of a steep line's table
+# a whole batch.
+_COMPOSE_ENTRIES = 1 << 13
+
+# A curve-model line whose closest approach to a puncture is below this
+# fraction of its length is split there.  The benchmark's steep lines lie
+# below 0.0125, its translate and library paths above 0.07.
+_SPLIT_RATIO = 1 / 32
+
+# Unit roundoff: a panel's values carry rounding of about this much relative
+# to their largest entry, which no bisection removes.
+_U = 2.0 ** -53
+
+
+def _spine(ratio):
+    """The dyadic roots [0, 2^-K], [2^-K, 2^(1-K)], ..., [1/2, 1] for the
+    largest 2^-K <= min(ratio, 1)."""
+    K = max(0, 1 - math.frexp(ratio)[1])
+    edges = [0.0] + [math.ldexp(1.0, -k) for k in range(K, -1, -1)]
+    return tuple(zip(edges, edges[1:]))
+
+
+def _pole_halves(model, seg, lam, clearance):
+    """(t, halves): the parameter t of the line's closest approach to the
+    puncture lam, and the line's halves before and after it, each running
+    from that point outward, shifted into lam's cell by ``pole_shift``, with
+    the root spine graded to the clearance over its length.  A half is
+    (segment, roots, part): the line's t is t + part * (the half's t), so
+    part is -t for the half before and 1 - t for the half after; an end at
+    the closest point has no half."""
+    t = float(seg.nearest(lam))
+    dz, ds = model.pole_shift(lam)
+    zc = seg.z0 + t * (seg.z1 - seg.z0) + dz
+    sc = seg.s0 + t * (seg.s1 - seg.s0) + ds
+    halves = []
+    for part, end, s_end in ((-t, seg.z0, seg.s0), (1 - t, seg.z1, seg.s1)):
+        half = LineSeg(zc, end + dz, sc, s_end + ds)
+        if part != 0 and half.speed > 0:
+            halves.append((half, _spine(clearance / half.speed), part))
+    return t, halves
+
 
 class _SegmentTransport:
     """Adaptive panel transport over a list of segments, one bisection depth
     at a time for all of them together.
 
-    ``err``, ``npanels``, ``panels_by_depth`` and ``rejected`` hold one entry
-    per segment, and ``run`` returns one series per segment: the same floats
-    and counts as a run over that segment alone.  A segment closer than the
-    model's guard to a puncture is refused before any is transported.
+    A segment is transported from its roots, intervals of its parameter:
+    [0, 1] alone, unless it is a line of a model with a ``pole_shift`` (the
+    curve model) that passes a puncture lam closer than ``_SPLIT_RATIO`` of
+    its length.  Then it is transported as its two halves at the closest
+    point, each running outward from there in lam's cell (``_pole_halves``),
+    so that nodes near the pole keep their relative precision, and each from
+    a dyadic spine of roots whose first is no longer than the clearance, so
+    that no bisection level is spent on reaching the pole.  The half before
+    the closest point enters through the antipode.
+
+    ``err``, ``npanels``, ``panels_by_depth`` (depth below a root),
+    ``rejected``, ``split_at`` (the closest point's t, or None) and
+    ``roots`` hold one entry per segment, and ``run`` returns one series per
+    segment: the same floats and counts as a run over that segment alone.  A
+    segment closer than the model's guard to a puncture is refused before
+    any is transported; the guard check and the split take one distance
+    pass.
     """
 
     def __init__(self, model, segs, table, tol, max_depth):
         self.model = model
-        self.segs = tuple(segs)
         self.table = table
         self.tol = tol
         self.max_depth = max_depth
-        for seg in self.segs:
-            dmin = float(seg.distance(np.asarray(model.punctures(seg.corners))).min())
+        pieces = []  # (segment, roots, part, owner)
+        self.split_at, self.roots = [], []
+        for j, seg in enumerate(segs):
+            pts = np.asarray(model.punctures(seg.corners))
+            dist = seg.distance(pts)
+            k = int(dist.argmin())
+            dmin = float(dist[k])
             if dmin < model.guard:
                 raise GuardViolation(
                     f"segment passes within {dmin:.3e} of a puncture "
                     f"(guard {model.guard:.3e})"
                 )
+            if (hasattr(model, "pole_shift") and isinstance(seg, LineSeg)
+                    and dmin < _SPLIT_RATIO * seg.speed):
+                t, halves = _pole_halves(model, seg, pts[k], dmin)
+            else:
+                t, halves = None, [(seg, ((0.0, 1.0),), 1.0)]
+            self.split_at.append(t)
+            self.roots.append(sum(len(roots) for _, roots, _ in halves))
+            pieces += [(*half, j) for half in halves]
+        self.segs, self.piece_roots, self.part, owner = zip(*pieces)
+        self.owner = np.asarray(owner)
         self.x, self.w, self.Q = _ref_quad(_ORDER)
-        m = len(self.segs)
-        self.err = [np.zeros(len(table.words)) for _ in range(m)]
+        m = len(segs)
+        self.err = [None] * m
         self.npanels = [0] * m
         self.panels_by_depth = [[] for _ in range(m)]
         self.rejected = [0] * m
         self.cap = max(1, min(_BATCH_INTERVALS, _BATCH_ENTRIES // (2 * _ORDER * len(table.words))))
+        self.block = max(1, _COMPOSE_ENTRIES // len(table.split_u))
 
     def panels(self, seg, t0, t1):
-        """Series of the panels [t0[i], t1[i]] of segment seg[i], one row
+        """Series of the panels [t0[i], t1[i]] of piece seg[i], one row
         each, seg ascending: one letter evaluation and one kernel call for
         all of them."""
         d = len(self.x)
@@ -621,7 +727,7 @@ class _SegmentTransport:
         cuts = (np.flatnonzero(np.diff(seg)) + 1).tolist()
         parts = []
         for a, b in zip([0] + cuts, cuts + [len(seg)]):
-            self.npanels[seg[a]] += b - a
+            self.npanels[self.owner[seg[a]]] += b - a
             parts.append(self.segs[seg[a]].at(nodes[a * d:b * d]))
         z, dz, s, ds = (np.concatenate(c) for c in zip(*parts))
         phi = self.model.phi_rows(self.table.letters, z, s, dz * jac, ds * jac)
@@ -632,89 +738,131 @@ class _SegmentTransport:
     def run(self):
         """Series of every segment.
 
-        Every interval open at a depth, in any segment, has its halves
-        evaluated in one batch (a root its whole panel too).  An interval is
-        accepted when its composed halves match its whole panel within
+        Every interval open at a depth, in any piece, has its halves
+        evaluated in one batch (a root its whole panel too), and the batch's
+        halves are composed in blocks of ``_COMPOSE_ENTRIES``.  An interval
+        is accepted when its composed halves match its whole panel within
         budget; otherwise its halves open at the next depth, their panels
-        serving as their wholes.  Intervals are ordered by (segment, t); a
-        failure is the first in that order.  Once the bisection ends, each
-        segment's accepted intervals are folded in t order (``_fold_leaves``),
+        serving as their wholes.  Intervals are ordered by (piece, t), so
+        by segment, and within a split segment the half before the closest
+        point first, each outward from there; a failure is the first in that
+        order, named in the segment's own t (``failure``).  Once the bisection ends, each
+        piece's accepted intervals are folded in t order (``_fold_leaves``),
         so values, errors and panel counts are those of depth-first
-        recursion over each segment alone.
+        recursion from each root of each piece alone; the two halves of a
+        split segment are joined.
         """
         table = self.table
+        W = len(table.words)
         leaves = [[] for _ in self.segs]  # (t0, t1, series, err) of accepted intervals
-        # groups (depth, [(seg, t0, t1, whole panel or None for a root)])
-        stack = [(0, [(j, 0.0, 1.0, None) for j in range(len(self.segs))])]
+        p, a, b = (np.array(c) for c in zip(*(
+            (q, t0, t1) for q, roots in enumerate(self.piece_roots) for t0, t1 in roots)))
+        # groups (depth, piece, t0, t1, whole panels or None for roots)
+        stack = [(0, p, a, b, None)]
         while stack:
-            depth, group = stack.pop()
-            if len(group) > self.cap:
-                stack += [(depth, group[self.cap:]), (depth, group[:self.cap])]
+            depth, p, a, b, whole = stack.pop()
+            if len(p) > self.cap:
+                c = self.cap
+                rest = None if whole is None else whole[c:]
+                head = None if whole is None else whole[:c]
+                stack += [(depth, p[c:], a[c:], b[c:], rest), (depth, p[:c], a[:c], b[:c], head)]
                 continue
-            seg, t0, t1 = [], [], []
-            for j, a, b, whole in group:
-                tm = 0.5 * (a + b)
-                if whole is None:  # a root, whose whole panel joins its halves
-                    seg.append(j)
-                    t0.append(a)
-                    t1.append(b)
-                seg += [j, j]
-                t0 += [a, tm]
-                t1 += [tm, b]
-            vals = iter(self.panels(np.array(seg), np.array(t0), np.array(t1)))
-            for j in seg:
-                by_depth = self.panels_by_depth[j]
-                while len(by_depth) <= depth:
-                    by_depth.append(0)
-                by_depth[depth] += 1
-            opened = []
-            for j, a, b, whole in group:
-                if whole is None:
-                    whole = next(vals)
-                left, right = next(vals), next(vals)
-                comp = compose_series(right, left, table)
-                err = np.abs(comp - whole)
-                # budget per unit parameter, plus a tolerance-proportional
-                # allowance for roundoff in the panel's own values (keeps deep
-                # bisection near steep-but-legal regions from chasing noise;
-                # tolerances below double precision still fail as they should)
-                scale = max(1.0, float(np.abs(whole).max()))
-                budget = self.tol * ((b - a) + 0.01 * scale)
-                worst = err.max()
-                if worst <= budget:
-                    leaves[j].append((a, b, comp, err))
-                    continue
-                if depth >= self.max_depth:
-                    raise QuadratureFailure(
-                        f"panel [{a:.6f}, {b:.6f}] still off by "
-                        f"{worst:.3e} (budget {budget:.3e}) at depth {depth}"
-                    )
+            mid = 0.5 * (a + b)
+            if whole is None:  # roots, whose whole panels join their halves
+                lo, hi = (a, a, mid), (b, mid, b)
+            else:
+                lo, hi = (a, mid), (mid, b)
+            k = len(lo)
+            seg = p.repeat(k)
+            vals = self.panels(seg, np.array(lo).T.ravel(), np.array(hi).T.ravel())
+            vals = vals.reshape(len(p), k, W)
+            if whole is None:
+                whole = vals[:, 0]
+            for j, n in enumerate(np.bincount(self.owner[seg]).tolist()):
+                if n:
+                    by_depth = self.panels_by_depth[j]
+                    by_depth += [0] * (depth + 1 - len(by_depth))
+                    by_depth[depth] += n
+            comp = np.concatenate([
+                compose_series(vals[i:i + self.block, -1], vals[i:i + self.block, -2], table)
+                for i in range(0, len(p), self.block)])
+            err = np.abs(comp - whole)
+            # budget per unit parameter, plus a tolerance-proportional
+            # allowance for roundoff in the panel's own values (keeps deep
+            # bisection near steep-but-legal regions from chasing noise); the
+            # panel's own rounding, u times its largest value, must fit in
+            # it too, so tolerances below double precision fail as they should
+            top = np.abs(whole).max(axis=1)
+            budget = self.tol * ((b - a) + 0.01 * np.maximum(1.0, top))
+            worst = err.max(axis=1)
+            rounding = _U * top
+            ok = worst + rounding <= budget
+            for q, t0, t1, value, e in zip(p[ok].tolist(), a[ok].tolist(), b[ok].tolist(),
+                                           comp[ok], err[ok]):
+                leaves[q].append((t0, t1, value, e))
+            if ok.all():
+                continue
+            bad = (~ok).nonzero()[0]
+            if depth >= self.max_depth:
+                i = bad[0]
+                raise self.failure(p[i], a[i], b[i], worst[i], rounding[i], budget[i], depth)
+            for j in self.owner[p[bad]].tolist():
                 self.rejected[j] += 1
-                mid = 0.5 * (a + b)
-                opened += [(j, a, mid, left), (j, mid, b, right)]
-            if opened:
-                stack.append((depth + 1, opened))
-        return [self._fold_leaves(j, leaf) for j, leaf in enumerate(leaves)]
+            stack.append((
+                depth + 1,
+                p[bad].repeat(2),
+                np.array((a[bad], mid[bad])).T.ravel(),
+                np.array((mid[bad], b[bad])).T.ravel(),
+                vals[bad, -2:].reshape(-1, W),  # the halves' panels, in t order
+            ))
+        series = [None] * len(self.err)
+        for leaf, part, j in zip(leaves, self.part, self.owner.tolist()):
+            value, e = self._fold_leaves(leaf)
+            if part < 0:  # the half before the closest point, run outward
+                value, e = table.antipode(value), e[table._reversal]
+            if series[j] is None:
+                series[j], self.err[j] = value, e
+            else:  # the half after the closest point
+                series[j] = compose_series(value, series[j], table)
+                self.err[j] = self.err[j] + e
+        return series
 
-    def _fold_leaves(self, j, leaves):
-        """Segment j's series folded from its accepted intervals, whose error
-        estimates are added to ``err[j]`` left to right.
+    def failure(self, q, a, b, worst, rounding, budget, depth):
+        """The QuadratureFailure of piece q's interval [a, b], which names
+        the interval in its segment's own t and the half it lies in."""
+        j = int(self.owner[q])
+        t = self.split_at[j]
+        where = f"segment {j}"
+        if t is None:
+            t = 0.0
+        else:
+            where += f", half {'before' if self.part[q] < 0 else 'after'} its split at {t:.6f}"
+        lo, hi = sorted((t + self.part[q] * a, t + self.part[q] * b))
+        return QuadratureFailure(
+            f"{where}: panel [{lo:.6f}, {hi:.6f}] still off by {worst:.3e} "
+            f"with rounding {rounding:.3e} (budget {budget:.3e}) at depth {depth}"
+        )
 
-        The leaves are taken in t order.  A leaf or finished subtree that is
-        a right half (t0 an odd multiple of its width, exact for dyadic t)
-        is composed onto the finished subtree before it, its left sibling.
-        So the series compose in the bisection tree's shape, and the floats
-        are those of a bottom-up fold.
+    def _fold_leaves(self, leaves):
+        """A piece's series folded from its accepted intervals, in t order,
+        and the sum of their error estimates, added left to right.
+
+        A leaf or finished subtree that is a right half (t0 an odd multiple
+        of its width, exact for dyadic t) is composed onto the finished
+        subtree before it, its left sibling.  So the series compose in the
+        bisection tree's shape, and the floats are those of a bottom-up
+        fold; a dyadic spine of roots folds as the left edge of one tree.
         """
         done = []  # finished subtrees (t0, series), left to right
+        total = np.zeros(len(self.table.words))
         for t0, t1, value, err in sorted(leaves, key=lambda leaf: leaf[0]):
-            self.err[j] += err
+            total += err
             while t0 / (t1 - t0) % 2 == 1:
                 t0, left = done.pop()
                 value = compose_series(value, left, self.table)
             done.append((t0, value))
         [(_, value)] = done
-        return value
+        return value, total
 
 
 @dataclass(frozen=True)
@@ -727,8 +875,10 @@ class TransportResult:
     values: dict  # word tuple -> complex
     err_by_length: dict  # word length -> summed panel error estimate
     panels_by_segment: tuple
-    panels_by_depth: tuple  # per segment: panels evaluated at each depth
+    panels_by_depth: tuple  # per segment: panels evaluated at each depth below a root
     rejected_bisections: tuple  # per segment: intervals bisected again
+    split_at: tuple  # per segment: t of the split at a near puncture, or None
+    roots: tuple  # per segment: intervals the bisection starts from
 
     def coeff(self, word) -> complex:
         word = tuple(word)
@@ -749,9 +899,22 @@ def chen_transport(
 
     Words are filled to length lmax over the given letters (default: the
     model's full alphabet).  Panels are 24-node Gauss-Legendre; error
-    control is per panel against the composed-halves series, with budget
-    tol per unit of path parameter.  A segment within the model's guard of
-    a puncture raises GuardViolation.
+    control is per panel against the composed-halves series.  A panel
+    [a, b] of a segment's parameter (or of a split half's) is accepted when
+    that discrepancy plus the panel's own rounding, u = 2^-53 times its
+    largest value M, is at most tol * ((b - a) + 0.01 max(1, M)).  Every
+    table holds the empty word, so M >= 1, and at tol below 100u (about
+    1.1e-14) no panel narrower than (u / tol - 0.01) M is accepted: at tol
+    1e-14 that is about 1.1e-3 M, so bisection gains nothing beyond depth 9
+    below a root, and a split line whose first root is shorter than that
+    fails at any ``max_depth``.  From tol 2e-14 up the width is free.
+
+    A curve-model line that passes a lattice point closer than 1/32 of its
+    length is split at its closest approach: each half is transported
+    outward from there, in the lattice point's cell, from roots graded to
+    the clearance, and the two are joined by the antipode (see
+    ``_SegmentTransport``).  A segment within the model's guard of a
+    puncture raises GuardViolation.
     """
     if path.model != model.name:
         raise ValueError(f"path has model {path.model!r}, transport {model.name!r}")
@@ -773,6 +936,8 @@ def chen_transport(
         panels_by_segment=tuple(st.npanels),
         panels_by_depth=tuple(tuple(d) for d in st.panels_by_depth),
         rejected_bisections=tuple(st.rejected),
+        split_at=tuple(st.split_at),
+        roots=tuple(st.roots),
     )
 
 

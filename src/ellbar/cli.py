@@ -256,12 +256,16 @@ def cmd_integrate(args):
         "panels_by_segment": list(r.panels_by_segment),
         "panels_by_depth": [list(d) for d in r.panels_by_depth],
         "rejected_bisections": list(r.rejected_bisections),
+        "split_at": list(r.split_at),
+        "roots": list(r.roots),
     }
     human = [
         f"word {'|'.join(word) or '(empty)'} along {len(path.segments)} segment(s)",
         f"value = {val:.15g}",
         f"error estimate = {err:.3e}",
         f"panels per segment = {list(r.panels_by_segment)}",
+        f"split at per segment = {list(r.split_at)}",
+        f"roots per segment = {list(r.roots)}",
     ]
     return report, human, True
 

@@ -49,8 +49,8 @@ from .errors import NearPole, TruncationExceeded
 from .wlattice import (
     LatticeData,
     _U,
+    _cell_shift,
     _eis_constants,
-    _reduce,
     _wp_zeta,
     eisenstein_from_invariants,
     wsigma,
@@ -260,7 +260,7 @@ def _g_coeffs(E: ExtLattice, z, s):
     """(g, s'): g_m at z from the route each point takes, and s' the s to
     expand them with (s - eta(lam) where g belongs to z0 = z - lam)."""
     L = E.lattice
-    z0, m, n = _reduce(z, L._w1r, L._w2r, L._red_inv)
+    z0, _, H = _cell_shift(L, z)
     r = np.abs(z0)
     near = r <= _RHO * E._series[1]
     # within half the shortest period, |z0| is the distance to the lattice
@@ -268,7 +268,7 @@ def _g_coeffs(E: ExtLattice, z, s):
         raise NearPole(f"f_batch: point within guard radius {L.guard:g} of the lattice")
     if not near.any():
         return _g_theta(E, z), s
-    s_near = s - (m * L._H1r + n * L._H2r)
+    s_near = s - H
     if near.all():
         return _g_sigma(E, z0), s_near
     g = np.empty((E.nmax + 1, z.shape[0]), dtype=complex)

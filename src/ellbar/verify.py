@@ -552,8 +552,9 @@ CRITERIA = (
 
 
 def _steep_path(L):
-    """A legal but steep approach: the path clears the puncture at omega1 by
-    3e-3 periods, demanding deep subdivision."""
+    """A legal but steep approach: the line clears the puncture at omega1 by
+    3e-3 periods.  Transport splits it there and starts each half from
+    roots graded to the clearance, the first about 2^-12 of the half long."""
     d = 3e-3 * L.min_period()
     c = L.omega1 + 1j * d * L.omega1 / abs(L.omega1)
     return PathSpec(
@@ -564,7 +565,10 @@ def _steep_path(L):
 def _quadrature_stress(cfg):
     """Run the steep path at the configured tolerance with a bounded panel
     budget.  At tolerances below the accepted range this must end in
-    QuadratureFailure; the entry records the honest outcome either way."""
+    QuadratureFailure: a short root's budget, tol times its length plus a
+    hundredth of its scale, falls below its panel's own rounding, u times
+    its largest value, at any depth.  The entry records the honest outcome
+    either way."""
     L = _curve_lattice(cfg)
     model = EdaggerModel(ExtLattice(L, nmax=4))
     tol = cfg["tol"]
@@ -594,7 +598,8 @@ def _negative_controls(cfg):
     E = ExtLattice(L, nmax=4)
     model = EdaggerModel(E)
     out = []
-    # unattainable tolerance near the steep (but legal) approach
+    # unattainable tolerance near the steep (but legal) approach: the
+    # rounding of the panels next to the pole exceeds their budget
     g = _steep_path(L)
     try:
         chen_transport(model, g, letters=("w1",), lmax=1, tol=1e-15, max_depth=4)

@@ -367,6 +367,16 @@ def _reduce(z, w1, w2, inv):
     return z - m * w1 - n * w2, m, n
 
 
+def _cell_shift(L, z):
+    """(z0, lam, H) for the points z: lam = m w1 + n w2, the lattice point
+    of the reduced basis that z is reduced by, z0 = z - m w1 - n w2, and
+    H = m H1 + n H2 on the same basis, so that zeta(z0 + lam) = zeta(z0) + H
+    and eta(lam) = -H.  The one place that pairs a point's lattice shift
+    with its quasi-period."""
+    z0, m, n = _reduce(z, L._w1r, L._w2r, L._red_inv)
+    return z0, m * L._w1r + n * L._w2r, m * L._H1r + n * L._H2r
+
+
 def reduce_mod_lattice(L: LatticeData, z):
     """(z0, (m, n)) with z = z0 + m omega1 + n omega2, coefficients of z0
     in [-1/2, 1/2) with respect to the public basis."""

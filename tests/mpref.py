@@ -17,6 +17,7 @@ class SigmaReference:
         self.dps = dps
         with mp.workdps(dps):
             self.w1 = mp.mpc(L._w1r)
+            self.w2 = mp.mpc(L._w2r)
             self.q = mp.exp(1j * mp.pi * mp.mpc(L._w2r) / self.w1)
             th1 = mp.jtheta(1, 0, self.q, 1)
             # sigma on Z + tau Z is exp(e1 u^2 / 2) theta_1(u) / theta_1'(0)
@@ -35,6 +36,17 @@ class SigmaReference:
         """zeta(z + omega) - zeta(z) for the shortest period omega."""
         with mp.workdps(self.dps):
             return self.e1 / self.w1
+
+    def eta(self, lam):
+        """zeta(z + lam) - zeta(z) for the lattice point lam, from numerical
+        derivatives of sigma at one point away from the lattice."""
+        with mp.workdps(self.dps):
+            x = mp.mpf("0.31") * self.w1 + mp.mpf("0.23") * self.w2
+
+            def zeta(y):
+                return mp.diff(self.sigma, y) / self.sigma(y)
+
+            return zeta(x + mp.mpc(lam)) - zeta(x)
 
     def g(self, z, nmax):
         """[g_0, ..., g_nmax] at z (not reduced) as mpc."""

@@ -1,5 +1,6 @@
 """Transport contract: path algebra, word series, homotopy, regularization."""
 
+import cmath
 import importlib.util
 import json
 import math
@@ -348,40 +349,59 @@ class TestGuardsAndFailure:
 
     def test_quadrature_failure_near_pole(self, ext, model):
         # legal approach (outside the guard) but too steep for the allowed
-        # subdivision depth
+        # subdivision depth: an arc, which transport does not split, that
+        # clears omega1 by 3e-3 periods
         L = ext.lattice
-        d = 3e-3 * L.min_period()
-        c = L.omega1 + 1j * d * L.omega1 / abs(L.omega1)
-        g = PathSpec(
-            model="edagger",
-            segments=(LineSeg(c - 0.4 * L.omega1, c + 0.4 * L.omega1),),
-        )
+        arc = _steep_arc(L, 3e-3)
+        g = PathSpec(model="edagger", segments=(arc,))
+        assert arc.distance(np.array([L.omega1]))[0] == pytest.approx(3e-3 * L.min_period())
         with pytest.raises(QuadratureFailure):
             chen_transport(model, g, letters=("w1",), lmax=1, tol=1e-13, max_depth=4)
         # the same geometry converges once allowed to subdivide
         r = chen_transport(model, g, letters=("w1",), lmax=1, tol=1e-13, max_depth=10)
         assert r.panels_by_segment[0] > 30
+        assert r.split_at == (None,) and r.roots == (1,)
 
 
 class _Recursive:
     """The depth-first recursion over one segment that the level-synchronous
     run replaced: the oracle for its values, error estimates, panel counts
-    and failures.  Panels come one at a time from the run's own panel
-    evaluation."""
+    and failures.  It recurses from each root of each piece of the segment
+    in turn (one piece and root [0, 1] unless the segment is split), folds
+    a piece's roots left to right, and joins a split segment's halves, the
+    one before its closest point through the antipode.  Pieces, roots and
+    panels come from the run's own split and panel evaluation, one panel at
+    a time, and a failure is worded by the run's ``failure``."""
 
     def __init__(self, model, seg, table, tol, max_depth):
         self.st = _SegmentTransport(model, [seg], table, tol, max_depth)
         self.table, self.tol, self.max_depth = table, tol, max_depth
-        self.err = np.zeros(len(table.words))
 
     @property
     def npanels(self):
         return self.st.npanels[0]
 
     def panel(self, t0, t1):
-        return self.st.panels(np.array([0]), np.array([t0]), np.array([t1]))[0]
+        return self.st.panels(np.array([self.q]), np.array([t0]), np.array([t1]))[0]
 
-    def run(self, t0=0.0, t1=1.0, depth=0, whole=None):
+    def run(self):
+        value = None
+        for self.q, roots in enumerate(self.st.piece_roots):
+            self.piece_err = np.zeros(len(self.table.words))
+            acc = None
+            for t0, t1 in roots:
+                root = self.interval(t0, t1)
+                acc = root if acc is None else compose_series(root, acc, self.table)
+            err = self.piece_err
+            if self.st.part[self.q] < 0:
+                acc, err = self.table.antipode(acc), err[self.table._reversal]
+            if value is None:
+                value, self.err = acc, err
+            else:
+                value, self.err = compose_series(acc, value, self.table), self.err + err
+        return value
+
+    def interval(self, t0, t1, depth=0, whole=None):
         # ``whole`` is this interval's panel when the parent has already
         # evaluated it as one of its halves
         if whole is None:
@@ -393,16 +413,14 @@ class _Recursive:
         err = np.abs(comp - whole)
         scale = max(1.0, float(np.max(np.abs(whole))))
         budget = self.tol * ((t1 - t0) + 0.01 * scale)
-        if np.max(err) <= budget:
-            self.err += err
+        rounding = 2.0 ** -53 * float(np.max(np.abs(whole)))
+        if np.max(err) + rounding <= budget:
+            self.piece_err += err
             return comp
         if depth >= self.max_depth:
-            raise QuadratureFailure(
-                f"panel [{t0:.6f}, {t1:.6f}] still off by {np.max(err):.3e} "
-                f"(budget {budget:.3e}) at depth {depth}"
-            )
-        a = self.run(t0, tm, depth + 1, left)
-        b = self.run(tm, t1, depth + 1, right)
+            raise self.st.failure(self.q, t0, t1, np.max(err), rounding, budget, depth)
+        a = self.interval(t0, tm, depth + 1, left)
+        b = self.interval(tm, t1, depth + 1, right)
         return compose_series(b, a, self.table)
 
 
@@ -410,8 +428,8 @@ class _WholeEveryCall(_Recursive):
     """Adaptive transport that evaluates every interval's whole panel itself,
     even when the parent has already evaluated it as a half."""
 
-    def run(self, t0=0.0, t1=1.0, depth=0, whole=None):
-        return super().run(t0, t1, depth)
+    def interval(self, t0, t1, depth=0, whole=None):
+        return super().interval(t0, t1, depth)
 
 
 def _one_segment(model, seg, table, tol, max_depth):
@@ -428,18 +446,21 @@ class TestHalfPanelReuse:
         (vals_new,), vals_old = new.run(), old.run()
         assert np.array_equal(vals_new, vals_old)
         assert np.array_equal(new.err[0], old.err)
-        # three panels per run call before; reuse saves one per child call
+        # three panels per interval call before; reuse saves one per child
+        # call, that is per call but a root's
         calls = old.npanels // 3
         assert old.npanels == 3 * calls
-        assert calls > 1
-        assert new.npanels[0] == old.npanels - (calls - 1)
+        assert calls > new.roots[0]
+        assert new.npanels[0] == old.npanels - (calls - new.roots[0])
 
     def test_steep_edagger_line(self, ext, model):
-        L = ext.lattice
-        d = 3e-3 * L.min_period()
-        c = L.omega1 + 1j * d * L.omega1 / abs(L.omega1)
-        seg = LineSeg(c - 0.4 * L.omega1, c + 0.4 * L.omega1)
-        self._both(model, seg, ("w1", "w2"), 2, 1e-10, 14)
+        # split at omega1 into two spines of 10 roots, one of which bisects
+        # at tol 2e-14
+        seg = _steep_line(ext.lattice, 1e-3)
+        self._both(model, seg, ("w1", "w2"), 2, 2e-14, 14)
+
+    def test_steep_edagger_arc(self, ext, model):
+        self._both(model, _steep_arc(ext.lattice, 3e-3), ("w1", "w2"), 2, 1e-10, 14)
 
     def test_p1_segment_near_zero(self):
         self._both(P1Model(), LineSeg(1e-4, 0.5), ("om0", "om1"), 3, 1e-11, 16)
@@ -452,6 +473,16 @@ def _steep_line(L, clearance, point=0, direction=0):
     along = (L.omega1, L.omega2)[direction]
     c = lam + 1j * clearance * L.min_period() * along / abs(along)
     return LineSeg(c - 0.4 * along, c + 0.4 * along)
+
+
+def _steep_arc(L, clearance, point=0):
+    """An arc of radius 0.4 |omega1| bulging toward a lattice point and
+    clearing it by ``clearance`` (in minimum periods): steep, and never split."""
+    lam = (L.omega1, L.omega2, L.omega1 + L.omega2)[point]
+    R = 0.4 * abs(L.omega1)
+    u = 1j * L.omega1 / abs(L.omega1)
+    a = cmath.phase(-u)
+    return ArcSeg(lam + (R + clearance * L.min_period()) * u, R, a - 0.25, a + 0.25)
 
 
 def _readme_path():
@@ -478,7 +509,7 @@ class TestLevelSynchronous:
         assert np.array_equal(new.err[0], ref.err)
         assert new.npanels == [ref.npanels]
         assert sum(new.panels_by_depth[0]) == ref.npanels
-        assert ref.npanels == 3 + 4 * new.rejected[0]
+        assert ref.npanels == 3 * new.roots[0] + 4 * new.rejected[0]
         return new
 
     def test_readme_integrate_path(self, model4):
@@ -496,7 +527,15 @@ class TestLevelSynchronous:
     @pytest.mark.parametrize("clearance", [1e-2, 3e-3, 1e-3])
     @pytest.mark.parametrize("letters", [("w1",), ("w2",), ("w3",), ("w1", "w3"), ("w2", "w3")])
     def test_steep_lines(self, model4, letters, clearance):
+        # split at the closest point, each half from a spine of roots
         seg = _steep_line(model4.ext.lattice, clearance)
+        st = self._against_oracle(model4, seg, letters, 2)
+        assert st.split_at == [0.5] and st.roots[0] >= 12
+
+    @pytest.mark.parametrize("clearance", [3e-3, 1e-3, 1e-4])
+    @pytest.mark.parametrize("letters", [("w1",), ("w2",), ("w1", "w3")])
+    def test_steep_arcs(self, model4, letters, clearance):
+        seg = _steep_arc(model4.ext.lattice, clearance)
         st = self._against_oracle(model4, seg, letters, 2)
         assert len(st.panels_by_depth[0]) >= 5  # bisected deep near the pole
 
@@ -514,11 +553,7 @@ class TestLevelSynchronous:
     def test_steep_w2_to_w6_lines_converge(self):
         # lines past the lattice point omega1 at clearances down to 1e-5 of
         # the minimum period: each letter against an mpmath quadrature of
-        # sigma quotients, and every pair by the shuffle relation.  The
-        # depth cap is raised because the node positions, rounded to doubles,
-        # make the panel values next to a pole noisy at ~1e-16 |omega1| /
-        # clearance relative, which any letter with a pole (w1 too) only
-        # gets below tol 1e-12 on panels ~27 bisections deep at 1e-5
+        # sigma quotients, and every pair by the shuffle relation
         L = lattice_from_curve(CurveSpec(2, 3))
         assert L.omega1 == L._w1r
         model = EdaggerModel(ExtLattice(L, nmax=6))
@@ -527,7 +562,7 @@ class TestLevelSynchronous:
         for clearance in (1e-2, 1e-3, 1e-4, 1e-5):
             seg = _steep_line(L, clearance)
             r = chen_transport(model, PathSpec(model="edagger", segments=(seg,)), letters=letters,
-                               lmax=2, tol=1e-12, max_depth=30)
+                               lmax=2, tol=1e-12)
             want, quad_err = ref.line_integrals(seg.z0, seg.z1, L.omega1, ref.eta1(), 6)
             assert quad_err < 1e-15
             for n in range(2, 7):
@@ -539,9 +574,9 @@ class TestLevelSynchronous:
                     assert abs(r.values[(u,)] * r.values[(v,)] - rhs) <= 1e-11, (clearance, u, v)
 
     def test_max_depth_failure_is_the_leftmost(self, ext, model):
-        # the steep geometry of test_quadrature_failure_near_pole, cut off
-        # at each depth short of the 6 it needs; two intervals fail at each
-        seg = _steep_line(ext.lattice, 3e-3)
+        # an arc clearing omega1 by 3e-3 periods, cut off at each depth short
+        # of the 6 it needs
+        seg = _steep_arc(ext.lattice, 3e-3)
         table = _word_table(("w1",), 1)
         for max_depth in range(6):
             args = (model, seg, table, 1e-13, max_depth)
@@ -576,7 +611,7 @@ class TestLevelSynchronous:
         f_batch = chenint.f_batch
         monkeypatch.setattr(chenint, "f_batch", lambda E, z, s: nodes.append(len(z)) or f_batch(E, z, s))
         monkeypatch.setattr(chenint, "_BATCH_ENTRIES", 1)
-        seg = _steep_line(model4.ext.lattice, 1e-3)
+        seg = _steep_arc(model4.ext.lattice, 1e-3)
         self._against_oracle(model4, seg, ("w1", "w2"), 2)
         path = loop_pair_library(model4.ext)[2][1]
         self._against_oracle(model4, path.segments[0], model4.letters(), 2)
@@ -610,17 +645,19 @@ class TestLevelSynchronous:
         assert st.npanels[0] <= 3 + 14 * 2 * st.cap
 
     def test_depth_counts_sum_to_panels(self, model4):
+        # a plain line and a steep one, which is split into two halves of
+        # 10 roots each: 3 panels per root, 4 per rejected interval
         L = model4.ext.lattice
         seg = _steep_line(L, 1e-3)
         path = PathSpec("edagger", (LineSeg(seg.z0 - 0.3, seg.z0), seg))
         r = chen_transport(model4, path, letters=("w1", "w2"), lmax=2, tol=1e-10)
         assert len(r.panels_by_depth) == len(r.panels_by_segment) == 2
-        for by_depth, n, rejected in zip(
-            r.panels_by_depth, r.panels_by_segment, r.rejected_bisections
+        for by_depth, n, rejected, roots in zip(
+            r.panels_by_depth, r.panels_by_segment, r.rejected_bisections, r.roots
         ):
-            assert sum(by_depth) == n == 3 + 4 * rejected
-            assert by_depth[0] == 3 and all(k % 2 == 0 for k in by_depth[1:])
-        assert len(r.panels_by_depth[1]) >= 5
+            assert sum(by_depth) == n == 3 * roots + 4 * rejected
+            assert by_depth[0] == 3 * roots and all(k % 2 == 0 for k in by_depth[1:])
+        assert r.split_at == (None, 0.5) and r.roots == (1, 20)
 
 
 def _two_line_path(L):
@@ -644,13 +681,15 @@ class TestManySegments:
         series = st.run()
         acc, err = None, np.zeros(len(table.words))
         for j, seg in enumerate(path.segments):
-            one = _one_segment(model4, seg, *rest)
+            one = _SegmentTransport(model4, [seg], *rest)
             (vals,) = one.run()
             assert np.array_equal(series[j], vals)
             assert np.array_equal(st.err[j], one.err[0])
-            assert st.npanels[j] == one.npanels[0]
+            assert st.npanels[j] == one.npanels[0] == 3 * one.roots[0] + 4 * one.rejected[0]
             assert st.panels_by_depth[j] == one.panels_by_depth[0]
             assert st.rejected[j] == one.rejected[0]
+            assert st.split_at[j] == one.split_at[0]
+            assert st.roots[j] == one.roots[0]
             acc = vals if acc is None else compose_series(vals, acc, table)
             err += one.err[0]
         r = chen_transport(model4, path, letters=letters, lmax=lmax, tol=1e-10)
@@ -660,8 +699,10 @@ class TestManySegments:
         assert r.panels_by_segment == tuple(st.npanels)
         assert r.panels_by_depth == tuple(tuple(d) for d in st.panels_by_depth)
         assert r.rejected_bisections == tuple(st.rejected)
+        assert r.split_at == tuple(st.split_at)
+        assert r.roots == tuple(st.roots)
         if which == "two-line":
-            assert r.rejected_bisections[1] > r.rejected_bisections[0]
+            assert r.split_at == (None, 0.5) and r.roots == (1, 20)
 
     def test_p1_deep_ends_match_per_segment_runs(self):
         # bisection trees deep at the left end, at the right end and at both
@@ -684,7 +725,7 @@ class TestManySegments:
         # two steep segments cut off short of the depth they need: the run
         # fails on the first, as segment-by-segment runs did
         L = model4.ext.lattice
-        a, b = _steep_line(L, 3e-3), _steep_line(L, 1e-3, 1, 1)
+        a, b = _steep_arc(L, 3e-3), _steep_arc(L, 1e-3, 1)
         table = _word_table(("w1",), 1)
         args = (table, 1e-13, 3)
         alone = {}
@@ -733,6 +774,156 @@ class TestManySegments:
         for seg in segs:
             got = model.punctures(seg.corners)
             assert np.array_equal(got, per_corner(seg.corners)), seg
+
+
+class TestPoleSplit:
+    @pytest.mark.parametrize("curve", [0, 1, 2])
+    def test_split_lines_match_reference(self, curve):
+        # lines past omega1, omega2 and omega1 + omega2, along the shortest
+        # period (and omega2 along itself), at clearances of 1e-2 to 1e-5 of
+        # it, each clearance on two curves at least: each letter against an
+        # mpmath quadrature of sigma quotients, at the default max_depth
+        L = lattice_from_curve(CurveSpec(*((2, 3), (5, 2), (1, -3))[curve]))
+        model = EdaggerModel(ExtLattice(L, nmax=6))
+        ref = SigmaReference(L, dps=30, nodes=24)
+        letters = tuple(f"w{n}" for n in range(1, 7))
+        for point in range(3):
+            clearance = (1e-2, 1e-3, 1e-4, 1e-5)[(curve + point) % 4]
+            lam = (L._w1r, L._w2r, L._w1r + L._w2r)[point]
+            along = (L._w1r, L._w2r, L._w1r)[point]
+            c = lam + 1j * clearance * abs(L._w1r) * along / abs(along)
+            seg = LineSeg(c - 0.4 * along, c + 0.4 * along)
+            path = PathSpec("edagger", (seg,))
+            r = chen_transport(model, path, letters=letters, lmax=2, tol=1e-12)
+            assert r.split_at[0] == pytest.approx(0.5) and r.rejected_bisections == (0,)
+            want, quad_err = ref.line_integrals(seg.z0, seg.z1, lam, ref.eta(lam), 6)
+            assert quad_err < 1e-15
+            for n in range(1, 7):
+                got = r.values[(f"w{n}",)]
+                assert abs(got - want[n - 1]) <= r.err_by_length[1] + 1e-13, (point, clearance, n)
+
+    def test_antipode_on_random_lines(self, model4):
+        # reversing a line, split or not, gives the antipode of its series;
+        # the antipode of a table's series is the word-by-word identity
+        L = model4.ext.lattice
+        table = _word_table(("nu", "w1", "w2"), 3)
+        rng = np.random.default_rng(23)
+        splits = set()
+        for k in range(6):
+            lam = rng.integers(-1, 2) * L.omega1 + rng.integers(-1, 2) * L.omega2
+            clearance = 10.0 ** (0.7 * k - 4) * L.min_period()
+            c = lam + clearance * np.exp(2j * np.pi * rng.uniform())
+            along = 0.4 * abs(L.omega2) * np.exp(2j * np.pi * rng.uniform())
+            s0, s1 = rng.normal(size=2) + 1j * rng.normal(size=2)
+            g = line_path("edagger", c - rng.uniform(0.2, 1) * along, c + along, s0, s1)
+            fwd = chen_transport(model4, g, letters=table.letters, lmax=3, tol=1e-12)
+            bwd = chen_transport(model4, reverse_path(g), letters=table.letters, lmax=3, tol=1e-12)
+            splits.add(fwd.split_at[0] is not None)
+            a = np.array([fwd.values[w] for w in table.words])
+            b = np.array([bwd.values[w] for w in table.words])
+            anti = table.antipode(a)
+            for i, w in enumerate(table.words):
+                assert anti[i] == (-1) ** len(w) * a[table.index[w[::-1]]]
+            assert np.all(np.abs(anti - b) <= 1e-10 * np.maximum(1, np.abs(b))), g
+        assert splits == {False, True}
+
+    def test_split_at_an_end(self, model4):
+        # a line that starts at its closest approach has only the half after
+        # it, and its reverse only the half before it
+        L = model4.ext.lattice
+        u = 1j * L.omega1 / abs(L.omega1)
+        seg = LineSeg(L.omega1 + 1e-3 * L.min_period() * u, L.omega1 + 0.5 * abs(L.omega1) * u)
+        table = _word_table(("w1", "w2"), 2)
+        ref = SigmaReference(L, dps=30, nodes=24)
+        want, _ = ref.line_integrals(seg.z0, seg.z1, L.omega1, ref.eta(L.omega1), 2)
+        for g, t in ((seg, 0.0), (seg.reversed(), 1.0)):
+            st = _SegmentTransport(model4, [g], table, 1e-12, 14)
+            (got,) = st.run()
+            assert st.split_at == [t] and len(st.segs) == 1 and st.roots[0] > 8
+            if t:
+                got = table.antipode(got)
+            for n in (1, 2):
+                i = table.index[(f"w{n}",)]
+                assert abs(got[i] - want[n - 1]) <= st.err[0][i] + 1e-13
+
+    def test_unsplit_paths_are_plain_runs(self, model4):
+        # paths that pass no puncture closer than 1/32 of a line's length,
+        # arcs, and genus-zero lines (also steep ones) get the floats of a
+        # depth-first recursion from one root per segment
+        L = model4.ext.lattice
+        runs = [(model4, g, model4.letters(), 3)
+                for _, g1, g2 in loop_pair_library(model4.ext) for g in (g1, g2)]
+        runs += [(model4, translate_path(L, mn, 0.1 * L.omega1 + 0.1 * L.omega2, 0.2j),
+                  model4.letters(), 3) for mn in ((1, 0), (0, 1))]
+        runs.append((model4, _readme_path(), ("nu", "w0"), 2))
+        p1 = P1Model()
+        runs += [(p1, line_path("p1", z0, z1), ("om0", "om1"), 3) for z0, z1 in (
+            (-0.5 + 1e-3j, 0.5 + 1e-3j), (1e-4, 0.5), (chenint._DELTA, 1 - chenint._DELTA))]
+        for model, path, letters, lmax in runs:
+            r = chen_transport(model, path, letters=letters, lmax=lmax, tol=1e-10)
+            assert r.split_at == (None,) * len(path.segments)
+            assert r.roots == (1,) * len(path.segments)
+            table = _word_table(tuple(letters), lmax)
+            acc, err, npanels = None, np.zeros(len(table.words)), []
+            for seg in path.segments:
+                ref = _Recursive(model, seg, table, 1e-10, 14)
+                vals = ref.run()
+                assert ref.st.piece_roots == (((0.0, 1.0),),)
+                acc = vals if acc is None else compose_series(vals, acc, table)
+                err += ref.err
+                npanels.append(ref.npanels)
+            assert np.array_equal(np.array([r.values[w] for w in table.words]), acc)
+            assert r.err_by_length == {
+                n: float(np.max(err[table.lengths == n])) for n in range(lmax + 1)}
+            assert r.panels_by_segment == tuple(npanels)
+
+    def test_split_failure_is_named_in_the_segment_t(self, model4):
+        # below the attainable tolerance a split line fails in the half
+        # before its closest point first, at the root next to that point,
+        # named in the line's own t; as the depth-first oracle fails
+        L = model4.ext.lattice
+        seg = _steep_line(L, 3e-3)
+        path = PathSpec("edagger", (LineSeg(seg.z0 - 0.3, seg.z0), seg))
+        table = _word_table(("w1",), 1)
+        for max_depth in range(5):
+            args = (table, 1e-15, max_depth)
+            with pytest.raises(QuadratureFailure) as ref:
+                _Recursive(model4, seg, *args).run()
+            with pytest.raises(QuadratureFailure) as got:
+                _SegmentTransport(model4, path.segments, *args).run()
+            assert str(got.value) == str(ref.value).replace("segment 0", "segment 1")
+            msg = str(got.value)
+            assert msg.startswith("segment 1, half before its split at 0.500000: panel [0.49")
+            assert "0.500000] still off by" in msg
+
+    @pytest.mark.parametrize("tol,fails", [(1e-14, True), (2e-14, False)])
+    def test_rounding_limits_depth_near_1e_14(self, model4, tol, fails):
+        # u max|whole| >= u must fit in tol ((b - a) + 0.01 max|whole|): at
+        # tol 1e-14 no panel narrower than about 1.1e-3 is accepted, so an
+        # arc or a genus-zero line that needs depth 10 or more fails, and a
+        # shallower one converges; from 2e-14 up the width is free
+        L = model4.ext.lattice
+        deep = [(model4, PathSpec("edagger", (_steep_arc(L, 3e-3),)), ("w1",)),
+                (P1Model(), line_path("p1", 1e-4, 0.5), ("om0", "om1"))]
+        shallow = [(model4, PathSpec("edagger", (_steep_arc(L, 3e-2),)), ("w1",)),
+                   (P1Model(), line_path("p1", 1e-2, 0.99), ("om0", "om1"))]
+        for model, path, letters in deep:
+            if fails:
+                with pytest.raises(QuadratureFailure, match="at depth 14"):
+                    chen_transport(model, path, letters=letters, lmax=2, tol=tol)
+            else:
+                r = chen_transport(model, path, letters=letters, lmax=2, tol=tol)
+                assert len(r.panels_by_depth[0]) > 11
+        for model, path, letters in shallow:
+            r = chen_transport(model, path, letters=letters, lmax=2, tol=tol)
+            assert len(r.panels_by_depth[0]) <= 10
+
+    def test_spine(self):
+        assert chenint._spine(1.5) == ((0.0, 1.0),)
+        assert chenint._spine(0.5) == ((0.0, 0.5), (0.5, 1.0))
+        assert chenint._spine(0.3) == ((0.0, 0.25), (0.25, 0.5), (0.5, 1.0))
+        roots = chenint._spine(1e-3)
+        assert roots[0] == (0.0, 2.0 ** -10) and len(roots) == 11
 
 
 class TestBarPairing:

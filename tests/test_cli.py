@@ -231,7 +231,11 @@ def paths(tmp_path_factory):
     steep.write_text(path_to_json(
         PathSpec("p1", (LineSeg(0.5, 0.01), LineSeg(0.01, 0.5 + 0.5j)))
     ))
-    return {"translate": tr, "loop": lp, "bad": bad, "steep": steep, "L": L}
+    c = L.omega1 + 1e-3j * L.min_period()
+    near = d / "near_pole.json"
+    near.write_text(path_to_json(PathSpec("edagger", (
+        LineSeg(c - 0.4 * L.omega1, c + 0.4 * L.omega1), LineSeg(c + 0.4 * L.omega1, z0)))))
+    return {"translate": tr, "loop": lp, "bad": bad, "steep": steep, "near": near, "L": L}
 
 
 class TestIntegrate:
@@ -272,6 +276,21 @@ class TestIntegrate:
         assert [sum(d) for d in rep["panels_by_depth"]] == by_seg
         # the root costs 3 panels, each rejected interval its halves' halves
         assert [3 + 4 * k for k in rep["rejected_bisections"]] == by_seg
+        # genus-zero lines are never split
+        assert rep["split_at"] == [None, None] and rep["roots"] == [1, 1]
+
+    def test_split_near_a_lattice_point(self, paths, tmp_path):
+        out = tmp_path / "i.json"
+        p = run_cli("integrate", "--curve", "5", "2", "--path", str(paths["near"]),
+                    "--word", "w1,w2", "--json", str(out))
+        assert p.returncode == 0
+        assert "split at per segment = [0.5, None]" in p.stdout
+        rep = load_json(out)["report"]
+        assert rep["split_at"] == [0.5, None]
+        assert rep["roots"][0] == 20 and rep["roots"][1] == 1
+        assert [sum(d) for d in rep["panels_by_depth"]] == rep["panels_by_segment"]
+        assert [3 * n + 4 * k for n, k in zip(rep["roots"], rep["rejected_bisections"])] \
+            == rep["panels_by_segment"]
 
     def test_guard_violation_exits_1(self, paths):
         p = run_cli("integrate", "--path", str(paths["bad"]), "--word", "0")

@@ -42,14 +42,27 @@ def test_panel_and_node_counters(tracing):
     steep = chenint.line_path("edagger", c - 0.4 * L.omega1, c + 0.4 * L.omega1)
     deep = chenint.loop_pair_library(model.ext)[1][2]
     panels = word_nodes = composes = 0
+    splits = []
     for path, letters, lmax in ((steep, ("w1", "w2"), 2), (deep, None, 4)):
         r = chenint.chen_transport(model, path, letters=letters, lmax=lmax, tol=1e-10)
+        splits.append(r.split_at)
         words = len(chenint._word_table(r.letters, lmax).words)
         panels += sum(r.panels_by_segment)
         word_nodes += words * 24 * sum(r.panels_by_segment)
-        # per segment: one per interval evaluated, one per rejected interval
-        # folded; then one per join of segments
-        composes += sum(1 + 3 * k for k in r.rejected_bisections) + len(path.segments) - 1
+        # per segment: its accepted intervals (one per root, one more per
+        # rejected interval) and its halves, if split, fold into one; then
+        # one per join of segments
+        assert sum(r.panels_by_segment) == sum(
+            3 * n + 4 * k for n, k in zip(r.roots, r.rejected_bisections))
+        composes += sum(n + k - 1 for n, k in zip(r.roots, r.rejected_bisections))
+        composes += len(path.segments) - 1
+        # and the intervals evaluated: the steep line's of each depth in one
+        # call, the 1555-word table's one at a time
+        if path is steep:
+            composes += len(r.panels_by_depth[0])
+        else:
+            composes += sum(n + 2 * k for n, k in zip(r.roots, r.rejected_bisections))
+    assert splits == [(0.5,), (None, None)]  # only the steep line is split
     m, _ = module.summarize(tracer.spans, 1.0)
     assert m["chenint.panels"] == panels
     assert m["kernels.panel_word_nodes"] == word_nodes
