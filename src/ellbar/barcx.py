@@ -25,6 +25,7 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from json.encoder import encode_basestring_ascii as _json_str
 
 from .errors import DimensionBound, UnknownSymbol
 
@@ -42,9 +43,26 @@ def _frac_str(q: Fraction) -> str:
     return f"{q.numerator}/{q.denominator}" if q.denominator != 1 else str(q.numerator)
 
 
+def _nonzero(table: dict) -> dict:
+    """key -> tuple of the nonzero (letter, coefficient) pairs of its image;
+    keys whose image is zero are left out."""
+    out = {}
+    for key, img in table.items():
+        pairs = tuple((b, c) for b, c in img.items() if c)
+        if pairs:
+            out[key] = pairs
+    return out
+
+
 @dataclass(frozen=True)
 class DGAPresentation:
-    """Basis letters, differential and wedge table; exact rationals."""
+    """Basis letters, differential and wedge table; exact rationals.
+
+    The letter -> degree table and the tables of nonzero images that
+    `bar_differential` and `h0_basis` read are built on first use and cached
+    on the instance, so a presentation must not be mutated after it is first
+    used.
+    """
 
     deg1: tuple
     deg2: tuple
@@ -83,16 +101,23 @@ class DGAPresentation:
         deg.update(dict.fromkeys(self.deg2, 2))
         return deg
 
-    def degree(self, letter) -> int:
-        try:
-            return self.degrees[letter]
-        except KeyError:
-            raise UnknownSymbol(f"letter {letter!r} not in presentation") from None
+    @cached_property
+    def nonzero_diff(self) -> dict:
+        """Degree-1 letter -> its differential as (letter, coefficient)
+        pairs, zero coefficients left out; letters with d = 0 are absent."""
+        return _nonzero(self.diff)
 
-    def d_letter(self, letter) -> dict:
-        if letter in self.deg2:
-            return {}
-        return self.diff.get(letter, {})
+    @cached_property
+    def nonzero_wedge(self) -> dict:
+        """(a, b) -> a ^ b as (letter, coefficient) pairs, zero coefficients
+        left out; pairs with a ^ b = 0 are absent."""
+        return _nonzero(self.wedge)
+
+    @cached_property
+    def active_letters(self) -> frozenset:
+        """Letters with a nonzero differential or the first letter of a
+        nonzero wedge: d_B vanishes on a word that holds none of them."""
+        return frozenset(self.nonzero_diff).union(a for a, _ in self.nonzero_wedge)
 
     # ------------------------------------------------------------------ JSON
 
@@ -184,14 +209,14 @@ class BarElement:
         return "BarElement(" + " + ".join(bits) + ")"
 
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "terms": [
-                    {"word": list(w), "coeff": _frac_str(c)}
-                    for w, c in sorted(self.terms.items(), key=lambda t: (len(t[0]), t[0]))
-                ]
-            },
-            sort_keys=True,
+        """The bytes of json.dumps({"terms": [{"word": [...], "coeff": "p/q"},
+        ...]}, sort_keys=True), terms in graded-lex word order, written
+        directly: a coefficient string needs no escaping, and each letter
+        goes through the string encoder json.dumps itself uses."""
+        terms = sorted(self.terms.items(), key=lambda t: (len(t[0]), t[0]))
+        return '{"terms": [%s]}' % ", ".join(
+            '{"coeff": "%s", "word": [%s]}' % (_frac_str(c), ", ".join(map(_json_str, w)))
+            for w, c in terms
         )
 
     @classmethod
@@ -213,7 +238,13 @@ def _element(terms) -> BarElement:
 
 def bar_differential(P: DGAPresentation, xi: BarElement) -> BarElement:
     """The reduced-bar differential; input must be homogeneous of bar
-    degree 0 or 1."""
+    degree 0 or 1.
+
+    Every word is first checked for unknown letters and its bar degree;
+    then only the words that hold a letter of `P.active_letters` are
+    expanded, by the presentation's tables of nonzero images (built once
+    per presentation and cached on it).
+    """
     deg = P.degrees
     try:
         degs = {sum(map(deg.__getitem__, w)) - len(w) for w in xi.terms}
@@ -223,26 +254,28 @@ def bar_differential(P: DGAPresentation, xi: BarElement) -> BarElement:
         raise ValueError(f"bar degree must be 0 or 1, got degrees {sorted(degs)}")
     if len(degs) > 1:
         raise ValueError("element is not homogeneous")
-    diff, wedge = P.diff, P.wedge
+    diff, wedge, active = P.nonzero_diff, P.nonzero_wedge, P.active_letters
     out = {}
     for word, coeff in xi.terms.items():
+        if active.isdisjoint(word):
+            continue
         # s = (-1)^i times coeff times the product of (-1)^{deg a_j} over the
         # letters before slot i (1-based); the wedge at slot i carries -s
         s = -coeff
         for i, a in enumerate(word):
             img = diff.get(a)
             if img:
-                for b, c in img.items():
+                for b, c in img:
                     w = word[:i] + (b,) + word[i + 1 :]
                     out[w] = out.get(w, 0) + s * c
             img = wedge.get(word[i : i + 2])
             if img:
-                for b, c in img.items():
+                for b, c in img:
                     w = word[:i] + (b,) + word[i + 2 :]
                     out[w] = out.get(w, 0) - s * c
             if deg[a] == 2:
                 s = -s
-    return _element(out.items())
+    return _element(out.items()) if out else BarElement()
 
 
 # --------------------------------------------------------------------------
@@ -377,9 +410,14 @@ def h0_basis(P: DGAPresentation, lmax: int):
     row echelon form over that column order.  The constraints are eliminated
     as sparse exact rows; d_B preserves the weight and the number of w-type
     letters, so rows never mix those blocks and stay short.  Each word's
-    constraint entries are written straight from the letter tables, by
-    d_B[a1|...|an] = -sum [..|da_i|..] + sum [..|a_i ^ a_{i+1}|..].  The
-    elimination (see `_rref`) works on int entries wherever they are
+    constraint entries are written straight from the presentation's cached
+    tables of nonzero images, by
+    d_B[a1|...|an] = -sum [..|da_i|..] + sum [..|a_i ^ a_{i+1}|..], and
+    words without a letter of `P.active_letters` are skipped.  A column that
+    no constraint row touches is free, and its kernel vector e_c is already
+    a row of the RREF, so it is returned as its one word with coefficient 1;
+    only the kernel vectors of touched free columns are eliminated again.
+    The elimination (see `_rref`) works on int entries wherever they are
     integral; the returned elements hold Fraction coefficients.
     DimensionBound past ``_DIM_BOUND`` words.
     """
@@ -390,13 +428,16 @@ def h0_basis(P: DGAPresentation, lmax: int):
             f"{nwords} words of length <= {lmax} exceeds bound {_DIM_BOUND}"
         )
     cols = words_upto(P.deg1, lmax)
-    d = {a: [(b, -_entry(c)) for b, c in img.items() if c] for a, img in P.diff.items()}
-    wedge = {ab: [(b, _entry(c)) for b, c in img.items() if c] for ab, img in P.wedge.items()}
+    d = {a: [(b, -_entry(c)) for b, c in img] for a, img in P.nonzero_diff.items()}
+    wedge = {ab: [(b, _entry(c)) for b, c in img] for ab, img in P.nonzero_wedge.items()}
+    active = P.active_letters
     # constraint rows: one per bar-degree-1 word in any image, holding in
     # column j that word's coefficient in d_B[cols[j]].  Each (word, column)
     # pair is hit once: the degree-2 letter sits at a different slot each time.
     constraints = {}
     for j, w in enumerate(cols):
+        if active.isdisjoint(w):
+            continue
         for i, a in enumerate(w):
             for b, c in d.get(a, ()):
                 constraints.setdefault(w[:i] + (b,) + w[i + 1 :], {})[j] = c
@@ -404,14 +445,21 @@ def h0_basis(P: DGAPresentation, lmax: int):
                 constraints.setdefault(w[:i] + (b,) + w[i + 2 :], {})[j] = c
     order = sorted(constraints, key=lambda t: (len(t), t))
     pivot_rows = _reduce(constraints[rw] for rw in order)
-    # kernel vector of free column f: e_f - sum over pivots p of row_p[f] e_p
-    kernel = {c: {c: 1} for c in range(len(cols)) if c not in pivot_rows}
+    touched = set().union(*constraints.values())
+    # kernel vector of a touched free column f: e_f - sum over pivots p of
+    # row_p[f] e_p
+    kernel = {c: {c: 1} for c in sorted(touched) if c not in pivot_rows}
     for p, r in pivot_rows.items():
         for c, v in r.items():
             if c != p:
                 kernel[c][p] = -v
-    basis = _reduce(kernel.values())
-    return [
-        _element((cols[c], v) for c, v in sorted(basis[p].items()))
-        for p in sorted(basis)
-    ]
+    rows = _reduce(kernel.values())
+    basis = {p: _element((cols[c], v) for c, v in sorted(r.items())) for p, r in rows.items()}
+    # an untouched column c is free with kernel vector e_c, and no pivot row
+    # or other kernel vector holds c: e_c is already a row of the RREF
+    one = Fraction(1)
+    for c in range(len(cols)):
+        if c not in touched:
+            basis[c] = el = BarElement()
+            el.terms = {cols[c]: one}
+    return [basis[p] for p in sorted(basis)]

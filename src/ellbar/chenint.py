@@ -1140,7 +1140,7 @@ def stokes_defect(ext: ExtLattice, letter: str, g1: PathSpec, g2: PathSpec):
 
     P = dga_presentation(ext.nmax)
     out = 0j
-    for name, coef in P.d_letter(letter).items():
+    for name, coef in P.nonzero_diff.get(letter, ()):
         out += complex(Fraction(coef)) * surface_difference(ext, name, g1, g2)
     return out
 

@@ -1,5 +1,6 @@
 """Exact tests for the reduced bar complex layer."""
 
+import json
 import random
 from fractions import Fraction
 
@@ -20,6 +21,56 @@ from ellbar.logforms import dga_presentation
 from ellbar.p1model import p1_dga
 
 P1 = DGAPresentation(deg1=("om0", "om1"), deg2=(), diff={}, wedge={})
+
+# explicit zero coefficients and empty images: "d" has no nonzero image
+# and starts no nonzero wedge, "a", "b" and "c" each have one
+ZEROS = DGAPresentation(
+    deg1=("a", "b", "c", "d"),
+    deg2=("x", "y"),
+    diff={"a": {"x": Fraction(0)}, "b": {}, "c": {"x": Fraction(2, 3), "y": Fraction(0)},
+          "d": {"y": Fraction(0)}},
+    wedge={
+        ("a", "b"): {"x": Fraction(0), "y": Fraction(1)},
+        ("b", "a"): {"x": Fraction(0), "y": Fraction(-1)},
+        ("a", "c"): {},
+        ("c", "a"): {},
+        ("d", "a"): {"x": Fraction(0)},
+        ("a", "d"): {"x": Fraction(0)},
+    },
+)
+
+# P1 with one two-form and only zero images: no letter is active
+P1_ZEROS = DGAPresentation(
+    deg1=("om0", "om1"),
+    deg2=("eta",),
+    diff={"om0": {"eta": Fraction(0)}, "om1": {}},
+    wedge={("om0", "om1"): {"eta": Fraction(0)}, ("om1", "om0"): {}},
+)
+
+
+def _reference_bar_differential(P, xi):
+    """d_B by the rule that walks every letter of every word through the
+    presentation's own tables, zero coefficients and empty images included."""
+    deg = P.degrees
+    out = BarElement()
+    for word, coeff in xi.terms.items():
+        s = -coeff
+        for i, a in enumerate(word):
+            for b, c in P.diff.get(a, {}).items():
+                out.add_term(word[:i] + (b,) + word[i + 1 :], s * c)
+            for b, c in P.wedge.get(word[i : i + 2], {}).items():
+                out.add_term(word[:i] + (b,) + word[i + 2 :], -s * c)
+            if deg[a] == 2:
+                s = -s
+    return out
+
+
+def _reference_to_json(e):
+    """BarElement.to_json as json.dumps of its payload."""
+    terms = sorted(e.terms.items(), key=lambda t: (len(t[0]), t[0]))
+    return json.dumps(
+        {"terms": [{"word": list(w), "coeff": str(c)} for w, c in terms]}, sort_keys=True
+    )
 
 
 def deconcat(w):
@@ -42,6 +93,16 @@ def random_deg0_element(P, rng, nterms=6, maxlen=4):
     for _ in range(nterms):
         n = rng.randint(1, maxlen)
         w = tuple(rng.choice(P.deg1) for _ in range(n))
+        xi.add_term(w, Fraction(rng.randint(-9, 9), rng.randint(1, 7)))
+    return xi
+
+
+def random_deg1_element(P, rng, nterms=6, maxlen=4):
+    """Words of degree-1 letters with one degree-2 letter in them."""
+    xi = BarElement()
+    for _ in range(nterms):
+        w = [rng.choice(P.deg1) for _ in range(rng.randint(0, maxlen - 1))]
+        w.insert(rng.randint(0, len(w)), rng.choice(P.deg2))
         xi.add_term(w, Fraction(rng.randint(-9, 9), rng.randint(1, 7)))
     return xi
 
@@ -131,12 +192,24 @@ class TestDifferential:
         with pytest.raises(ValueError):
             bar_differential(P, xi)
 
-    def test_degree_table_built_once(self):
+    def test_degree_table_built_once(self, monkeypatch):
         # bar_differential reads the presentation's one letter -> degree
-        # table, cached on the presentation
+        # table and its tables of nonzero images, cached on the presentation
         P = dga_presentation(2)
         assert P.degrees == {**dict.fromkeys(P.deg1, 1), **dict.fromkeys(P.deg2, 2)}
         assert P.degrees is P.degrees
+        built = []
+        real = barcx._nonzero
+        monkeypatch.setattr(barcx, "_nonzero", lambda table: built.append(table) or real(table))
+        tables = (P.nonzero_diff, P.nonzero_wedge, P.active_letters)
+        for _ in range(3):
+            bar_differential(P, random_deg0_element(P, random.Random(1)))
+        h0_basis(P, 2)
+        assert built == [P.diff, P.wedge]
+        assert tables[0] is P.nonzero_diff
+        assert tables[1] is P.nonzero_wedge
+        assert tables[2] is P.active_letters
+        assert dga_presentation(2).nonzero_diff is not P.nonzero_diff
 
         class Spy(dict):
             reads = 0
@@ -149,6 +222,49 @@ class TestDifferential:
         xi = random_deg0_element(P, random.Random(3))
         bar_differential(P, bar_differential(P, xi))
         assert Spy.reads > 0
+
+
+class TestNonzeroTables:
+    def test_tables_drop_zeros(self):
+        assert ZEROS.nonzero_diff == {"c": (("x", Fraction(2, 3)),)}
+        assert ZEROS.nonzero_wedge == {
+            ("a", "b"): (("y", Fraction(1)),),
+            ("b", "a"): (("y", Fraction(-1)),),
+        }
+        assert ZEROS.active_letters == {"a", "b", "c"}
+        assert P1_ZEROS.nonzero_diff == {} and P1_ZEROS.nonzero_wedge == {}
+        assert P1_ZEROS.active_letters == frozenset()
+        P = dga_presentation(3)
+        assert P.active_letters == set(P.deg1)
+
+    @pytest.mark.parametrize("P", [ZEROS, P1_ZEROS, dga_presentation(3)], ids=["zeros", "p1-zeros", "edagger3"])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_matches_reference_rule(self, P, seed):
+        rng = random.Random(seed)
+        for _ in range(10):
+            xi = random_deg0_element(P, rng)
+            assert bar_differential(P, xi) == _reference_bar_differential(P, xi)
+            if P.deg2:
+                xi = random_deg1_element(P, rng)
+                assert bar_differential(P, xi) == _reference_bar_differential(P, xi)
+
+    def test_inactive_words_are_zero(self):
+        xi = BarElement({("d",): Fraction(1), ("d", "d", "d"): Fraction(-2, 5)})
+        assert bar_differential(ZEROS, xi).is_zero()
+        xi.add_term(("d", "c"), Fraction(3))
+        assert bar_differential(ZEROS, xi) == BarElement({("d", "x"): Fraction(-2)})
+
+    def test_validation_runs_on_inactive_words(self):
+        with pytest.raises(UnknownSymbol):
+            bar_differential(p1_dga(), BarElement({("om2",): Fraction(1)}))
+        with pytest.raises(UnknownSymbol):
+            bar_differential(p1_dga(), BarElement({("om0",): 1, ("om0", "om2"): 1}))
+        # p1_dga has no two-form, so every P1 word has bar degree 0;
+        # P1_ZEROS adds one with zero images
+        with pytest.raises(ValueError):
+            bar_differential(P1_ZEROS, BarElement({("om0",): 1, ("eta",): 1}))
+        with pytest.raises(ValueError):
+            bar_differential(P1_ZEROS, BarElement({("eta", "om1", "eta"): 1}))
 
 
 class TestKernel:
@@ -219,10 +335,12 @@ class TestKernel:
 
     @pytest.mark.parametrize(
         "model,N,lmax",
-        [("p1", None, ell) for ell in range(8)]
+        [("p1", None, ell) for ell in range(9)]
         + [
             ("edagger", N, ell)
-            for N, ell in ((1, 1), (2, 1), (2, 2), (3, 2), (4, 2), (4, 3), (5, 3), (6, 2), (2, 4))
+            for N, ell in (
+                (1, 1), (2, 1), (2, 2), (3, 2), (4, 2), (4, 3), (5, 3), (6, 2), (2, 4), (1, 4)
+            )
         ],
     )
     def test_matches_dense_reference(self, model, N, lmax):
@@ -230,6 +348,22 @@ class TestKernel:
         basis = h0_basis(P, lmax)
         assert all(type(c) is Fraction for e in basis for c in e.terms.values())
         assert [e.to_json() for e in basis] == [e.to_json() for e in _dense_h0_basis(P, lmax)]
+        # a column whose word d_B sends to zero is touched by no constraint
+        # row: its element is that word alone, with coefficient 1
+        cols = words_upto(P.deg1, lmax)
+        col_idx = {w: i for i, w in enumerate(cols)}
+        by_pivot = {min(e.terms, key=col_idx.__getitem__): e for e in basis}
+        untouched = [
+            w for w in cols
+            if _reference_bar_differential(P, BarElement({w: Fraction(1)})).is_zero()
+        ]
+        for w in untouched:
+            assert by_pivot[w].terms == {w: Fraction(1)}
+            assert type(by_pivot[w].terms[w]) is Fraction
+        if model == "p1":
+            assert len(untouched) == len(cols)
+        elif (N, lmax) == (1, 4):
+            assert 0 < len(untouched) < len(cols)
 
     @pytest.mark.parametrize("model,N,lmax", [("p1", None, 8), ("edagger", 5, 3)])
     def test_constraints_built_without_bar_differential(self, monkeypatch, model, N, lmax):
@@ -318,7 +452,7 @@ def _dense_h0_basis(P, lmax):
     col_idx = {w: i for i, w in enumerate(cols)}
     constraints = {}
     for w in cols[1:]:
-        img = bar_differential(P, BarElement({w: Fraction(1)}))
+        img = _reference_bar_differential(P, BarElement({w: Fraction(1)}))
         for rw, c in img.terms.items():
             constraints.setdefault(rw, {})[col_idx[w]] = c
     ncols = len(cols)
@@ -428,6 +562,28 @@ class TestBarElement:
     def test_json_roundtrip(self):
         e = BarElement({("nu", "w0"): Fraction(1, 3), ("w1",): Fraction(-2)})
         assert BarElement.from_json(e.to_json()) == e
+
+    @pytest.mark.parametrize(
+        "terms",
+        [
+            {},
+            {(): Fraction(1)},
+            {(): Fraction(-3), ("a",): Fraction(1, 3), ("b", "a"): Fraction(-7, 2)},
+            {('q"t',): Fraction(-3), ("back\\slash", "x|y"): Fraction(1, 3)},
+            {("ω1", "nu"): Fraction(-7, 2), ("ω",): Fraction(5), ("",): Fraction(2)},
+            {("nu", "w0"): Fraction(1), ("w1",): Fraction(-1), ("w0", "nu", "w1"): Fraction(10, 3)},
+        ],
+        ids=["zero", "empty-word", "coefficients", "escapes", "non-ascii", "edagger"],
+    )
+    def test_json_bytes_match_reference(self, terms):
+        e = BarElement(terms)
+        assert e.to_json() == _reference_to_json(e)
+        assert BarElement.from_json(e.to_json()) == e
+
+    def test_json_bytes_match_reference_on_bases(self):
+        for P, lmax in ((p1_dga(), 4), (dga_presentation(3), 3)):
+            for e in h0_basis(P, lmax):
+                assert e.to_json() == _reference_to_json(e)
 
     def test_cancellation(self):
         e = BarElement({("a",): Fraction(1)})

@@ -206,6 +206,22 @@ class TestBarCommand:
         report = json.dumps(load_json(out)["report"], sort_keys=True, indent=2)
         assert hashlib.sha256(report.encode()).hexdigest() == sha256
 
+    @pytest.mark.parametrize(
+        "argv,sha256",
+        [
+            (("--model", "edagger", "--N", "5", "--ell", "3"),
+             "466177b2ab11cc5b0c5f8304e8bc21a60b2c5f658e7804cf13c3b1de7d7330a9"),
+            (("--model", "p1", "--ell", "8"),
+             "55ed6cade64f08afd771618204481afc477c3e22c4e67d93e55575685434ca36"),
+        ],
+    )
+    def test_json_file_bytes_pinned(self, tmp_path, argv, sha256):
+        # hashes of the whole --json file, recorded from the kernel that
+        # eliminated every column twice and expanded every word in d_B
+        out = tmp_path / "b.json"
+        assert run_cli("bar", *argv, "--json", str(out)).returncode == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == sha256
+
 
 class TestFlatnessCommand:
     def test_exact(self, tmp_path):
