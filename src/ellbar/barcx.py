@@ -208,15 +208,20 @@ class BarElement:
         bits = [f"{c}*[{'|'.join(w)}]" for w, c in sorted(self.terms.items())]
         return "BarElement(" + " + ".join(bits) + ")"
 
+    def _graded_terms(self):
+        return sorted(self.terms.items(), key=lambda t: (len(t[0]), t[0]))
+
+    def to_dict(self) -> dict:
+        """{"terms": [{"coeff": "p/q", "word": [...]}, ...]}, graded-lex."""
+        return {"terms": [{"coeff": _frac_str(c), "word": list(w)} for w, c in self._graded_terms()]}
+
     def to_json(self) -> str:
-        """The bytes of json.dumps({"terms": [{"word": [...], "coeff": "p/q"},
-        ...]}, sort_keys=True), terms in graded-lex word order, written
+        """The bytes of json.dumps(self.to_dict(), sort_keys=True), written
         directly: a coefficient string needs no escaping, and each letter
         goes through the string encoder json.dumps itself uses."""
-        terms = sorted(self.terms.items(), key=lambda t: (len(t[0]), t[0]))
         return '{"terms": [%s]}' % ", ".join(
             '{"coeff": "%s", "word": [%s]}' % (_frac_str(c), ", ".join(map(_json_str, w)))
-            for w, c in terms
+            for w, c in self._graded_terms()
         )
 
     @classmethod

@@ -392,7 +392,7 @@ class EdaggerModel:
         point near lam to one near 0.  Formed on the reduced basis, as
         ``f_batch`` forms it (``_cell_shift``), not by ``eta_lambda``'s
         probes."""
-        _, lam, H = _cell_shift(self.ext.lattice, lam)
+        _, lam, H, _, _ = _cell_shift(self.ext.lattice, lam)
         return -complex(lam), -complex(H)
 
     def phi_rows(self, letters, z, s, dz, ds):
@@ -418,10 +418,7 @@ class EdaggerModel:
         if abs(z0r) > tol * scale:
             return None
         lam = m * L.omega1 + n * L.omega2
-        if m == 0 and n == 0:
-            eta = 0j
-        else:
-            eta = eta_lambda(L, (m, n))
+        eta = eta_lambda(L, (m, n))
         ds = q[1] - p[1]
         if abs(ds + eta) > tol * max(1.0, abs(ds)):
             return None

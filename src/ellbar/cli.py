@@ -203,7 +203,7 @@ def cmd_bar(args):
         "ell": args.ell,
         "dimension": len(basis),
         "all_closed": closed,
-        "basis": [json.loads(el.to_json()) for el in basis],
+        "basis": [el.to_dict() for el in basis],
     }
     human = [f"kernel dimension at length <= {args.ell}: {len(basis)}"]
     human += [f"  {el!r}" for el in basis]

@@ -9,19 +9,20 @@ coordinate of the extension.  The basic letters are
 
 where the f_n come from the sigma-kernel generating series
 ``w * sigma(z + w) / (sigma(z) sigma(w)) * exp(-s w) = sum_n f_n(z, s) w^n``.
-With w F(z, w) = sum_m g_m(z) w^m, f_n = sum_j (-s)^j / j! g_{n-j}.  The g_m
-come from one of two power-series routes in w, never from dividing sigmas:
+With w F(z, w) = sum_m g_m(z) w^m, f_n = sum_j (-s)^j / j! g_{n-j}.  A point
+z = z0 + lam, z0 in the centred cell of the reduced basis, is evaluated at
+(z0, s - H), H = -eta(lam): that translation leaves every f_n unchanged.  The
+g_m at z0 come from one of two series in w, never from dividing sigmas:
 
 * far from the lattice, g = exp(C(w)) with C from zeta and the wp tower
   (one theta pass) plus the even Eisenstein part;
-* at reduced points z0 with |z0| <= 1/2 of the shortest period, from
+* for |z0| <= 1/2 of the shortest period, from
   sigma(z) = z exp(-sum_k G_2k z^2k / 2k): w F = (1 + w/z0) exp(R(z0, w)),
   R = -sum_k G_2k / 2k ((z0 + w)^2k - z0^2k - w^2k).  Its coefficients
   r_m(z0) = -sum_k G_2k / 2k C(2k, m) z0^(2k-m) are one product of a table
   with the powers of z0, and g_m = e_m + e_{m-1} / z0 for e = exp(R).  The
   pole is exact, so nothing cancels near the lattice point (the theta route
-  there cancels poles of order up to m).  For z = z0 + lam the shift is
-  carried by s: s - eta(lam) replaces s.  The table stops at the smallest
+  there cancels poles of order up to m).  The table stops at the smallest
   K whose dropped terms, bounded through |G_2k| <= sum |lam|^-2k, sum to
   at most the unit roundoff.
 
@@ -45,12 +46,12 @@ from functools import cached_property
 import numpy as np
 
 from .barcx import DGAPresentation
-from .errors import NearPole, TruncationExceeded
+from .errors import TruncationExceeded
 from .wlattice import (
     LatticeData,
     _U,
-    _cell_shift,
     _eis_constants,
+    _guarded_shift,
     _wp_zeta,
     eisenstein_from_invariants,
     wsigma,
@@ -192,20 +193,20 @@ def _exp_series(C):
     return g
 
 
-def _g_theta(E: ExtLattice, z):
-    """Coefficients g_m of w F(z, w) = sum_m g_m(z) w^m for m <= nmax.
+def _g_theta(E: ExtLattice, z0):
+    """Coefficients g_m of w F(z0, w) = sum_m g_m(z0) w^m, m <= nmax, at z0.
 
     F is reconstructed as exp(A(w) + B(w)) with A from zeta and wp
-    derivatives at z, B the z-independent even part with Eisenstein
+    derivatives at z0, B the z-independent even part with Eisenstein
     coefficients.
     """
     L = E.lattice
     N = E.nmax
-    P = z.shape[0]
+    P = z0.shape[0]
     # wp derivative tower p_j = wp^{(j)}, j = 0..N-2
     C = np.zeros((N + 1, P), dtype=complex)  # series exponent coefficients
     if N >= 1:
-        p0, p1, C[1] = _wp_zeta(L, z, "f_batch")
+        p0, p1, C[1] = _wp_zeta(L, z0)
     if N >= 2:
         p = np.zeros((max(N - 1, 2), P), dtype=complex)
         p[0] = p0
@@ -257,24 +258,18 @@ def _g_sigma(E: ExtLattice, z0):
 
 
 def _g_coeffs(E: ExtLattice, z, s):
-    """(g, s'): g_m at z from the route each point takes, and s' the s to
-    expand them with (s - eta(lam) where g belongs to z0 = z - lam)."""
-    L = E.lattice
-    z0, _, H = _cell_shift(L, z)
-    r = np.abs(z0)
-    near = r <= _RHO * E._series[1]
-    # within half the shortest period, |z0| is the distance to the lattice
-    if np.any(r[near] < L.guard):
-        raise NearPole(f"f_batch: point within guard radius {L.guard:g} of the lattice")
-    if not near.any():
-        return _g_theta(E, z), s
-    s_near = s - H
+    """(g, s - H): g_m at the reduced points z0 = z - lam from the route
+    each takes, and the s to expand them with, s - H = s + eta(lam)."""
+    z0, _, H, _, _ = _guarded_shift(E.lattice, z, "f_batch")
+    near = np.abs(z0) <= _RHO * E._series[1]
     if near.all():
-        return _g_sigma(E, z0), s_near
+        return _g_sigma(E, z0), s - H
+    if not near.any():
+        return _g_theta(E, z0), s - H
     g = np.empty((E.nmax + 1, z.shape[0]), dtype=complex)
     g[:, near] = _g_sigma(E, z0[near])
-    g[:, ~near] = _g_theta(E, z[~near])
-    return g, np.where(near, s_near, s)
+    g[:, ~near] = _g_theta(E, z0[~near])
+    return g, s - H
 
 
 @functools.lru_cache(maxsize=None)

@@ -108,13 +108,18 @@ def _gauss_reduce(w1, w2):
     """Reduce a basis: returns a basis (v1, v2) of the same lattice with
     |v1| <= |v2|, |Re(v2 conj v1)| <= |v1|^2 / 2 and Im(v2/v1) > 0."""
     v1, v2 = complex(w1), complex(w2)
+    prev = 0
     for _ in range(200):
         if abs(v1) > abs(v2):
             v1, v2 = v2, v1
+            prev = 0
         mu = round((v2 * v1.conjugate()).real / abs(v1) ** 2)
-        if mu == 0:
+        # mu = -prev undoes the previous step: on the tie |Re(v2/v1)| = 1/2
+        # the rounded ratio can alternate between +-0.5000000000000001
+        if mu == 0 or mu == -prev:
             break
         v2 = v2 - mu * v1
+        prev = mu
     else:
         raise LatticeError("basis reduction did not terminate")
     ratio = v2 / v1
@@ -302,15 +307,16 @@ def _build_lattice(pub1, pub2, g2, g3):
     return lat
 
 
-def lattice_from_curve(curve: CurveSpec, tol: float = 1e-12) -> LatticeData:
+_CURVE_TOL = 1e-12  # relative q-series round-trip error that accepts a root ordering
+
+
+def lattice_from_curve(curve: CurveSpec) -> LatticeData:
     """Periods of y^2 = 4x^3 - a x - b by the optimal AGM.
 
     Root orderings are searched until the q-series round trip recovers
-    (a, b) to tol * max(1, |a|, |b|); the returned basis is Gauss-reduced
-    with Im(omega2/omega1) > 0.
+    (a, b) to _CURVE_TOL * max(1, |a|, |b|); the returned basis is
+    Gauss-reduced with Im(omega2/omega1) > 0.
     """
-    if not (1e-14 <= tol <= 1e-6):
-        raise ValueError(f"tol must lie in [1e-14, 1e-6], got {tol}")
     a = float(curve.a)
     b = float(curve.b)
     roots = np.roots([4.0, 0.0, -a, -b]).astype(complex)
@@ -330,9 +336,9 @@ def lattice_from_curve(curve: CurveSpec, tol: float = 1e-12) -> LatticeData:
         err = max(abs(g2c - a), abs(g3c - b)) / scale
         if best is None or err < best[0]:
             best = (err, v1, v2)
-        if err <= tol:
+        if err <= _CURVE_TOL:
             break
-    if best is None or best[0] > tol:
+    if best is None or best[0] > _CURVE_TOL:
         raise ConvergenceFailure(
             f"no root ordering reproduced (a, b); best relative error {best[0] if best else 'n/a'}"
         )
@@ -368,13 +374,31 @@ def _reduce(z, w1, w2, inv):
 
 
 def _cell_shift(L, z):
-    """(z0, lam, H) for the points z: lam = m w1 + n w2, the lattice point
-    of the reduced basis that z is reduced by, z0 = z - m w1 - n w2, and
+    """(z0, lam, H, m, n) for the points z: lam = m w1 + n w2, the lattice
+    point of the reduced basis that z is reduced by, z0 = z - lam, and
     H = m H1 + n H2 on the same basis, so that zeta(z0 + lam) = zeta(z0) + H
-    and eta(lam) = -H.  The one place that pairs a point's lattice shift
-    with its quasi-period."""
+    and eta(lam) = -H.  The one place that reduces a point on the reduced
+    basis and pairs its lattice shift with its quasi-period.
+
+    z0 = x w1 + y w2 with |x|, |y| <= 1/2, and every lattice point other
+    than 0 lies at least (sqrt(3)/4) |w1| from that cell: on a Gauss-reduced
+    basis the angle theta between w1 and w2 has |cos theta| <= 1/2, and the
+    part of (m w1 + n w2) - z0 normal to w2 is |m - x| |w1| sin theta, which
+    is >= (sqrt(3)/4) |w1| for m != 0; for m = 0 the part normal to w1 is
+    |n - y| |w2| sin theta >= (sqrt(3)/4) |w2|.  So below that radius |z0|
+    is the distance to the lattice."""
     z0, m, n = _reduce(z, L._w1r, L._w2r, L._red_inv)
-    return z0, m * L._w1r + n * L._w2r, m * L._H1r + n * L._H2r
+    return z0, m * L._w1r + n * L._w2r, m * L._H1r + n * L._H2r, m, n
+
+
+def _guarded_shift(L, z, what):
+    """_cell_shift, and NearPole if some |z0| < L.guard: the guard, 1e-6 of
+    the shortest public period, is below (sqrt(3)/4) |w1| unless the public
+    basis is some 10^5 times longer than the reduced one."""
+    z0, lam, H, m, n = _cell_shift(L, z)
+    if np.any(np.abs(z0) < L.guard):
+        raise NearPole(f"{what}: point within guard radius {L.guard:g} of the lattice")
+    return z0, lam, H, m, n
 
 
 def reduce_mod_lattice(L: LatticeData, z):
@@ -386,46 +410,23 @@ def reduce_mod_lattice(L: LatticeData, z):
     return z0, (m, n)
 
 
-def _dist_to_lattice(L, z0):
-    """Distance from reduced points to the nearest lattice point."""
-    z0 = np.asarray(z0, dtype=complex)
-    d = np.abs(z0)
-    for i in (-1, 0, 1):
-        for j in (-1, 0, 1):
-            if i == 0 and j == 0:
-                continue
-            d = np.minimum(d, np.abs(z0 - (i * L._w1r + j * L._w2r)))
-    return d
-
-
-def _reduced_point(L, z, what):
-    z0, m, n = _reduce(z, L._w1r, L._w2r, L._red_inv)
-    d = _dist_to_lattice(L, z0)
-    if np.any(d < L.guard):
-        raise NearPole(f"{what}: point within guard radius {L.guard:g} of the lattice")
-    return z0, m, n
-
-
 # --------------------------------------------------------------------------
 # primary evaluators
 
 
-def _wp_zeta(L, z, what):
-    """(wp, wp', zeta) at z from one reduction and one theta_1 evaluation;
-    zeta by quasi-periodic transport on the reduced basis.  Returns arrays
-    of at least one dimension: a scalar z is evaluated as a one-element
-    array, as numpy's scalar products round differently from its array
-    loops."""
-    z0, m, n = _reduced_point(L, np.atleast_1d(z), what)
-    u = z0 / L._w1r
-    _, zet, p, pp = _norm_funcs(u, L._cache)
-    return p / L._w1r ** 2, pp / L._w1r ** 3, zet / L._w1r + m * L._H1r + n * L._H2r
+def _wp_zeta(L, z0):
+    """(wp, wp', zeta) at reduced points z0 (arrays) from one theta_1
+    evaluation."""
+    _, zet, p, pp = _norm_funcs(z0 / L._w1r, L._cache)
+    return p / L._w1r ** 2, pp / L._w1r ** 3, zet / L._w1r
 
 
 def wp(L: LatticeData, z):
     """(wp(z), wp'(z)); scalar in, scalar out, arrays broadcast.  A scalar
-    gives the same floats as the same point in an array."""
-    p, pp, _ = _wp_zeta(L, z, "wp")
+    gives the same floats as the same point in an array: it is evaluated as
+    one, as numpy's scalar products round differently from its array loops."""
+    z0 = _guarded_shift(L, np.atleast_1d(z), "wp")[0]
+    p, pp, _ = _wp_zeta(L, z0)
     if np.ndim(z) == 0:
         return complex(p[0]), complex(pp[0])
     return p, pp
@@ -434,7 +435,8 @@ def wp(L: LatticeData, z):
 def wzeta(L: LatticeData, z):
     """Weierstrass zeta via theta_1, quasi-periodic transport on the
     reduced basis."""
-    _, _, val = _wp_zeta(L, z, "wzeta")
+    z0, _, H, _, _ = _guarded_shift(L, np.atleast_1d(z), "wzeta")
+    val = _wp_zeta(L, z0)[2] + H
     if np.ndim(z) == 0:
         return complex(val[0])
     return val
@@ -443,11 +445,8 @@ def wzeta(L: LatticeData, z):
 def wsigma(L: LatticeData, z):
     """Weierstrass sigma via theta_1/theta_1'(0) with the exponential and
     parity factors for the quasi-periodic transport."""
-    z0, m, n = _reduced_point(L, np.atleast_1d(z), "wsigma")
-    u = z0 / L._w1r
-    sig, _, _, _ = _norm_funcs(u, L._cache)
-    lam = m * L._w1r + n * L._w2r
-    H = m * L._H1r + n * L._H2r
+    z0, lam, H, m, n = _guarded_shift(L, np.atleast_1d(z), "wsigma")
+    sig, _, _, _ = _norm_funcs(z0 / L._w1r, L._cache)
     eps = np.where((m + n + m * n) % 2 == 0, 1.0, -1.0)
     val = L._w1r * sig * eps * np.exp(H * (z0 + 0.5 * lam))
     if np.ndim(z) == 0:
@@ -488,7 +487,10 @@ def eta_lambda(L: LatticeData, lam):
     probes = np.array([0.331 * L._w1r + 0.207 * L._w2r, -0.274 * L._w1r + 0.412 * L._w2r])
     # the probes and their translates in one array: a scalar z would round
     # differently in numpy's scalar products
-    zeta = _zeta_direct(L, np.concatenate([probes, probes + lamc]))
+    with np.errstate(over="ignore", invalid="ignore"):
+        zeta = _zeta_direct(L, np.concatenate([probes, probes + lamc]))
+    if not np.all(np.isfinite(zeta)):
+        raise ConvergenceFailure(f"eta probes: theta_1 overflows at Im tau = {L._cache.tau.imag:.6g}")
     vals = (zeta[:2] - zeta[2:]).tolist()
     scale = max(1.0, abs(vals[0]))
     if abs(vals[0] - vals[1]) > 1e-9 * scale:
@@ -689,9 +691,7 @@ def latsum_weierstrass(L: LatticeData, z, M: int = 60):
     bounds what the box leaves out.  Returns arrays matching z.
     """
     zs = np.atleast_1d(np.asarray(z, dtype=complex))
-    d = _dist_to_lattice(L, _reduce(zs, L._w1r, L._w2r, L._red_inv)[0])
-    if np.any(d < L.guard):
-        raise NearPole("latsum_weierstrass: point within guard radius")
+    _guarded_shift(L, zs, "latsum_weierstrass")
     s2, s3, s1, s0, (p4, p6, p8, p10) = _kernels.latsum_eval(zs, L._w1r, L._w2r, M)
     G = eisenstein_from_invariants(L.g2, L.g3, 10)
     t4 = G[4] - p4
@@ -761,7 +761,6 @@ def fundamental_points(L: LatticeData, count: int, seed: int = 0):
     while len(pts) < count:
         u, v = rng.uniform(0.05, 0.95, size=2)
         z = u * L.omega1 + v * L.omega2
-        z0, _, _ = _reduce(z, L._w1r, L._w2r, L._red_inv)
-        if float(_dist_to_lattice(L, z0)) > 50 * L.guard:
+        if abs(_cell_shift(L, z)[0]) > 50 * L.guard:
             pts.append(z)
     return np.array(pts, dtype=complex)

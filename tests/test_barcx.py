@@ -578,6 +578,7 @@ class TestBarElement:
     def test_json_bytes_match_reference(self, terms):
         e = BarElement(terms)
         assert e.to_json() == _reference_to_json(e)
+        assert json.dumps(e.to_dict(), sort_keys=True) == e.to_json()
         assert BarElement.from_json(e.to_json()) == e
 
     def test_json_bytes_match_reference_on_bases(self):

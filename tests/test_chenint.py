@@ -46,7 +46,6 @@ from ellbar.logforms import ExtLattice
 from ellbar.p1model import MZVIndex, mzv_integral, mzv_series
 from ellbar.wlattice import (
     CurveSpec,
-    _dist_to_lattice,
     _reduce,
     eta_lambda,
     lattice_from_curve,
@@ -998,7 +997,10 @@ class TestHomotopy:
         L = ext.lattice
 
         def dist(z):
-            return _dist_to_lattice(L, _reduce(z, L._w1r, L._w2r, L._red_inv)[0])
+            # the nearest of the nine lattice points around the reduced point
+            z0 = _reduce(z, L._w1r, L._w2r, L._red_inv)[0]
+            return np.min([np.abs(z0 - (i * L._w1r + j * L._w2r))
+                           for i in (-1, 0, 1) for j in (-1, 0, 1)], axis=0)
 
         for name, g1, g2 in loop_pair_library(ext):
             cert = homotopy_certificate(model, g1, g2)

@@ -61,6 +61,17 @@ class TestPeriods:
         rep = load_json(out)["report"]
         assert rep["legendre_abs_minus_2pi"] <= 1e-9
 
+    def test_hexagonal_tie_lattice(self):
+        # tau = 1/2 + 0.86603i rotated by 0.3 rad, on the reduction's tie
+        p = run_cli("periods", "--lattice", "1.2419374358632878,0.3841762686597414",
+                    "0.28826054398424805,1.2676432119105536")
+        assert p.returncode == 0, p.stderr
+
+    def test_tall_lattice_is_a_check_failure(self):
+        p = run_cli("periods", "--lattice", "1,0", "0,15")
+        assert p.returncode == 1
+        assert "ConvergenceFailure" in p.stderr and "overflow" in p.stderr
+
     @pytest.mark.parametrize(
         "args",
         [("--lattice", "0.5", "0,0.5"), ("--curve", "3000", "0"), ("--curve", "100000", "0")],

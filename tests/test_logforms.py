@@ -26,7 +26,7 @@ from ellbar.logforms import (
     two_form_coeff,
     two_form_letters,
 )
-from ellbar.wlattice import fundamental_points, lattice_from_periods, reduce_mod_lattice
+from ellbar.wlattice import _cell_shift, fundamental_points, lattice_from_periods, reduce_mod_lattice
 from mpref import SigmaReference
 
 CURVES = [(4, 0), (5, 2)]
@@ -241,9 +241,9 @@ class TestFusedTheta:
         got = f_batch(E, zz, ss)
         calls = []
 
-        def separate(L_, z, what):
-            calls.append(what)
-            return (*wp(L_, z), wzeta(L_, z))
+        def separate(L_, z0):
+            calls.append(z0.size)
+            return (*wp(L_, z0), wzeta(L_, z0))
 
         monkeypatch.setattr(logforms, "_wp_zeta", separate)
         ref = f_batch(E, zz, ss)
@@ -380,7 +380,8 @@ class TestNearLattice:
         # at these scales G_2k for the table's k over- or underflows; the
         # table comes from the invariants scaled by a power of 2, so near
         # points match sigma quotients, and far points keep the theta route
-        # with the G_2k of (g2, g3) themselves
+        # with the G_2k of (g2, g3) themselves, at their reduced points z0
+        # and with s - H
         L = lattice_from_periods(scale, scale * (0.5 + 0.87j))
         ref = SigmaReference(L, dps=40, nodes=64)
         s = 0.3 / scale
@@ -396,8 +397,10 @@ class TestNearLattice:
             for i, z in enumerate(zz):
                 want = np.array([complex(v) for v in ref.f(z, s, nmax)])
                 assert np.all(np.abs(got[:, i] - want) <= 1e-13 * np.abs(want)), (i, got[:, i], want)
-            g, _ = logforms._g_coeffs(E, np.array(far), s)
-            assert np.array_equal(g, logforms._g_theta(E, np.array(far)))
+            z0, _, H, _, _ = _cell_shift(L, np.array(far))
+            g, s_far = logforms._g_coeffs(E, np.array(far), s)
+            assert np.array_equal(g, logforms._g_theta(E, z0))
+            assert np.array_equal(s_far, s - H)
 
     @pytest.mark.parametrize("nmax", [0, 1, 4, 8, 30])
     def test_truncation_bound(self, nmax):

@@ -31,11 +31,13 @@ from ellbar import (
     wzeta,
 )
 from ellbar import _kernels
+from ellbar.logforms import ExtLattice, f_batch
 from ellbar.wlattice import (
     _eis_bound,
     _eis_box_size,
     _eis_constants,
     _eisenstein,
+    _gauss_reduce,
     _reduce,
     _theta1_block,
     eisenstein_from_invariants,
@@ -47,6 +49,13 @@ LEMNISCATIC = 2.6220575542921198
 
 
 CURVES = [CurveSpec(4, 0), CurveSpec(0, 4), CurveSpec(5, 2)]
+
+# Every nondegenerate curve with |a|, |b| <= 5
+POPULATION = [(a, b) for a in range(-5, 6) for b in range(-5, 6) if a ** 3 != 27 * b ** 2]
+
+# tau = 1/2 + 0.86603i rotated by 0.3 rad: in the reduction loop
+# Re(v2 conj v1) / |v1|^2 alternates between +-0.5000000000000001
+HEX_TIE = (1.2419374358632878 + 0.3841762686597414j, 0.28826054398424805 + 1.2676432119105536j)
 
 
 @pytest.fixture(scope="module")
@@ -337,6 +346,86 @@ def test_near_pole_guard(lattices):
             wsigma(L, z)
 
 
+def _cell_gap(L):
+    """Smallest distance from a lattice point other than 0 to the centred
+    cell |x|, |y| <= 1/2 of the reduced basis (points beyond index 3 are
+    farther)."""
+    w1, w2 = L._w1r, L._w2r
+    corners = [0.5 * (w1 + w2), 0.5 * (w2 - w1), -0.5 * (w1 + w2), 0.5 * (w1 - w2)]
+    gap = math.inf
+    for m in range(-3, 4):
+        for n in range(-3, 4):
+            if m == 0 and n == 0:
+                continue
+            p = m * w1 + n * w2
+            for a, b in zip(corners, corners[1:] + corners[:1]):
+                t = min(1.0, max(0.0, ((p - a) * (b - a).conjugate()).real / abs(b - a) ** 2))
+                gap = min(gap, abs(p - a - t * (b - a)))
+    return gap
+
+
+def test_cell_gap_bound():
+    # on a Gauss-reduced basis every lattice point other than 0 lies at
+    # least (sqrt(3)/4) |w1| from the centred cell, so |z0| below the guard
+    # is the distance to the lattice; the hexagonal basis attains the bound
+    bound = math.sqrt(3) / 4
+    lats = {ab: lattice_from_curve(CurveSpec(*ab)) for ab in POPULATION}
+    lats["hexagonal"] = lattice_from_periods(1.0, cmath.exp(1j * math.pi / 3))
+    lats["square"] = lattice_from_periods(1.0, 1j)
+    lats["hex tie"] = lattice_from_periods(*HEX_TIE)
+    lats["Im tau 12"] = lattice_from_periods(1.0, 12j)
+    for key, L in lats.items():
+        gap = _cell_gap(L) / abs(L._w1r)
+        assert gap >= bound * (1 - 1e-12), key
+        assert L.guard < bound * abs(L._w1r), key
+    assert _cell_gap(lats["hexagonal"]) == pytest.approx(bound, rel=1e-12)
+
+
+@pytest.mark.parametrize("fn", [
+    lambda L, z: wp(L, z),
+    lambda L, z: wzeta(L, z),
+    lambda L, z: wsigma(L, z),
+    lambda L, z: latsum_weierstrass(L, z, M=10),
+    lambda L, z: f_batch(ExtLattice(L, nmax=4), z, 0.1),
+], ids=["wp", "wzeta", "wsigma", "latsum_weierstrass", "f_batch"])
+def test_guard_radius_around_each_lattice_point(lattices, fn):
+    # NearPole exactly within the guard of 0, omega1, omega2 and
+    # omega1 + omega2, as the nine-point distance test before the reduced
+    # |z0| test decided it
+    for L in lattices + [lattice_from_periods(*HEX_TIE)]:
+        other = 0.3 * L.omega1 + 0.4 * L.omega2
+        for lam in (0.0, L.omega1, L.omega2, L.omega1 + L.omega2):
+            for t in range(6):
+                step = L.guard * cmath.exp(1j * (0.3 + t))
+                with pytest.raises(NearPole):
+                    fn(L, np.array([lam + (1 - 1e-3) * step, other]))
+                fn(L, np.array([lam + (1 + 1e-3) * step, other]))
+
+
+def test_gauss_reduce_stops_on_the_hexagonal_tie():
+    # mu = +-1 would undo itself until the step limit
+    w1, w2 = HEX_TIE
+    v1, v2 = _gauss_reduce(w1, w2)
+    M = np.linalg.solve([[w1.real, w2.real], [w1.imag, w2.imag]],
+                        [[v1.real, v2.real], [v1.imag, v2.imag]])
+    assert np.allclose(M, np.round(M), atol=1e-9)
+    assert abs(round(np.linalg.det(np.round(M)))) == 1
+    assert abs(v1) <= abs(v2) * (1 + 1e-15)
+    assert abs((v2 * v1.conjugate()).real) <= (0.5 + 1e-15) * abs(v1) ** 2
+    assert (v2 / v1).imag > 0
+    L = lattice_from_periods(w1, w2)
+    assert abs(abs(L.eta1 * L.omega2 - L.eta2 * L.omega1) - 2 * math.pi) < 1e-12
+
+
+def test_tall_lattice_probes():
+    # eta_lambda's unreduced probes stay finite at Im tau = 12 and overflow
+    # the theta_1 series at 15
+    L = lattice_from_periods(1.0, 12j)
+    assert L.legendre_sign in (1, -1)
+    with pytest.raises(ConvergenceFailure, match="overflow"):
+        lattice_from_periods(1.0, 15j)
+
+
 def test_reduce_mod_lattice(lattices):
     for L in lattices:
         z0, (m, n) = reduce_mod_lattice(L, L.omega1 + L.omega2)
@@ -368,13 +457,6 @@ def test_lattice_from_periods_roundtrip():
         lattice_from_periods(1.0, 1j * -2.0)  # wrong orientation
     with pytest.raises(LatticeError):
         lattice_from_periods(1.0, 2.0)  # dependent over R
-
-
-def test_tol_precondition():
-    with pytest.raises(ValueError):
-        lattice_from_curve(CurveSpec(4, 0), tol=1e-3)
-    with pytest.raises(ValueError):
-        lattice_from_curve(CurveSpec(4, 0), tol=1e-16)
 
 
 def test_eta_lambda_rejects_non_lattice(lattices):
