@@ -1,14 +1,19 @@
 """Hot numerical kernels: direct lattice sums and panel transport.
 
 One numpy implementation per kernel.  ``eis_sum`` walks the index box in
-blocks of ``_ROW_BLOCK`` rows.  ``latsum_eval`` walks half the index box:
-each lambda is paired with -lambda in one pair term written without
-cancellation, for a block of points at a time of at most
-``_LATSUM_ENTRIES`` point-lambda entries; what the box leaves out is bounded
-by ``wlattice.latsum_truncation_bound``.  The panel kernel builds the word
-series one word length at a time for a whole row of panels, in blocks of at
-most ``_BLOCK_ENTRIES`` word-node entries; a length may hold any number of
-words, as long as their suffixes are in the length below.
+blocks of ``_ROW_BLOCK`` rows.  ``latsum_eval`` gives the primed sums over
+the index box, each lambda paired with -lambda, split into near and far
+parts: once per call it sorts half the box into shells by the binade of
+|lambda|^2 and forms each shell's power sums of lambda^-2; per point, the
+shells well beyond |z| enter through a short power series in z^2 over those
+sums, and only the few lambda nearer z are summed directly, in pair terms
+written without cancellation, for a block of points at a time of at most
+``_LATSUM_ENTRIES`` point-lambda entries.  What the box and the cut series
+leave out is bounded by ``wlattice.latsum_truncation_bound``.  The panel
+kernel builds the word series one word length at a time for a whole row of
+panels, in blocks of at most ``_BLOCK_ENTRIES`` word-node entries; a length
+may hold any number of words, as long as their suffixes are in the length
+below.
 """
 
 import numpy as np
@@ -16,6 +21,15 @@ import numpy as np
 _ROW_BLOCK = 32
 _BLOCK_ENTRIES = 1 << 13  # word-node entries per panel-kernel product (128 KiB)
 _LATSUM_ENTRIES = 1 << 14  # point-lambda entries per lattice-sum work array (256 KiB)
+# The lattice sums' far series keep w^k P_(k+2) for k <= _LATSUM_TERMS, on
+# shells lying wholly beyond |lambda|^2 = 2^_LATSUM_GAP |w|, where
+# |u| = |w|/|lambda|^2 < 1/8.  K = 23 is the least K at which the proven
+# remainder of each of the four series (wlattice.latsum_truncation_bound) is
+# below 1/1000 of the unit roundoff times the bound on its k = 0 term; at
+# 1/100 (K = 22) it would pass the box's own M^-10 bound for wp on the
+# curve (5, 2) at M = 40.
+_LATSUM_TERMS = 23
+_LATSUM_GAP = 3
 
 
 def eis_sum(w1, w2, M, k):
@@ -46,6 +60,39 @@ def _half_box(w1, w2, M):
     return np.concatenate((np.arange(1, M + 1) * w1, rows))
 
 
+def _shell_sums(il2, first):
+    """Suffix sums over the shells of P_(k+2) = sum lambda^(-2k-4), k = 0..K.
+
+    il2 holds lambda^-2 sorted by shell and ``first`` the index at which
+    each nonempty shell starts.  Row i of the result is summed over shell i
+    and every shell beyond it; the last row, past the outermost shell, is 0.
+    """
+    table = np.zeros((len(first) + 1, _LATSUM_TERMS + 1), dtype=np.complex128)
+    p = il2 * il2
+    for k in range(_LATSUM_TERMS + 1):
+        table[:-1, k] = np.add.reduceat(p, first)
+        p *= il2
+    np.cumsum(table[-2::-1], axis=0, out=table[-2::-1])
+    return table
+
+
+def _far_coeffs():
+    """The far series' coefficients of w^k P_(k+2), k = 0..K, for S2, S3,
+    S1 and S0 (before their factors 2w, -2z, -2zw and -w^2)."""
+    k = np.arange(_LATSUM_TERMS + 1.0)
+    return np.array([2.0 * k + 3.0, (2.0 * k + 3.0) * (k + 1.0), np.ones_like(k), 1.0 / (k + 2.0)])
+
+
+def _picked(cums, count):
+    """cums[:, r, count[r] - 1], or 0 where count[r] = 0: of cumulative sums
+    along the last axis, each row's sum over its first count[r] entries,
+    whatever the width of the block."""
+    picked = np.zeros(cums.shape[:-1], dtype=cums.dtype)
+    rows = np.flatnonzero(count)
+    picked[:, rows] = cums[:, rows, count[rows] - 1]
+    return picked
+
+
 def latsum_eval(zs, w1, w2, M):
     """Primed lattice sums (S2, S3, S1, S0) at each z, and (P4, P6, P8, P10).
 
@@ -54,70 +101,105 @@ def latsum_eval(zs, w1, w2, M):
     S1 = sum (z-lambda)^-1 + t + z t^2,
     S0 = sum log(1 - z t) + z t + z^2 t^2 / 2, and P_k = sum t^k.
     Each lambda is taken together with -lambda, so the sums run over the
-    half box with pair terms free of cancellation (w = z^2, u = w t^2):
-    S2: 2 w (3 lambda^2 - w) t^2 / (lambda^2 - w)^2,
+    half box; with w = z^2 and u = w t^2 the pair terms are
+    S2: 2 w (3 - u) t^4 / (1 - u)^2,  S3: -2 z (3 + u) t^4 / (1 - u)^3,
+    S1: -2 z w t^4 / (1 - u),  S0: log(1 - u) + u.
+
+    Near/far split.  The half box is sorted into shells by the binade of
+    |lambda|^2, and for each shell and k = 0..K (K = ``_LATSUM_TERMS``) the
+    sum P_(k+2) of lambda^(-2k-4) over that shell and every shell beyond it
+    is formed once per call.  A point with |w| < 2^e takes the shells from
+    |lambda|^2 >= 2^(e + ``_LATSUM_GAP``) on as far, so |u| < 1/8 on them,
+    and their pair terms come from the series in u:
+    S2: 2 w sum (2k+3) w^k P_(k+2),  S3: -2 z sum (2k+3)(k+1) w^k P_(k+2),
+    S1: -2 z w sum w^k P_(k+2),  S0: -w^2 sum w^k P_(k+2) / (k+2),
+    over k = 0..K; ``wlattice.latsum_truncation_bound`` bounds the rest.
+    The near lambda, inside those shells, keep their pair terms, written
+    without cancellation as
+    S2: 2 w (3 - u) / (lambda^2 - w)^2,
     S3: -2 z (w + 3 lambda^2) / (lambda^2 - w)^3,
     S1: -2 z w t^2 / (lambda^2 - w),
-    S0: log1p(-u) + u, as the real 1/2 log1p(|u|^2 - 2 Re u) + Re u and
-    the imaginary atan2(-Im u, 1 - Re u) + Im u (numpy's complex log1p
-    loses the small-u digits).  The S0 pair is the sum of the two
-    logarithms when |z| < |lambda|, and has the same exponential always.
-    The factors of z are taken out of the sums.
+    S0: the real 1/2 log1p(|u|^2 - 2 Re u) + Re u and the imaginary
+    atan2(-Im u, 1 - Re u) + Im u (numpy's complex log1p loses the
+    small-u digits).  The S0 pair is the sum of the two logarithms when
+    |z| < |lambda|, and has the same exponential always.  So the result
+    is still the primed box-M sum, with the far part cut after K terms.
+    P4..P10 are 2 P_2..2 P_5 over every shell.
 
-    The points are evaluated in blocks of at most ``_LATSUM_ENTRIES``
-    point-lambda entries; each row of a block is summed on its own, so a
+    The near terms of a block of points fill four work arrays, one per sum,
+    of at most ``_LATSUM_ENTRIES`` point-lambda entries each, and each
+    point's near terms are summed in sequence over its own near lambda, so a
     point's sums are the same floats however the points are grouped.
     """
     zs = np.ascontiguousarray(zs, dtype=np.complex128)
-    lam = _half_box(complex(w1), complex(w2), M)
-    lam2 = lam * lam
+    lam2 = _half_box(complex(w1), complex(w2), M)
+    lam2 *= lam2
+    # |lambda|^2 lies in [2^(shell-1), 2^shell); numpy's stable sort of int16
+    # keys is a radix sort
+    shell = np.frexp(np.abs(lam2))[1].astype(np.int16)
+    order = np.argsort(shell, kind="stable")
+    lam2, shell = lam2[order], shell[order]
+    keys, first = np.unique(shell, return_index=True)
     il2 = 1.0 / lam2
-    three_lam2 = 3.0 * lam2
-    partials = tuple(2.0 * np.sum(il2 ** j) for j in (2, 3, 4, 5))
-    nz, nl = len(zs), len(lam)
+    table = _shell_sums(il2, first)
+    partials = tuple(2.0 * table[0, :4])
+    w = zs * zs
+    # the first far shell of each point: |lambda|^2 >= 2^(e + gap) > 2^gap |w|
+    far = np.searchsorted(keys, np.frexp(np.abs(w))[1] + _LATSUM_GAP + 1)
+    count = np.append(first, len(lam2))[far]  # near lambda: a prefix of the shells
+    nz = len(zs)
+    coeffs = _far_coeffs()
+    nmax = int(count.max(initial=0))
+    # a point holds nmax entries in each near work array, coeffs.size in the far product
+    block = max(1, _LATSUM_ENTRIES // max(nmax, coeffs.size))
     sums = np.empty((4, nz), dtype=np.complex128)
-    block = max(1, _LATSUM_ENTRIES // nl)
     # one set of work arrays per call: temporaries of this size would each be
     # a fresh mmap (and its page faults) under glibc's default threshold
-    shape = (min(block, nz), nl)
-    d, e, t = (np.empty(shape, dtype=np.complex128) for _ in range(3))
-    x, y = np.empty(shape), np.empty(shape)
+    shape = (min(block, nz), nmax)
+    terms = np.empty((4,) + shape, dtype=np.complex128)  # S2, S1, S3, S0
     for b in range(0, nz, block):
-        z = zs[b:b + block]
-        w = z * z
-        wc = w[:, None]
+        z, wb, cnt = zs[b:b + block], w[b:b + block], count[b:b + block]
         n = len(z)
-        d_, e_, t_, x_, y_ = d[:n], e[:n], t[:n], x[:n], y[:n]
-        np.divide(1.0, np.subtract(lam2, wc, out=d_), out=d_)  # (lambda^2 - w)^-1
-        np.multiply(il2, d_, out=e_)
-        s1 = np.sum(e_, axis=1)
-        np.subtract(three_lam2, wc, out=t_)
-        t_ *= e_
-        t_ *= d_
-        s2 = np.sum(t_, axis=1)
-        np.add(three_lam2, wc, out=t_)
-        np.multiply(d_, d_, out=e_)
-        e_ *= d_
-        t_ *= e_
-        s3 = np.sum(t_, axis=1)
-        np.multiply(wc, il2, out=t_)  # u
-        ur, ui = t_.real, t_.imag
-        np.multiply(ur, ur, out=x_)
-        x_ += np.multiply(ui, ui, out=y_)
-        x_ -= np.multiply(2.0, ur, out=y_)
-        np.log1p(x_, out=x_)
-        x_ *= 0.5
-        x_ += ur
-        re = np.sum(x_, axis=1)
-        np.subtract(1.0, ur, out=y_)
-        np.arctan2(np.negative(ui, out=x_), y_, out=x_)
-        x_ += ui
-        im = np.sum(x_, axis=1)
-        sums[0, b:b + n] = 2.0 * w * s2
-        sums[1, b:b + n] = -2.0 * z * s3
-        sums[2, b:b + n] = -2.0 * z * w * s1
-        sums[3, b:b + n].real = re
-        sums[3, b:b + n].imag = im
+        # far part: w^k times the point's far shell sums, per series
+        wk = np.empty((n, _LATSUM_TERMS + 1), dtype=np.complex128)
+        wk[:, 0] = 1.0
+        wk[:, 1:] = wb[:, None]
+        np.cumprod(wk, axis=1, out=wk)
+        wk *= table[far[b:b + block]]
+        f2, f3, f1, f0 = np.sum(wk[:, None, :] * coeffs, axis=2).T
+        # near part: each point's own lambda are the first cnt of the block's nb
+        nb = int(cnt.max())
+        lam2b, il2b = lam2[:nb], il2[:nb]
+        wc = wb[:, None]
+        t_ = terms[:, :n, :nb]
+        t2, t1, t3, t0 = t_
+        np.multiply(wc, il2b, out=t2)  # u
+        ur, ui, x, y = t2.real, t2.imag, t0.real, t0.imag
+        np.multiply(ur, ur, out=x)
+        x += np.multiply(ui, ui, out=y)
+        x -= np.multiply(2.0, ur, out=y)
+        np.log1p(x, out=x)
+        x *= 0.5
+        x += ur
+        np.subtract(1.0, ur, out=y)
+        np.arctan2(ui, y, out=y)  # atan2(-Im u, 1 - Re u) = -y
+        np.subtract(ui, y, out=y)
+        np.divide(1.0, np.subtract(lam2b, wc, out=t1), out=t1)  # (lambda^2 - w)^-1
+        np.multiply(3.0, lam2b, out=t3)
+        t3 += wc
+        t3 *= t1
+        t3 *= t1
+        t3 *= t1
+        np.subtract(3.0, t2, out=t2)
+        t2 *= t1
+        t2 *= t1
+        t1 *= il2b
+        np.cumsum(t_, axis=2, out=t_)
+        s2, s1, s3, s0 = _picked(t_, cnt)
+        sums[0, b:b + n] = 2.0 * wb * (s2 + f2)
+        sums[1, b:b + n] = -2.0 * z * (s3 + f3)
+        sums[2, b:b + n] = -2.0 * z * wb * (s1 + f1)
+        sums[3, b:b + n] = s0 - wb * wb * f0
     return sums[0], sums[1], sums[2], sums[3], partials
 
 

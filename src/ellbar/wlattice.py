@@ -684,11 +684,14 @@ def eisenstein_from_invariants(g2, g3, kmax: int = 12):
 def latsum_weierstrass(L: LatticeData, z, M: int = 60):
     """Reference values (wp, wp', zeta, sigma) by truncated lattice sums.
 
-    Independent of the theta route: direct primed sums over the index box M
+    Independent of the theta route: the primed sums over the index box M
     plus exact tail assists through G_4..G_10 (computed from g2, g3, not from
-    theta).  The box sums pair each lambda with -lambda and run over half
-    the box (see ``_kernels.latsum_eval``); ``latsum_truncation_bound``
-    bounds what the box leaves out.  Returns arrays matching z.
+    theta).  The box sums pair each lambda with -lambda over half the box
+    and split it per point (see ``_kernels.latsum_eval``): the lambda near z
+    are summed directly, and the shells of lambda from the power of two
+    above 8 |z|^2 on through a power series in z^2 over their power sums of
+    lambda^-2, formed once per call.  ``latsum_truncation_bound`` bounds
+    what the box and the cut series leave out.  Returns arrays matching z.
     """
     zs = np.atleast_1d(np.asarray(z, dtype=complex))
     _guarded_shift(L, zs, "latsum_weierstrass")
@@ -715,21 +718,44 @@ def latsum_weierstrass(L: LatticeData, z, M: int = 60):
 def latsum_truncation_bound(L: LatticeData, z, M: int = 60):
     """Bounds on the truncation error of latsum_weierstrass(L, z, M).
 
-    Returns (wp, wp', zeta, log sigma) bounds matching z.  Outside the box,
-    each function's terms expand in powers of z/lambda; the assists through
-    G_10 take the even powers k <= 10 exactly and the odd ones cancel in
-    +-lambda pairs, so the error is sum over even k >= 12 of
-    c_k z^(k-j) T_k, T_k the sum of lambda^-k outside the box, with
-    (c_k, j) = (k-1, 2), ((k-1)(k-2), 3), (1, 1), (1/k, 0).  The rings
+    Returns (wp, wp', zeta, log sigma) bounds matching z, each the sum of a
+    bound on what the box leaves out and one on what the kernel's cut far
+    series leave out.
+
+    Box.  Outside the box, each function's terms expand in powers of
+    z/lambda; the assists through G_10 take the even powers k <= 10 exactly
+    and the odd ones cancel in +-lambda pairs, so the error is sum over even
+    k >= 12 of c_k z^(k-j) T_k, T_k the sum of lambda^-k outside the box,
+    with (c_k, j) = (k-1, 2), ((k-1)(k-2), 3), (1, 1), (1/k, 0).  The rings
     max(|m|,|n|) = i > M hold 8i points with |lambda|^2 >= lam_min i^2
     (lam_min from _eis_constants), so |T_k| <= 8 lam_min^-k/2 M^(2-k)/(k-2).
     With a = sqrt(lam_min) M, r = |z|/a and s = r^2, the sums over k
     close to 8 M^2 times a^-2 (11/10) r^10/(1-s), a^-3 r^9 (11-9s)/(1-s)^2,
     a^-1 r^11/(10 (1-s)) and r^12/(120 (1-s)), using 1/(k-2) <= 1/10.
     The expansion needs |z| < a: ConvergenceFailure otherwise.
+
+    Far series (see _latsum_far_bound).  ``_kernels.latsum_eval`` sums the
+    pair terms of the far lambda of the half box, those with
+    |u| = |z|^2/|lambda|^2 <= q = 1/8, as series in w = z^2 cut after
+    k = K (``_kernels._LATSUM_TERMS``).  With x = |u| <= q, each pair term's
+    remainder is lambda^-4 times a tail sum_(k>K) c_k x^k <= q^(K+1) A,
+    A = sum_(j>=0) c_(K+1+j) q^j, for the coefficients
+    c_k = 2k+3 (S2), (2k+3)(k+1) (S3), 1 (S1) and 1/(k+2) (S0):
+    A2 = (2K+5)/(1-q) + 2q/(1-q)^2,
+    A3 = (2K+5)(K+2)/(1-q) + (4K+9) q/(1-q)^2 + 2q(1+q)/(1-q)^3
+    (from (a+2j)(b+j) = ab + (a+2b) j + 2 j^2 and the sums of j q^j and
+    j^2 q^j), A1 = 1/(1-q) and A0 = 1/((K+3)(1-q)).  Over the half box
+    sum |lambda|^-4 <= T = 4 zeta(3)/lam_min^2, by the same rings (4i points
+    each in the half box).  With the series' factors 2|w|, 2|z|, 2|z||w| and
+    |w|^2, the remainders of S2, S3, S1 and S0 are at most
+    2|w| T q^(K+1) A2, 2|z| T q^(K+1) A3, 2|z||w| T q^(K+1) A1 and
+    |w|^2 T q^(K+1) A0.  They enter wp, wp', zeta and log sigma with the
+    factors 1, 2, 1 and 1.  The kernel's shell test compares rounded |w|
+    and |lambda|^2, which the factor 1 + 2^-48 on q covers.
     """
     zs = np.atleast_1d(np.asarray(z, dtype=complex))
-    a = math.sqrt(_eis_constants(L._w1r, L._w2r, 12)[0]) * M
+    lam_min = _eis_constants(L._w1r, L._w2r, 12)[0]
+    a = math.sqrt(lam_min) * M
     r = np.abs(zs) / a
     if np.any(r >= 1.0):
         raise ConvergenceFailure(
@@ -738,15 +764,33 @@ def latsum_truncation_bound(L: LatticeData, z, M: int = 60):
         )
     s = r * r
     c = 8.0 * M * M / (1.0 - s)
+    f2, f3, f1, f0 = _latsum_far_bound(zs, lam_min)
     out = (
-        c * 1.1 * r ** 10 / a ** 2,
-        c * r ** 9 * (11.0 - 9.0 * s) / ((1.0 - s) * a ** 3),
-        c * r ** 11 / (10.0 * a),
-        c * r ** 12 / 120.0,
+        c * 1.1 * r ** 10 / a ** 2 + f2,
+        c * r ** 9 * (11.0 - 9.0 * s) / ((1.0 - s) * a ** 3) + 2.0 * f3,
+        c * r ** 11 / (10.0 * a) + f1,
+        c * r ** 12 / 120.0 + f0,
     )
     if np.ndim(z) == 0:
         return tuple(float(b[0]) for b in out)
     return out
+
+
+def _latsum_far_bound(zs, lam_min):
+    """Bounds on the remainders of the far series of ``_kernels.latsum_eval``
+    in (S2, S3, S1, S0) at zs, for a basis whose Gram matrix has smallest
+    eigenvalue lam_min; the proof is in latsum_truncation_bound."""
+    K = _kernels._LATSUM_TERMS
+    q = 2.0 ** -_kernels._LATSUM_GAP * (1.0 + 2.0 ** -48)
+    p = 1.0 - q
+    a2 = (2 * K + 5) / p + 2.0 * q / p ** 2
+    a3 = (2 * K + 5) * (K + 2) / p + (4 * K + 9) * q / p ** 2 + 2.0 * q * (1.0 + q) / p ** 3
+    a1 = 1.0 / p
+    a0 = 1.0 / ((K + 3) * p)
+    T = 4.81 / lam_min ** 2 * q ** (K + 1)  # 4 zeta(3) < 4.81
+    az = np.abs(zs)
+    aw = az * az
+    return 2.0 * aw * T * a2, 2.0 * az * T * a3, 2.0 * az * aw * T * a1, aw * aw * T * a0
 
 
 # --------------------------------------------------------------------------

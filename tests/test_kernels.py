@@ -9,6 +9,7 @@ import pytest
 
 from ellbar import _kernels, chenint
 from ellbar.chenint import _factor_table, _ref_quad, _word_table
+from ellbar.wlattice import _eis_constants, _latsum_far_bound
 
 
 def _panel_transport_numpy(first, suffix, phi, Q, wts):
@@ -206,3 +207,101 @@ def test_latsum_eval_memory_stays_bounded():
     finally:
         tracemalloc.stop()
     assert peak <= 2 * 2**20
+
+
+# The near/far split: a point's near lambda are those with |lambda|^2 below
+# 2^(e+3) for |w| in [2^(e-1), 2^e), so every lambda is far when
+# |lambda|^2 >= 16 |z|^2 and every lambda is near when |lambda|^2 <= 8 |z|^2.
+# Near the box edge the rounding of lambda = m w1 + n w2 is amplified by
+# |lambda| / |z - lambda| in the pair terms, with or without the split; on a
+# lattice this wide the terms there stay below 1, where the tolerance is
+# absolute.
+SPLIT_W1, SPLIT_W2, SPLIT_M = 4.4, 1.2 + 4.8j, 3
+
+
+def _split_box_radii():
+    lam = _kernels._half_box(SPLIT_W1, SPLIT_W2, SPLIT_M)
+    return float(np.min(np.abs(lam))), float(np.max(np.abs(lam)))
+
+
+def _far_only_points():
+    rng = np.random.default_rng(11)
+    r = rng.uniform(0.04, 1.08, 8)
+    return r * np.exp(2j * np.pi * rng.uniform(0.0, 1.0, 8))
+
+
+def _near_only_points():
+    # in the cells at the edge of the box, off their centres (the half
+    # periods, where the sums cancel far below their terms)
+    cells = [(-3, -3), (-3, 2), (2, -3), (2, 2), (2, 0), (-1, 2), (-3, -1), (0, -3)]
+    return np.array([(m + 0.25) * SPLIT_W1 + (n + 0.3) * SPLIT_W2 for m, n in cells])
+
+
+def _assert_matches_exact(zs):
+    got = _kernels.latsum_eval(zs, SPLIT_W1, SPLIT_W2, SPLIT_M)
+    sums, partials = _latsum_exact(zs, SPLIT_W1, SPLIT_W2, SPLIT_M)
+    diffs = [g - r for g, r in zip(got[:4] + tuple(got[4]), sums + partials)]
+    # beyond |z| = |lambda| the S0 pair term is log(1 - u) + u on the
+    # principal branch, which can differ from the two logarithms by 2 pi i
+    diffs[3] = diffs[3].real + 1j * (np.remainder(diffs[3].imag + np.pi, 2 * np.pi) - np.pi)
+    for d, r in zip(diffs, sums + partials):
+        assert np.all(np.abs(d) <= 1e-15 * np.maximum(1.0, np.abs(r)))
+    return got
+
+
+def test_latsum_eval_far_part_alone():
+    # every lambda of the box is far: the sums are the shell series alone
+    zs = _far_only_points()
+    shortest, _ = _split_box_radii()
+    assert 16.0 * np.max(np.abs(zs)) ** 2 <= shortest ** 2
+    _assert_matches_exact(zs)
+
+
+def test_latsum_eval_near_part_alone():
+    # every lambda of the box is near: the sums are the direct pair terms
+    zs = _near_only_points()
+    _, longest = _split_box_radii()
+    assert 8.0 * np.min(np.abs(zs)) ** 2 >= longest ** 2
+    _assert_matches_exact(zs)
+
+
+def test_latsum_eval_mixed_call(monkeypatch):
+    # far-only, near-only and split points in one call; each point's floats
+    # are those of a call for it alone, also in blocks of two points
+    cells = [(0, 0), (-1, 0), (0, -1), (1, 1), (-1, -1), (1, -2)]
+    mid = np.array([(m + 0.35) * SPLIT_W1 + (n + 0.2) * SPLIT_W2 for m, n in cells])
+    rng = np.random.default_rng(12)
+    zs = np.concatenate([_far_only_points()[:4], mid, _near_only_points()[:4]])
+    zs = zs[rng.permutation(len(zs))]
+    got = _assert_matches_exact(zs)
+    # a point takes at most 2 M (M + 1) = 24 near entries and 4 (K + 1) = 96 far ones
+    monkeypatch.setattr(_kernels, "_LATSUM_ENTRIES", 2 * _kernels._far_coeffs().size)
+    small_blocks = _kernels.latsum_eval(zs, SPLIT_W1, SPLIT_W2, SPLIT_M)
+    for j in range(4):
+        assert np.array_equal(got[j], small_blocks[j])
+        for i in range(len(zs)):
+            assert got[j][i] == _kernels.latsum_eval(zs[i:i + 1], SPLIT_W1, SPLIT_W2, SPLIT_M)[j][0]
+
+
+@pytest.mark.parametrize("K", [46, 3])
+def test_latsum_far_remainder_bound(monkeypatch, K):
+    # K = _LATSUM_TERMS cut against K terms: the sums differ by at most both
+    # runs' proven far remainders plus rounding; at K = 3 the difference is
+    # well above rounding, so it is the bound that covers it
+    w1, w2, M = 1.1, 0.3 + 1.2j, 20
+    rng = np.random.default_rng(13)
+    zs = rng.uniform(-2.0, 2.0, 40) + 1j * rng.uniform(-2.0, 2.0, 40)
+    lam_min = _eis_constants(w1, w2, 12)[0]
+    base = _kernels.latsum_eval(zs, w1, w2, M)
+    bound = _latsum_far_bound(zs, lam_min)
+    monkeypatch.setattr(_kernels, "_LATSUM_TERMS", K)
+    other = _kernels.latsum_eval(zs, w1, w2, M)
+    other_bound = _latsum_far_bound(zs, lam_min)
+    above = False
+    for g, o, b, ob in zip(base[:4], other[:4], bound, other_bound):
+        rounding = 2e-15 * np.maximum(1.0, np.abs(g))
+        diff = np.abs(g - o)
+        assert np.all(diff <= b + ob + rounding)
+        above |= bool(np.any(diff > 100.0 * rounding))
+    assert above == (K == 3)
+    assert all(np.array_equal(p, q) for p, q in zip(base[4], other[4]))
