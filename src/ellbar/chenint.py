@@ -26,6 +26,11 @@ segment's accepted panels are folded once, in t order and in its tree's
 shape, so the floats are those of depth-first recursion over each segment
 alone.
 
+Each series carries an error estimate per word, an accepted panel's being
+its composed halves' distance from its whole panel; every join (panels in
+the bisection tree, a split line's halves, a path's segments, the genus-zero
+end pieces) composes (series, error) pairs by one rule, ``_compose_bounded``.
+
 A curve-model line that passes a lattice point lam closer than 1/32 of its
 length is split at its closest approach.  Each half runs outward from that
 point, shifted by (z, s) -> (z - lam, s + eta(lam)) (``eta_lambda``), which
@@ -567,6 +572,24 @@ def compose_series(later, earlier, table: WordTable):
     return np.add.reduceat(prod, table.split_off[:-1], -1)
 
 
+def _compose_bounded(later, earlier, table: WordTable):
+    """(series, error) of the concatenated path from the halves' (series,
+    error) pairs, the only place where errors combine.
+
+    If B and A are off by at most e_B and e_A word by word, each product
+    B(u) A(v) of a split w = uv is off by at most |B(u)| e_A(v) + e_B(u)
+    (|A(v)| + e_A(v)), and the error of w sums these over its splits: the
+    empty word keeps error 0 (both series hold 1 there), a letter gets
+    e_A + e_B.  The series is ``compose_series``'s; the errors take one
+    pass over the same splits.
+    """
+    (b, e_b), (a, e_a) = later, earlier
+    u, v = table.split_u, table.split_v
+    e_av = e_a.take(v, -1)
+    prod = np.abs(b).take(u, -1) * e_av + e_b.take(u, -1) * (np.abs(a).take(v, -1) + e_av)
+    return compose_series(b, a, table), np.add.reduceat(prod, table.split_off[:-1], -1)
+
+
 # --------------------------------------------------------------------------
 # Gauss-Legendre panel machinery
 
@@ -668,9 +691,9 @@ class _SegmentTransport:
     that no bisection level is spent on reaching the pole.  The half before
     the closest point enters through the antipode.
 
-    ``err``, ``npanels``, ``panels_by_depth`` (depth below a root),
-    ``rejected``, ``split_at`` (the closest point's t, or None) and
-    ``roots`` hold one entry per segment, and ``run`` returns one series per
+    ``npanels``, ``panels_by_depth`` (depth below a root), ``rejected``,
+    ``split_at`` (the closest point's t, or None) and ``roots`` hold one
+    entry per segment, and ``run`` returns one (series, error) pair per
     segment: the same floats and counts as a run over that segment alone.  A
     segment closer than the model's guard to a puncture is refused before
     any is transported; the guard check and the split take one distance
@@ -706,7 +729,6 @@ class _SegmentTransport:
         self.owner = np.asarray(owner)
         self.x, self.w, self.Q = _ref_quad(_ORDER)
         m = len(segs)
-        self.err = [None] * m
         self.npanels = [0] * m
         self.panels_by_depth = [[] for _ in range(m)]
         self.rejected = [0] * m
@@ -733,7 +755,7 @@ class _SegmentTransport:
         )
 
     def run(self):
-        """Series of every segment.
+        """(series, error) of every segment.
 
         Every interval open at a depth, in any piece, has its halves
         evaluated in one batch (a root its whole panel too), and the batch's
@@ -747,11 +769,11 @@ class _SegmentTransport:
         piece's accepted intervals are folded in t order (``_fold_leaves``),
         so values, errors and panel counts are those of depth-first
         recursion from each root of each piece alone; the two halves of a
-        split segment are joined.
+        split segment are joined, errors too (``_compose_bounded``).
         """
         table = self.table
         W = len(table.words)
-        leaves = [[] for _ in self.segs]  # (t0, t1, series, err) of accepted intervals
+        leaves = [[] for _ in self.segs]  # (t0, t1, (series, err)) of accepted intervals
         p, a, b = (np.array(c) for c in zip(*(
             (q, t0, t1) for q, roots in enumerate(self.piece_roots) for t0, t1 in roots)))
         # groups (depth, piece, t0, t1, whole panels or None for roots)
@@ -796,7 +818,7 @@ class _SegmentTransport:
             ok = worst + rounding <= budget
             for q, t0, t1, value, e in zip(p[ok].tolist(), a[ok].tolist(), b[ok].tolist(),
                                            comp[ok], err[ok]):
-                leaves[q].append((t0, t1, value, e))
+                leaves[q].append((t0, t1, (value, e)))
             if ok.all():
                 continue
             bad = (~ok).nonzero()[0]
@@ -812,17 +834,15 @@ class _SegmentTransport:
                 np.array((mid[bad], b[bad])).T.ravel(),
                 vals[bad, -2:].reshape(-1, W),  # the halves' panels, in t order
             ))
-        series = [None] * len(self.err)
+        pairs = [None] * len(self.npanels)
         for leaf, part, j in zip(leaves, self.part, self.owner.tolist()):
             value, e = self._fold_leaves(leaf)
             if part < 0:  # the half before the closest point, run outward
                 value, e = table.antipode(value), e[table._reversal]
-            if series[j] is None:
-                series[j], self.err[j] = value, e
-            else:  # the half after the closest point
-                series[j] = compose_series(value, series[j], table)
-                self.err[j] = self.err[j] + e
-        return series
+            if pairs[j] is not None:  # the half after the closest point
+                value, e = _compose_bounded((value, e), pairs[j], table)
+            pairs[j] = (value, e)
+        return pairs
 
     def failure(self, q, a, b, worst, rounding, budget, depth):
         """The QuadratureFailure of piece q's interval [a, b], which names
@@ -841,25 +861,24 @@ class _SegmentTransport:
         )
 
     def _fold_leaves(self, leaves):
-        """A piece's series folded from its accepted intervals, in t order,
-        and the sum of their error estimates, added left to right.
+        """A piece's (series, error), folded from its accepted intervals' in
+        t order.
 
         A leaf or finished subtree that is a right half (t0 an odd multiple
         of its width, exact for dyadic t) is composed onto the finished
-        subtree before it, its left sibling.  So the series compose in the
-        bisection tree's shape, and the floats are those of a bottom-up
-        fold; a dyadic spine of roots folds as the left edge of one tree.
+        subtree before it, its left sibling (``_compose_bounded``).  So the
+        pairs compose in the bisection tree's shape, and the floats are
+        those of a bottom-up fold; a dyadic spine of roots folds as the left
+        edge of one tree.
         """
-        done = []  # finished subtrees (t0, series), left to right
-        total = np.zeros(len(self.table.words))
-        for t0, t1, value, err in sorted(leaves, key=lambda leaf: leaf[0]):
-            total += err
+        done = []  # finished subtrees (t0, (series, error)), left to right
+        for t0, t1, pair in sorted(leaves, key=lambda leaf: leaf[0]):
             while t0 / (t1 - t0) % 2 == 1:
                 t0, left = done.pop()
-                value = compose_series(value, left, self.table)
-            done.append((t0, value))
-        [(_, value)] = done
-        return value, total
+                pair = _compose_bounded(pair, left, self.table)
+            done.append((t0, pair))
+        [(_, pair)] = done
+        return pair
 
 
 @dataclass(frozen=True)
@@ -870,7 +889,7 @@ class TransportResult:
     letters: tuple
     lmax: int
     values: dict  # word tuple -> complex
-    err_by_length: dict  # word length -> summed panel error estimate
+    err_by_length: dict  # word length -> largest error estimate of its words
     panels_by_segment: tuple
     panels_by_depth: tuple  # per segment: panels evaluated at each depth below a root
     rejected_bisections: tuple  # per segment: intervals bisected again
@@ -920,9 +939,7 @@ def chen_transport(
     letters = tuple(letters) if letters is not None else tuple(model.letters())
     table = _word_table(letters, lmax)
     st = _SegmentTransport(model, path.segments, table, tol, max_depth)
-    series = st.run()
-    acc = reduce(lambda earlier, later: compose_series(later, earlier, table), series)
-    err = sum(st.err, np.zeros(len(table.words)))
+    acc, err = reduce(lambda earlier, later: _compose_bounded(later, earlier, table), st.run())
     ebl = {n: float(np.max(err[table.lengths == n])) for n in range(lmax + 1)}
     return TransportResult(
         model=model.name,
@@ -1231,9 +1248,11 @@ def regularized_integral_p1(word, tol: float = 1e-9, full: bool = False):
     The path is cut at delta = 1/4 and 1 - delta.  The end pieces come from
     the local series at each tangential base point (``_tangential_series``),
     for every factor (contiguous subword) of the word; the middle piece is
-    transported on the same factor table.  The three are composed.  A proven
-    bound on what the series' cut tails move in the composed value exceeding
-    tol raises ConvergenceFailure.
+    transported on the same factor table.  The three are composed
+    (``_compose_bounded``), the middle piece with error 0, so the composed
+    error is a proven bound on what the series' cut tails move in the
+    value; the middle piece's transport estimate is not part of it.  That
+    ``tail_bound`` exceeding tol raises ConvergenceFailure.
 
     With ``full`` a dict is returned: the value, that ``tail_bound``, the
     middle piece's panels and rejected bisections, and the log coefficients.
@@ -1250,13 +1269,10 @@ def regularized_integral_p1(word, tol: float = 1e-9, full: bool = False):
     left, e_left = _tangential_series(table, _K, right=False)
     right, e_right = _tangential_series(table, _K, right=True)
     st = _SegmentTransport(P1Model(), [LineSeg(_DELTA, 1 - _DELTA)], table, min(tol, 1e-11), 16)
-    (mid,) = st.run()
-    # a composition with cut tails e_A, e_B moves by at most |A| e_B + e_A (|B| + e_B)
-    inner = compose_series(mid, left, table)
-    e_inner = compose_series(np.abs(mid), e_left, table)
-    total = compose_series(right, inner, table)
-    e_total = compose_series(np.abs(right), e_inner, table)
-    e_total += compose_series(e_right, np.abs(inner) + e_inner, table)
+    ((mid, _),) = st.run()
+    # the middle piece enters with error 0: e_total bounds the cut tails' effect
+    inner = _compose_bounded((mid, np.zeros(len(table.words))), (left, e_left), table)
+    total, e_total = _compose_bounded((right, e_right), inner, table)
     w = table.index[letters]
     tail_bound = float(e_total[w])
     if tail_bound > tol:

@@ -18,6 +18,7 @@ from ellbar.chenint import (
     LineSeg,
     P1Model,
     PathSpec,
+    _compose_bounded,
     _SegmentTransport,
     _word_table,
     chen_transport,
@@ -216,6 +217,33 @@ class TestWordSeries:
         whole = np.array([vG.values[w] for w in tab.words])
         assert np.max(np.abs(compose_series(b, a, tab) - whole)) < 1e-11
 
+    def test_composed_error_bounds_perturbed_series(self):
+        # series perturbed by any delta with |delta| <= e compose within the
+        # composed error, up to the rounding of the two compositions: each
+        # is within (lmax + 3) u of the sum of its products' moduli (lmax + 1
+        # terms, complex products within sqrt(5) u)
+        table = _word_table(("a", "b", "c"), 4)
+        length1 = table.lengths == 1
+        rng = np.random.default_rng(29)
+        u = 2.0 ** -53
+        for _ in range(20):
+            pairs, perturbed = [], []
+            for _ in range(2):
+                x = (1, 1j) @ rng.normal(size=(2, len(table.words))) * 10.0 ** rng.uniform(-2, 2)
+                x[0] = 1.0
+                e = np.abs(x) * 10.0 ** rng.uniform(-12, -1, len(x))
+                e[0] = 0.0
+                delta = e * rng.uniform(0, 1, len(x)) * np.exp(2j * np.pi * rng.uniform(size=len(x)))
+                pairs.append((x, e))
+                perturbed.append(x + delta)
+            value, err = _compose_bounded(*pairs, table)
+            assert np.array_equal(value, compose_series(pairs[0][0], pairs[1][0], table))
+            assert err[0] == 0.0
+            assert np.array_equal(err[length1], pairs[0][1][length1] + pairs[1][1][length1])
+            size = compose_series(*(np.abs(x) + e for x, e in pairs), table)
+            moved = np.abs(compose_series(*perturbed, table) - value)
+            assert np.all(moved <= err + 2 * (table.lmax + 3) * u * size)
+
     def test_reversal_antipode(self, ext, model):
         L = ext.lattice
         z0 = _base(ext)
@@ -368,9 +396,10 @@ class _Recursive:
     and failures.  It recurses from each root of each piece of the segment
     in turn (one piece and root [0, 1] unless the segment is split), folds
     a piece's roots left to right, and joins a split segment's halves, the
-    one before its closest point through the antipode.  Pieces, roots and
-    panels come from the run's own split and panel evaluation, one panel at
-    a time, and a failure is worded by the run's ``failure``."""
+    one before its closest point through the antipode; every join composes
+    (series, error) pairs by ``_compose_bounded``.  Pieces, roots and panels
+    come from the run's own split and panel evaluation, one panel at a time,
+    and a failure is worded by the run's ``failure``."""
 
     def __init__(self, model, seg, table, tol, max_depth):
         self.st = _SegmentTransport(model, [seg], table, tol, max_depth)
@@ -384,21 +413,17 @@ class _Recursive:
         return self.st.panels(np.array([self.q]), np.array([t0]), np.array([t1]))[0]
 
     def run(self):
-        value = None
+        """The segment's (series, error)."""
+        pair = None
         for self.q, roots in enumerate(self.st.piece_roots):
-            self.piece_err = np.zeros(len(self.table.words))
             acc = None
             for t0, t1 in roots:
                 root = self.interval(t0, t1)
-                acc = root if acc is None else compose_series(root, acc, self.table)
-            err = self.piece_err
+                acc = root if acc is None else _compose_bounded(root, acc, self.table)
             if self.st.part[self.q] < 0:
-                acc, err = self.table.antipode(acc), err[self.table._reversal]
-            if value is None:
-                value, self.err = acc, err
-            else:
-                value, self.err = compose_series(acc, value, self.table), self.err + err
-        return value
+                acc = self.table.antipode(acc[0]), acc[1][self.table._reversal]
+            pair = acc if pair is None else _compose_bounded(acc, pair, self.table)
+        return pair
 
     def interval(self, t0, t1, depth=0, whole=None):
         # ``whole`` is this interval's panel when the parent has already
@@ -414,13 +439,12 @@ class _Recursive:
         budget = self.tol * ((t1 - t0) + 0.01 * scale)
         rounding = 2.0 ** -53 * float(np.max(np.abs(whole)))
         if np.max(err) + rounding <= budget:
-            self.piece_err += err
-            return comp
+            return comp, err
         if depth >= self.max_depth:
             raise self.st.failure(self.q, t0, t1, np.max(err), rounding, budget, depth)
         a = self.interval(t0, tm, depth + 1, left)
         b = self.interval(tm, t1, depth + 1, right)
-        return compose_series(b, a, self.table)
+        return _compose_bounded(b, a, self.table)
 
 
 class _WholeEveryCall(_Recursive):
@@ -442,9 +466,9 @@ class TestHalfPanelReuse:
         table = _word_table(letters, lmax)
         args = (model, seg, table, tol, max_depth)
         new, old = _one_segment(*args), _WholeEveryCall(*args)
-        (vals_new,), vals_old = new.run(), old.run()
+        ((vals_new, err_new),), (vals_old, err_old) = new.run(), old.run()
         assert np.array_equal(vals_new, vals_old)
-        assert np.array_equal(new.err[0], old.err)
+        assert np.array_equal(err_new, err_old)
         # three panels per interval call before; reuse saves one per child
         # call, that is per call but a root's
         calls = old.npanels // 3
@@ -503,9 +527,9 @@ class TestLevelSynchronous:
         table = _word_table(tuple(letters), lmax)
         args = (model, seg, table, tol, max_depth)
         new, ref = _one_segment(*args), _Recursive(*args)
-        (vals,), ref_vals = new.run(), ref.run()
+        ((vals, err),), (ref_vals, ref_err) = new.run(), ref.run()
         assert np.array_equal(vals, ref_vals)
-        assert np.array_equal(new.err[0], ref.err)
+        assert np.array_equal(err, ref_err)
         assert new.npanels == [ref.npanels]
         assert sum(new.panels_by_depth[0]) == ref.npanels
         assert ref.npanels == 3 * new.roots[0] + 4 * new.rejected[0]
@@ -677,21 +701,21 @@ class TestManySegments:
         table = _word_table(tuple(letters), lmax)
         rest = (table, 1e-10, 14)
         st = _SegmentTransport(model4, path.segments, *rest)
-        series = st.run()
-        acc, err = None, np.zeros(len(table.words))
+        pairs = st.run()
+        acc = None
         for j, seg in enumerate(path.segments):
             one = _SegmentTransport(model4, [seg], *rest)
-            (vals,) = one.run()
-            assert np.array_equal(series[j], vals)
-            assert np.array_equal(st.err[j], one.err[0])
+            ((vals, err),) = one.run()
+            assert np.array_equal(pairs[j][0], vals)
+            assert np.array_equal(pairs[j][1], err)
             assert st.npanels[j] == one.npanels[0] == 3 * one.roots[0] + 4 * one.rejected[0]
             assert st.panels_by_depth[j] == one.panels_by_depth[0]
             assert st.rejected[j] == one.rejected[0]
             assert st.split_at[j] == one.split_at[0]
             assert st.roots[j] == one.roots[0]
-            acc = vals if acc is None else compose_series(vals, acc, table)
-            err += one.err[0]
+            acc = (vals, err) if acc is None else _compose_bounded((vals, err), acc, table)
         r = chen_transport(model4, path, letters=letters, lmax=lmax, tol=1e-10)
+        acc, err = acc
         assert np.array_equal(np.array([r.values[w] for w in table.words]), acc)
         assert r.err_by_length == {
             n: float(np.max(err[table.lengths == n])) for n in range(lmax + 1)}
@@ -710,12 +734,12 @@ class TestManySegments:
         segs = [LineSeg(1e-4, 0.5), LineSeg(0.5, 1 - 1e-4), LineSeg(1e-4, 1 - 1e-4)]
         rest = (_word_table(("om0", "om1"), 3), 1e-11, 16)
         st = _SegmentTransport(model, segs, *rest)
-        series = st.run()
+        pairs = st.run()
         for j, seg in enumerate(segs):
             one = _one_segment(model, seg, *rest)
-            (vals,) = one.run()
-            assert np.array_equal(series[j], vals)
-            assert np.array_equal(st.err[j], one.err[0])
+            ((vals, err),) = one.run()
+            assert np.array_equal(pairs[j][0], vals)
+            assert np.array_equal(pairs[j][1], err)
             assert st.npanels[j] == one.npanels[0]
             assert st.panels_by_depth[j] == one.panels_by_depth[0]
             assert st.rejected[j] == one.rejected[0]
@@ -801,6 +825,30 @@ class TestPoleSplit:
                 got = r.values[(f"w{n}",)]
                 assert abs(got - want[n - 1]) <= r.err_by_length[1] + 1e-13, (point, clearance, n)
 
+    @pytest.mark.parametrize("curve", [(2, 3), (5, 2), (1, -3)])
+    def test_composed_estimate_covers_split_lines(self, curve):
+        # lines past omega1 at clearances 1e-2 to 1e-4 of it: the estimate
+        # of the words w_n w_n, carried through the spines' folds and the
+        # halves' join, covers their distance from I(w_n)^2 / 2 (shuffle),
+        # I(w_n) by mpmath.  Every root is accepted at depth 0, so the
+        # estimate is the same at any tol that accepts them.
+        L = lattice_from_curve(CurveSpec(*curve))
+        model = EdaggerModel(ExtLattice(L, nmax=3))
+        ref = SigmaReference(L, dps=30, nodes=24)
+        lam, eta = L._w1r, ref.eta(L._w1r)
+        letters = ("w1", "w2", "w3")
+        for clearance in (1e-2, 1e-3, 1e-4):
+            c = lam + 1j * clearance * abs(lam) * lam / abs(lam)
+            seg = LineSeg(c - 0.4 * lam, c + 0.4 * lam)
+            r = chen_transport(model, PathSpec("edagger", (seg,)), letters=letters, lmax=2,
+                               tol=1e-12)
+            assert r.split_at[0] == pytest.approx(0.5) and r.rejected_bisections == (0,)
+            want, quad_err = ref.line_integrals(seg.z0, seg.z1, lam, eta, 3)
+            assert quad_err < 1e-15
+            for n, a in enumerate(letters):
+                actual = abs(r.values[(a, a)] - want[n] ** 2 / 2)
+                assert actual <= r.err_by_length[2], (clearance, a, actual)
+
     def test_antipode_on_random_lines(self, model4):
         # reversing a line, split or not, gives the antipode of its series;
         # the antipode of a table's series is the word-by-word identity
@@ -837,13 +885,13 @@ class TestPoleSplit:
         want, _ = ref.line_integrals(seg.z0, seg.z1, L.omega1, ref.eta(L.omega1), 2)
         for g, t in ((seg, 0.0), (seg.reversed(), 1.0)):
             st = _SegmentTransport(model4, [g], table, 1e-12, 14)
-            (got,) = st.run()
+            ((got, err),) = st.run()
             assert st.split_at == [t] and len(st.segs) == 1 and st.roots[0] > 8
             if t:
                 got = table.antipode(got)
             for n in (1, 2):
                 i = table.index[(f"w{n}",)]
-                assert abs(got[i] - want[n - 1]) <= st.err[0][i] + 1e-13
+                assert abs(got[i] - want[n - 1]) <= err[i] + 1e-13
 
     def test_unsplit_paths_are_plain_runs(self, model4):
         # paths that pass no puncture closer than 1/32 of a line's length,
@@ -863,14 +911,14 @@ class TestPoleSplit:
             assert r.split_at == (None,) * len(path.segments)
             assert r.roots == (1,) * len(path.segments)
             table = _word_table(tuple(letters), lmax)
-            acc, err, npanels = None, np.zeros(len(table.words)), []
+            acc, npanels = None, []
             for seg in path.segments:
                 ref = _Recursive(model, seg, table, 1e-10, 14)
-                vals = ref.run()
+                pair = ref.run()
                 assert ref.st.piece_roots == (((0.0, 1.0),),)
-                acc = vals if acc is None else compose_series(vals, acc, table)
-                err += ref.err
+                acc = pair if acc is None else _compose_bounded(pair, acc, table)
                 npanels.append(ref.npanels)
+            acc, err = acc
             assert np.array_equal(np.array([r.values[w] for w in table.words]), acc)
             assert r.err_by_length == {
                 n: float(np.max(err[table.lengths == n])) for n in range(lmax + 1)}
