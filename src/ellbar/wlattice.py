@@ -485,10 +485,11 @@ def eta_lambda(L: LatticeData, lam):
         return m * eta_lambda(L, (1, 0)) + n * eta_lambda(L, (0, 1))
     lamc = m * L.omega1 + n * L.omega2
     probes = np.array([0.331 * L._w1r + 0.207 * L._w2r, -0.274 * L._w1r + 0.412 * L._w2r])
-    # the probes and their translates in one array: a scalar z would round
-    # differently in numpy's scalar products
+    # each probe's pair z -/+ lam/2, all in one array (a scalar z would round
+    # differently in numpy's scalar products): centred on the probe, the
+    # pair reaches half as far from it as z and z + lam would
     with np.errstate(over="ignore", invalid="ignore"):
-        zeta = _zeta_direct(L, np.concatenate([probes, probes + lamc]))
+        zeta = _zeta_direct(L, np.concatenate([probes - 0.5 * lamc, probes + 0.5 * lamc]))
     if not np.all(np.isfinite(zeta)):
         raise ConvergenceFailure(f"eta probes: theta_1 overflows at Im tau = {L._cache.tau.imag:.6g}")
     vals = (zeta[:2] - zeta[2:]).tolist()

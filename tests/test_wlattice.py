@@ -418,12 +418,14 @@ def test_gauss_reduce_stops_on_the_hexagonal_tie():
 
 
 def test_tall_lattice_probes():
-    # eta_lambda's unreduced probes stay finite at Im tau = 12 and overflow
-    # the theta_1 series at 15
-    L = lattice_from_periods(1.0, 12j)
-    assert L.legendre_sign in (1, -1)
+    # eta_lambda's probe pairs z -/+ lam/2 stay finite at Im tau = 15 and 20,
+    # where the Legendre relation holds, and overflow the theta_1 series at 25
+    for height in (15, 20):
+        L = lattice_from_periods(1.0, height * 1j)
+        assert L.legendre_sign in (1, -1)
+        assert abs(abs(L.eta1 * L.omega2 - L.eta2 * L.omega1) - 2 * math.pi) < 1e-12
     with pytest.raises(ConvergenceFailure, match="overflow"):
-        lattice_from_periods(1.0, 15j)
+        lattice_from_periods(1.0, 25j)
 
 
 def test_reduce_mod_lattice(lattices):
