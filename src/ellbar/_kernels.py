@@ -11,9 +11,10 @@ written without cancellation, for a block of points at a time of at most
 ``_LATSUM_ENTRIES`` point-lambda entries.  What the box and the cut series
 leave out is bounded by ``wlattice.latsum_truncation_bound``.  The panel
 kernel builds the word series one word length at a time for a whole row of
-panels, in blocks of at most ``_BLOCK_ENTRIES`` word-node entries; a length
-may hold any number of words, as long as their suffixes are in the length
-below.
+panels, in blocks of at most ``_BLOCK_ENTRIES`` word-node entries, with an
+error estimate per word from the last two Legendre coefficients of its
+integrand; a length may hold any number of words, as long as their suffixes
+are in the length below.
 """
 
 import numpy as np
@@ -203,8 +204,9 @@ def latsum_eval(zs, w1, w2, M):
     return sums[0], sums[1], sums[2], sums[3], partials
 
 
-def panel_transport(first, suffix, phi, Q, wts, sizes):
-    """Iterated integrals of all table words over a row of quadrature panels.
+def panel_transport(first, suffix, phi, Q, wts, tail, sizes):
+    """Iterated integrals of all table words over a row of quadrature panels,
+    each with an error estimate taken from the same evaluation.
 
     first/suffix encode the word table: word i+1 has first letter
     ``first[i]`` and its length-minus-one suffix at table index ``suffix[i]``
@@ -214,14 +216,27 @@ def panel_transport(first, suffix, phi, Q, wts, sizes):
     k at node j of panel p (d = ``Q.shape[0]``), already multiplied by the
     parametrization derivative and panel jacobian; the P panels lie one
     after another along axis 1.  Q is the node-to-node cumulative
-    integration matrix and wts the full-panel weights.  Returns the
-    (P, words) array of every panel's value for every word.
+    integration matrix, wts the full-panel weights and tail the real (2d, 4)
+    matrix that takes a row of node values, viewed as (re, im) pairs, to the
+    (re, im) pairs of twice their last two Legendre coefficients.  Returns
+    (values, errors), two (P, words) arrays: every panel's value and error
+    estimate for every word.
 
     A word's node values are phi[first] times its suffix's cumulative
-    integral; one product per block of words gives both the panel values
-    (with wts) and the cumulative integrals the next length needs (with Q).
-    The product runs over (words x panels, nodes), so all panels share one
-    pass, and a block holds about ``_BLOCK_ENTRIES`` word-node entries.
+    integral; one product per block of words gives the panel values (with
+    wts), the tail coefficients (with tail) and the cumulative integrals the
+    next length needs (with Q).  The product runs over (words x panels,
+    nodes), so all panels share one pass, and a block holds about
+    ``_BLOCK_ENTRIES`` word-node entries.
+
+    The estimate of a word w = a v with node values g = phi_a V_v is
+
+        E(w) = 2 (|c_(d-2)| + |c_(d-1)|) + L1(a) E(v),  L1(a) = sum_j |w_j phi_a(t_j)|,
+
+    with E(empty) = 0: the last two Legendre coefficients of g measure how
+    far the d-node rule is from resolving it (Trefethen, ATAP ch. 8 and
+    19), and E(v), also the error of v's cumulative integral at every node,
+    moves the integral by at most L1(a) E(v).
     """
     n = phi.shape[0]
     d = Q.shape[0]
@@ -230,9 +245,13 @@ def panel_transport(first, suffix, phi, Q, wts, sizes):
     phi = np.asarray(phi, dtype=np.complex128).reshape(n, P, d)
     QT = np.ascontiguousarray(np.transpose(Q), dtype=np.complex128)
     wts = np.asarray(wts, dtype=np.complex128)
+    # L1 of each word's first letter: sum_j |w_j phi_a(t_j)|, per panel
+    l1 = np.abs(phi * wts).sum(axis=2).take(first, axis=0)
     block = max(1, _BLOCK_ENTRIES // (P * d))
     out = np.empty((W + 1, P), dtype=np.complex128)
     out[0] = 1.0
+    err = np.empty((W + 1, P))
+    err[0] = 0.0
     V = None  # the one-letter words' suffix is the empty word, integral 1
     prev, lo = 0, 1
     for size in sizes:
@@ -247,13 +266,17 @@ def panel_transport(first, suffix, phi, Q, wts, sizes):
             # keeps one row per panel: every panel's row comes out as the
             # same floats as a call for that panel alone.
             e = hi if hi - b <= block + 1 else b + block
-            G = phi[first[b - 1:e - 1]]
+            G = phi.take(first[b - 1:e - 1], axis=0)
             if V is not None:
-                G *= V[suffix[b - 1:e - 1] - prev]
+                G *= V.take(suffix[b - 1:e - 1] - prev, axis=0)
             G = G.reshape(P, 1, d) if size == 1 else G.reshape(-1, d)
             out[b:e] = (G @ wts).reshape(e - b, P)
+            c = np.abs((G.view(np.float64) @ tail).view(np.complex128))
+            np.add(c[..., 0], c[..., 1], out=err[b:e].reshape(c.shape[:-1]))
             if not longest:
                 Vnext[b - lo:e - lo] = (G @ QT).reshape(e - b, P, d)
             b = e
+        if V is not None:
+            err[lo:hi] += l1[lo - 1:hi - 1] * err.take(suffix[lo - 1:hi - 1], axis=0)
         V, prev, lo = Vnext, lo, hi
-    return np.ascontiguousarray(out.T)
+    return np.ascontiguousarray(out.T), np.ascontiguousarray(err.T)

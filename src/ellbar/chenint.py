@@ -14,20 +14,24 @@ time-ordered expansion and panels/segments combine by the splitting rule
 
     I_{AB}(w) = sum_{w = uv} I_B(u) I_A(v)        (B later than A)
 
-which doubles as the accuracy test: one panel versus its composed halves,
-bisecting adaptively until the discrepancy, plus the panel's own rounding
-(u times its largest value), fits the error budget.  The bisection is
-level-synchronous over all the segments of a path at once: every interval
-still open at a depth, in any segment, is tested in one batch, one letter
-evaluation and one panel-kernel call for all their halves (the kernel takes
-the panels side by side), and their halves are composed together, as many
-at a time as keep the temporaries in cache.  Once the bisection ends, each
-segment's accepted panels are folded once, in t order and in its tree's
-shape, so the floats are those of depth-first recursion over each segment
-alone.
+A panel's evaluation also gives, word by word, an error estimate from the
+last two Legendre coefficients of the word's integrand at the nodes
+(``_kernels.panel_transport``).  An interval is accepted from that one
+evaluation when the estimate, plus the panel's own rounding (u times its
+largest value), fits the error budget; otherwise the splitting rule is the
+accuracy test: the interval's panel against its composed halves, bisecting
+adaptively until the discrepancy plus that rounding fits.  The bisection is
+level-synchronous over all the segments of a path at once: every panel of
+a depth, in any segment, is evaluated in one batch, one letter evaluation
+and one panel-kernel call for all of them (the kernel takes the panels side
+by side), and the halves are composed together, as many at a time as keep
+the temporaries in cache.  Once the bisection ends, each segment's accepted
+panels are folded once, in t order and in its tree's shape, so the floats
+are those of depth-first recursion over each segment alone.
 
-Each series carries an error estimate per word, an accepted panel's being
-its composed halves' distance from its whole panel; every join (panels in
+Each series carries an error estimate per word: an interval accepted from
+its one evaluation carries the kernel's estimate, one accepted from its
+halves the composed halves' distance from its panel; every join (panels in
 the bisection tree, a split line's halves, a path's segments, the genus-zero
 end pieces) composes (series, error) pairs by one rule, ``_compose_bounded``.
 
@@ -48,7 +52,8 @@ all that one word's series needs.
 The genus-zero regularized integrals run between the tangential base
 points at 0 and 1.  Their end pieces, [0, 1/4] and [3/4, 1], come from the
 local series in z and log z at those points, with a proven bound on the cut
-tails; only the middle piece is transported, on the factors of the word.
+tails; only the middle piece is transported, on the factors of the word,
+as its two halves.
 """
 
 from __future__ import annotations
@@ -596,14 +601,18 @@ def _compose_bounded(later, earlier, table: WordTable):
 
 @lru_cache(maxsize=8)
 def _ref_quad(order):
-    """Reference nodes/weights plus the node-to-node cumulative matrix.
+    """Reference nodes/weights, the node-to-node cumulative matrix and the
+    tail projection.
 
     The cumulative matrix integrates the interpolating polynomial from -1 to
     each node: values -> Legendre coefficients (discrete orthogonality,
-    exact at this order) -> antiderivative evaluated at the nodes.  The
-    weights and the matrix come complex, the matrix in Fortran order, which
-    is the layout ``_kernels.panel_transport`` works in, so a panel copies
-    neither.
+    exact at this order) -> antiderivative evaluated at the nodes.  The tail
+    projection takes node values to twice the interpolant's last two
+    Legendre coefficients, as a real (2 order, 4) matrix acting on the
+    values viewed as (re, im) pairs: half the work of a complex product.
+    The weights and the cumulative matrix come complex, the matrix in
+    Fortran order; these are the layouts ``_kernels.panel_transport`` works
+    in, so a panel copies none of them.
     """
     x, w = np.polynomial.legendre.leggauss(order)
     P = np.zeros((order + 1, order))
@@ -618,7 +627,9 @@ def _ref_quad(order):
     for m in range(1, order):
         anti[:, m] = (P[m + 1] - P[m - 1]) / (2 * m + 1)
     QT = np.ascontiguousarray((anti @ proj).T, dtype=np.complex128)
-    return x, w.astype(np.complex128), QT.T
+    tail = np.zeros((order, 2, 2, 2))
+    tail[:, 0, :, 0] = tail[:, 1, :, 1] = 2.0 * proj[-2:].T
+    return x, w.astype(np.complex128), QT.T, tail.reshape(2 * order, 4)
 
 
 # Gauss-Legendre nodes per transport panel
@@ -691,9 +702,22 @@ class _SegmentTransport:
     that no bisection level is spent on reaching the pole.  The half before
     the closest point enters through the antipode.
 
-    ``npanels``, ``panels_by_depth`` (depth below a root), ``rejected``,
-    ``split_at`` (the closest point's t, or None) and ``roots`` hold one
-    entry per segment, and ``run`` returns one (series, error) pair per
+    An interval is accepted by one of two rules, each against the budget
+    tol ((b - a) + 0.01 max(1, M)), M the largest value of its panel:
+    - from its one evaluation, when the kernel's estimate (the panel's
+      Legendre tail, carried through the word recursion) of its worst word
+      plus the panel's rounding u M fits; the interval's (series, error) is
+      then its panel and that estimate;
+    - otherwise from its halves, evaluated at the next depth, when their
+      composition's distance from its panel plus u M fits; it is then the
+      composed halves and that distance, word by word.
+    An interval that fails both is bisected again: each half, already
+    evaluated, is checked from its own evaluation one depth down.
+
+    ``npanels``, ``panels_by_depth`` (panels of each depth below a root, a
+    root's own at depth 0), ``rejected`` (intervals whose halves did not
+    match), ``split_at`` (the closest point's t, or None) and ``roots`` hold
+    one entry per segment, and ``run`` returns one (series, error) pair per
     segment: the same floats and counts as a run over that segment alone.  A
     segment closer than the model's guard to a puncture is refused before
     any is transported; the guard check and the split take one distance
@@ -727,7 +751,7 @@ class _SegmentTransport:
             pieces += [(*half, j) for half in halves]
         self.segs, self.piece_roots, self.part, owner = zip(*pieces)
         self.owner = np.asarray(owner)
-        self.x, self.w, self.Q = _ref_quad(_ORDER)
+        self.x, self.w, self.Q, self.tail = _ref_quad(_ORDER)
         m = len(segs)
         self.npanels = [0] * m
         self.panels_by_depth = [[] for _ in range(m)]
@@ -735,10 +759,10 @@ class _SegmentTransport:
         self.cap = max(1, min(_BATCH_INTERVALS, _BATCH_ENTRIES // (2 * _ORDER * len(table.words))))
         self.block = max(1, _COMPOSE_ENTRIES // len(table.split_u))
 
-    def panels(self, seg, t0, t1):
-        """Series of the panels [t0[i], t1[i]] of piece seg[i], one row
-        each, seg ascending: one letter evaluation and one kernel call for
-        all of them."""
+    def panels(self, seg, t0, t1, depth):
+        """(series, estimates) of the panels [t0[i], t1[i]] of piece seg[i]
+        at ``depth``, one row each, seg ascending: one letter evaluation and
+        one kernel call for all of them."""
         d = len(self.x)
         jac = 0.5 * (t1 - t0)
         nodes = (t0[:, None] + (self.x + 1.0) * jac[:, None]).ravel()
@@ -748,24 +772,53 @@ class _SegmentTransport:
         for a, b in zip([0] + cuts, cuts + [len(seg)]):
             self.npanels[self.owner[seg[a]]] += b - a
             parts.append(self.segs[seg[a]].at(nodes[a * d:b * d]))
+        for j, n in enumerate(np.bincount(self.owner[seg]).tolist()):
+            if n:
+                by_depth = self.panels_by_depth[j]
+                by_depth += [0] * (depth + 1 - len(by_depth))
+                by_depth[depth] += n
         z, dz, s, ds = (np.concatenate(c) for c in zip(*parts))
         phi = self.model.phi_rows(self.table.letters, z, s, dz * jac, ds * jac)
         return _kernels.panel_transport(
-            self.table.first, self.table.suffix, phi, self.Q, self.w, self.table.sizes
+            self.table.first, self.table.suffix, phi, self.Q, self.w, self.tail, self.table.sizes
         )
+
+    def _budget(self, a, b, top):
+        """The error budget of the intervals [a, b] whose panels' largest
+        values are ``top``: per unit parameter, plus a tolerance-proportional
+        allowance for roundoff in the panel's own values (keeps deep
+        bisection near steep-but-legal regions from chasing noise).  The
+        panel's own rounding, u times its largest value, must fit in it too,
+        so tolerances below double precision fail as they should."""
+        return self.tol * ((b - a) + 0.01 * np.maximum(1.0, top))
+
+    def _open(self, stack, depth, p, a, b, evaluated, leaves):
+        """Check the evaluated intervals [a, b] of pieces p at ``depth`` from
+        their own evaluation: the accepted become leaves (panel, estimate),
+        the rest a group on the stack, whose halves the next batch
+        evaluates."""
+        vals, est = evaluated
+        top = np.abs(vals).max(axis=1)
+        ok = est.max(axis=1) + _U * top <= self._budget(a, b, top)
+        for q, t0, t1, value, e in zip(p[ok].tolist(), a[ok].tolist(), b[ok].tolist(),
+                                       vals[ok], est[ok]):
+            leaves[q].append((t0, t1, (value, e)))
+        if not ok.all():
+            stack.append((depth, p[~ok], a[~ok], b[~ok], vals[~ok]))
 
     def run(self):
         """(series, error) of every segment.
 
-        Every interval open at a depth, in any piece, has its halves
-        evaluated in one batch (a root its whole panel too), and the batch's
-        halves are composed in blocks of ``_COMPOSE_ENTRIES``.  An interval
-        is accepted when its composed halves match its whole panel within
-        budget; otherwise its halves open at the next depth, their panels
-        serving as their wholes.  Intervals are ordered by (piece, t), so
-        by segment, and within a split segment the half before the closest
-        point first, each outward from there; a failure is the first in that
-        order, named in the segment's own t (``failure``).  Once the bisection ends, each
+        The roots are evaluated in one batch and checked from their one
+        evaluation (``_open``).  Every interval open at a depth, in any
+        piece, has its halves evaluated in one batch, and the batch's halves
+        are composed in blocks of ``_COMPOSE_ENTRIES`` and matched against
+        the intervals' panels; the halves of an interval that fails are
+        checked from their own evaluation and, failing that, open at the
+        next depth.  Intervals are ordered by (piece, t), so by segment, and
+        within a split segment the half before the closest point first, each
+        outward from there; a failure is the first in that order, named in
+        the segment's own t (``failure``).  Once the bisection ends, each
         piece's accepted intervals are folded in t order (``_fold_leaves``),
         so values, errors and panel counts are those of depth-first
         recursion from each root of each piece alone; the two halves of a
@@ -776,7 +829,8 @@ class _SegmentTransport:
         leaves = [[] for _ in self.segs]  # (t0, t1, (series, err)) of accepted intervals
         p, a, b = (np.array(c) for c in zip(*(
             (q, t0, t1) for q, roots in enumerate(self.piece_roots) for t0, t1 in roots)))
-        # groups (depth, piece, t0, t1, whole panels or None for roots)
+        # groups (depth, piece, t0, t1, whole panels, or None for roots not
+        # yet evaluated)
         stack = [(0, p, a, b, None)]
         while stack:
             depth, p, a, b, whole = stack.pop()
@@ -786,33 +840,21 @@ class _SegmentTransport:
                 head = None if whole is None else whole[:c]
                 stack += [(depth, p[c:], a[c:], b[c:], rest), (depth, p[:c], a[:c], b[:c], head)]
                 continue
-            mid = 0.5 * (a + b)
-            if whole is None:  # roots, whose whole panels join their halves
-                lo, hi = (a, a, mid), (b, mid, b)
-            else:
-                lo, hi = (a, mid), (mid, b)
-            k = len(lo)
-            seg = p.repeat(k)
-            vals = self.panels(seg, np.array(lo).T.ravel(), np.array(hi).T.ravel())
-            vals = vals.reshape(len(p), k, W)
             if whole is None:
-                whole = vals[:, 0]
-            for j, n in enumerate(np.bincount(self.owner[seg]).tolist()):
-                if n:
-                    by_depth = self.panels_by_depth[j]
-                    by_depth += [0] * (depth + 1 - len(by_depth))
-                    by_depth[depth] += n
+                self._open(stack, depth, p, a, b, self.panels(p, a, b, depth), leaves)
+                continue
+            mid = 0.5 * (a + b)
+            seg = p.repeat(2)
+            lo = np.array((a, mid)).T.ravel()
+            hi = np.array((mid, b)).T.ravel()
+            vals, est = self.panels(seg, lo, hi, depth + 1)
+            halves = vals.reshape(len(p), 2, W)
             comp = np.concatenate([
-                compose_series(vals[i:i + self.block, -1], vals[i:i + self.block, -2], table)
+                compose_series(halves[i:i + self.block, 1], halves[i:i + self.block, 0], table)
                 for i in range(0, len(p), self.block)])
             err = np.abs(comp - whole)
-            # budget per unit parameter, plus a tolerance-proportional
-            # allowance for roundoff in the panel's own values (keeps deep
-            # bisection near steep-but-legal regions from chasing noise); the
-            # panel's own rounding, u times its largest value, must fit in
-            # it too, so tolerances below double precision fail as they should
             top = np.abs(whole).max(axis=1)
-            budget = self.tol * ((b - a) + 0.01 * np.maximum(1.0, top))
+            budget = self._budget(a, b, top)
             worst = err.max(axis=1)
             rounding = _U * top
             ok = worst + rounding <= budget
@@ -827,13 +869,9 @@ class _SegmentTransport:
                 raise self.failure(p[i], a[i], b[i], worst[i], rounding[i], budget[i], depth)
             for j in self.owner[p[bad]].tolist():
                 self.rejected[j] += 1
-            stack.append((
-                depth + 1,
-                p[bad].repeat(2),
-                np.array((a[bad], mid[bad])).T.ravel(),
-                np.array((mid[bad], b[bad])).T.ravel(),
-                vals[bad, -2:].reshape(-1, W),  # the halves' panels, in t order
-            ))
+            bad = (~ok).repeat(2)  # the halves of the rejected, in t order
+            self._open(stack, depth + 1, seg[bad], lo[bad], hi[bad], (vals[bad], est[bad]),
+                       leaves)
         pairs = [None] * len(self.npanels)
         for leaf, part, j in zip(leaves, self.part, self.owner.tolist()):
             value, e = self._fold_leaves(leaf)
@@ -891,8 +929,8 @@ class TransportResult:
     values: dict  # word tuple -> complex
     err_by_length: dict  # word length -> largest error estimate of its words
     panels_by_segment: tuple
-    panels_by_depth: tuple  # per segment: panels evaluated at each depth below a root
-    rejected_bisections: tuple  # per segment: intervals bisected again
+    panels_by_depth: tuple  # per segment: panels of each depth below a root (a root's at 0)
+    rejected_bisections: tuple  # per segment: intervals whose halves did not match, bisected again
     split_at: tuple  # per segment: t of the split at a near puncture, or None
     roots: tuple  # per segment: intervals the bisection starts from
 
@@ -914,16 +952,27 @@ def chen_transport(
     """All iterated integrals of the letter alphabet along the path.
 
     Words are filled to length lmax over the given letters (default: the
-    model's full alphabet).  Panels are 24-node Gauss-Legendre; error
-    control is per panel against the composed-halves series.  A panel
-    [a, b] of a segment's parameter (or of a split half's) is accepted when
-    that discrepancy plus the panel's own rounding, u = 2^-53 times its
-    largest value M, is at most tol * ((b - a) + 0.01 max(1, M)).  Every
+    model's full alphabet).  Panels are 24-node Gauss-Legendre.  A panel
+    [a, b] of a segment's parameter (or of a split half's), with largest
+    value M, is accepted by one of two rules, each when its error plus the
+    panel's own rounding, u = 2^-53 times M, is at most
+    tol * ((b - a) + 0.01 max(1, M)):
+    - from its one evaluation, the error being the kernel's estimate of
+      the worst word: twice its integrand's last two Legendre coefficients
+      plus what its suffix's estimate moves; the panel and that estimate
+      are then the interval's series and error;
+    - otherwise from its halves, the error being the worst distance of
+      their composition from the panel; the composed halves and that
+      distance are then the interval's series and error.
+    An interval that fails both is bisected again, its halves each checked
+    from their own evaluation first (see ``_SegmentTransport``); an interval
+    that fails both at ``max_depth`` raises QuadratureFailure.  Every
     table holds the empty word, so M >= 1, and at tol below 100u (about
     1.1e-14) no panel narrower than (u / tol - 0.01) M is accepted: at tol
     1e-14 that is about 1.1e-3 M, so bisection gains nothing beyond depth 9
     below a root, and a split line whose first root is shorter than that
     fails at any ``max_depth``.  From tol 2e-14 up the width is free.
+    ``err_by_length`` is the largest composed error of each word length.
 
     A curve-model line that passes a lattice point closer than 1/32 of its
     length is split at its closest approach: each half is transported
@@ -1248,7 +1297,11 @@ def regularized_integral_p1(word, tol: float = 1e-9, full: bool = False):
     The path is cut at delta = 1/4 and 1 - delta.  The end pieces come from
     the local series at each tangential base point (``_tangential_series``),
     for every factor (contiguous subword) of the word; the middle piece is
-    transported on the same factor table.  The three are composed
+    transported on the same factor table, as its two halves [1/4, 1/2] and
+    [1/2, 3/4].  Each half is accepted from its one evaluation where the
+    whole middle piece, as one panel, mostly is not (its estimate exceeds
+    the budget by a few times on most words), so the middle piece takes one
+    batch of two panels.  The three pieces are composed
     (``_compose_bounded``), the middle piece with error 0, so the composed
     error is a proven bound on what the series' cut tails move in the
     value; the middle piece's transport estimate is not part of it.  That
@@ -1268,8 +1321,10 @@ def regularized_integral_p1(word, tol: float = 1e-9, full: bool = False):
     table = _factor_table(("om0", "om1"), letters)
     left, e_left = _tangential_series(table, _K, right=False)
     right, e_right = _tangential_series(table, _K, right=True)
-    st = _SegmentTransport(P1Model(), [LineSeg(_DELTA, 1 - _DELTA)], table, min(tol, 1e-11), 16)
-    ((mid, _),) = st.run()
+    halves = [LineSeg(_DELTA, 0.5), LineSeg(0.5, 1 - _DELTA)]
+    st = _SegmentTransport(P1Model(), halves, table, min(tol, 1e-11), 16)
+    (first, _), (second, _) = st.run()
+    mid = compose_series(second, first, table)
     # the middle piece enters with error 0: e_total bounds the cut tails' effect
     inner = _compose_bounded((mid, np.zeros(len(table.words))), (left, e_left), table)
     total, e_total = _compose_bounded((right, e_right), inner, table)

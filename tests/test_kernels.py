@@ -12,20 +12,29 @@ from ellbar.chenint import _factor_table, _ref_quad, _word_table
 from ellbar.wlattice import _eis_constants, _latsum_far_bound
 
 
-def _panel_transport_numpy(first, suffix, phi, Q, wts):
+def _panel_transport_numpy(first, suffix, phi, Q, wts, x):
     """Reference: one word at a time, each word's node values from its first
-    letter and its suffix's cumulative integral."""
+    letter and its suffix's cumulative integral, and its error estimate from
+    the last two Legendre coefficients of the polynomial through those node
+    values (at the nodes x) and its suffix's estimate."""
     W = len(first)
     d = phi.shape[1]
     V = np.empty((W + 1, d), dtype=complex)
     V[0] = 1.0
     out = np.empty(W + 1, dtype=complex)
     out[0] = 1.0
+    err = np.zeros(W + 1)
+    l1 = np.abs(phi * wts).sum(axis=1)
+    # node values -> the interpolant's Legendre coefficients
+    to_legendre = np.linalg.inv(np.polynomial.legendre.legvander(x, d - 1))
     for wi in range(1, W + 1):
-        g = phi[first[wi - 1]] * V[suffix[wi - 1]]
+        a, v = first[wi - 1], suffix[wi - 1]
+        g = phi[a] * V[v]
         V[wi] = Q @ g
         out[wi] = wts @ g
-    return out
+        coef = to_legendre @ g
+        err[wi] = 2 * np.sum(np.abs(coef[-2:])) + l1[a] * err[v]
+    return out, err
 
 
 TABLES = (
@@ -39,18 +48,57 @@ def _random_phi(rng, nletters, width):
     return rng.standard_normal((nletters, width)) + 1j * rng.standard_normal((nletters, width))
 
 
+def _blocked_values(first, suffix, phi, Q, wts, sizes):
+    """The blocked kernel's values as they were before it gave estimates:
+    the reference for their floats, which the estimate's products leave
+    unchanged."""
+    n, d = phi.shape[0], Q.shape[0]
+    P = phi.shape[1] // d
+    W = len(first)
+    phi = phi.reshape(n, P, d)
+    QT = np.ascontiguousarray(Q.T)
+    block = max(1, _kernels._BLOCK_ENTRIES // (P * d))
+    out = np.empty((W + 1, P), dtype=complex)
+    out[0] = 1.0
+    V, prev, lo = None, 0, 1
+    for size in sizes:
+        hi = lo + size
+        Vnext = np.empty((size, P, d), dtype=complex)
+        b = lo
+        while b < hi:
+            e = hi if hi - b <= block + 1 else b + block
+            G = phi[first[b - 1:e - 1]]
+            if V is not None:
+                G *= V[suffix[b - 1:e - 1] - prev]
+            G = G.reshape(P, 1, d) if size == 1 else G.reshape(-1, d)
+            out[b:e] = (G @ wts).reshape(e - b, P)
+            if hi <= W:
+                Vnext[b - lo:e - lo] = (G @ QT).reshape(e - b, P, d)
+            b = e
+        V, prev, lo = Vnext, lo, hi
+    return out.T
+
+
+def _check_panel(got, ref):
+    """A panel's (values, estimates) against the per-word loop's."""
+    (vals, est), (ref_vals, ref_est) = got, ref
+    assert np.all(np.abs(vals - ref_vals) <= 1e-15 * np.maximum(1.0, np.abs(ref_vals)))
+    assert est[0] == 0.0 and np.all(est[1:] > 0)
+    assert np.all(np.abs(est - ref_est) <= 1e-12 * ref_est)
+
+
 @pytest.mark.parametrize("order", [24, 16])
 @pytest.mark.parametrize("letters,lmax", TABLES, ids=lambda v: str(v))
 def test_matches_per_word_loop(letters, lmax, order):
     table = _word_table(letters, lmax)
-    _, w, Q = _ref_quad(order)
+    x, w, Q, tail = _ref_quad(order)
     rng = np.random.default_rng([order, len(letters), lmax])
     phi = _random_phi(rng, len(letters), order)
-    ref = _panel_transport_numpy(table.first, table.suffix, phi, Q, w)
-    got = _kernels.panel_transport(table.first, table.suffix, phi, Q, w, table.sizes)
-    assert ref.shape == (len(table.words),)
-    assert got.shape == (1, len(table.words))
-    assert np.all(np.abs(got[0] - ref) <= 1e-15 * np.maximum(1.0, np.abs(ref)))
+    ref = _panel_transport_numpy(table.first, table.suffix, phi, Q, w, x)
+    got = _kernels.panel_transport(table.first, table.suffix, phi, Q, w, tail, table.sizes)
+    assert ref[0].shape == ref[1].shape == (len(table.words),)
+    assert got[0].shape == got[1].shape == (1, len(table.words))
+    _check_panel((got[0][0], got[1][0]), ref)
 
 
 PANEL_TABLES = [(tuple("abcdef"[:n]), lmax) for n in (1, 3, 6) for lmax in (2, 4)] + [
@@ -62,19 +110,22 @@ PANEL_TABLES = [(tuple("abcdef"[:n]), lmax) for n in (1, 3, 6) for lmax in (2, 4
 @pytest.mark.parametrize("letters,lmax", PANEL_TABLES, ids=lambda v: str(v))
 def test_panel_axis_matches_per_word_loop(letters, lmax, P):
     # P panels side by side along phi's axis 1: each row of the result is
-    # that panel's series, and the same floats as a call for that panel alone
+    # that panel's series and estimates, and the same floats as a call for
+    # that panel alone
     table = _word_table(letters, lmax)
-    _, w, Q = _ref_quad(24)
+    x, w, Q, tail = _ref_quad(24)
     rng = np.random.default_rng([P, len(letters), lmax])
     phi = _random_phi(rng, len(letters), 24 * P)
-    got = _kernels.panel_transport(table.first, table.suffix, phi, Q, w, table.sizes)
-    assert got.shape == (P, len(table.words))
+    args = (table.first, table.suffix)
+    vals, est = _kernels.panel_transport(*args, phi, Q, w, tail, table.sizes)
+    assert vals.shape == est.shape == (P, len(table.words))
+    assert np.array_equal(vals, _blocked_values(*args, phi, Q, w, table.sizes))
     for p in range(P):
         one = np.ascontiguousarray(phi[:, 24 * p:24 * (p + 1)])
-        ref = _panel_transport_numpy(table.first, table.suffix, one, Q, w)
-        assert np.all(np.abs(got[p] - ref) <= 1e-15 * np.maximum(1.0, np.abs(ref)))
-        assert np.array_equal(
-            got[p], _kernels.panel_transport(table.first, table.suffix, one, Q, w, table.sizes)[0])
+        _check_panel((vals[p], est[p]), _panel_transport_numpy(*args, one, Q, w, x))
+        one_vals, one_est = _kernels.panel_transport(*args, one, Q, w, tail, table.sizes)
+        assert np.array_equal(vals[p], one_vals[0])
+        assert np.array_equal(est[p], one_est[0])
 
 
 # factor tables of single words: one-word levels throughout (a^6), one-word
@@ -94,17 +145,19 @@ FACTOR_WORDS = [
 def test_factor_tables_match_per_word_loop(letters, word, P):
     table = _factor_table(letters, tuple(word))
     assert sum(table.sizes) == len(table.words) - 1
-    _, w, Q = _ref_quad(24)
+    x, w, Q, tail = _ref_quad(24)
     rng = np.random.default_rng([P, len(word)])
     phi = _random_phi(rng, len(letters), 24 * P)
     args = (table.first, table.suffix)
-    got = _kernels.panel_transport(*args, phi, Q, w, table.sizes)
-    assert got.shape == (P, len(table.words))
+    vals, est = _kernels.panel_transport(*args, phi, Q, w, tail, table.sizes)
+    assert vals.shape == est.shape == (P, len(table.words))
+    assert np.array_equal(vals, _blocked_values(*args, phi, Q, w, table.sizes))
     for p in range(P):
         one = np.ascontiguousarray(phi[:, 24 * p:24 * (p + 1)])
-        ref = _panel_transport_numpy(*args, one, Q, w)
-        assert np.all(np.abs(got[p] - ref) <= 1e-15 * np.maximum(1.0, np.abs(ref)))
-        assert np.array_equal(got[p], _kernels.panel_transport(*args, one, Q, w, table.sizes)[0])
+        _check_panel((vals[p], est[p]), _panel_transport_numpy(*args, one, Q, w, x))
+        one_vals, one_est = _kernels.panel_transport(*args, one, Q, w, tail, table.sizes)
+        assert np.array_equal(vals[p], one_vals[0])
+        assert np.array_equal(est[p], one_est[0])
 
 
 def test_factor_table_shape():
@@ -137,13 +190,14 @@ def test_real_quadrature_matches_prebuilt():
     # _ref_quad hands the kernel complex weights and a Fortran-order complex
     # matrix; plain real arrays must give the same panel
     table = _word_table(("a", "b"), 3)
-    _, w, Q = _ref_quad(16)
+    _, w, Q, tail = _ref_quad(16)
     assert w.dtype == Q.dtype == np.complex128 and Q.T.flags.c_contiguous
     rng = np.random.default_rng(3)
     phi = rng.standard_normal((2, 16)) + 1j * rng.standard_normal((2, 16))
     args = (table.first, table.suffix, phi)
-    got = _kernels.panel_transport(*args, Q.real.copy(), w.real.copy(), table.sizes)
-    assert np.array_equal(got, _kernels.panel_transport(*args, Q, w, table.sizes))
+    got = _kernels.panel_transport(*args, Q.real.copy(), w.real.copy(), tail, table.sizes)
+    want = _kernels.panel_transport(*args, Q, w, tail, table.sizes)
+    assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
 
 
 def _latsum_exact(zs, w1, w2, M, dps=30):

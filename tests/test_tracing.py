@@ -52,16 +52,15 @@ def test_panel_and_node_counters(tracing):
         # per segment: its accepted intervals (one per root, one more per
         # rejected interval) and its halves, if split, fold into one; then
         # one per join of segments
-        assert sum(r.panels_by_segment) == sum(
-            3 * n + 4 * k for n, k in zip(r.roots, r.rejected_bisections))
         composes += sum(n + k - 1 for n, k in zip(r.roots, r.rejected_bisections))
         composes += len(path.segments) - 1
-        # and the intervals evaluated: the steep line's of each depth in one
-        # call, the 1555-word table's one at a time
+        # and the intervals whose halves were evaluated, two panels each
+        # past the roots' one, the 1555-word table's composed one at a time;
+        # the steep line's roots are all accepted from their one evaluation
         if path is steep:
-            composes += len(r.panels_by_depth[0])
+            assert r.panels_by_segment == r.roots
         else:
-            composes += sum(n + 2 * k for n, k in zip(r.roots, r.rejected_bisections))
+            composes += sum((p - n) // 2 for p, n in zip(r.panels_by_segment, r.roots))
     assert splits == [(0.5,), (None, None)]  # only the steep line is split
     m, _ = module.summarize(tracer.spans, 1.0)
     assert m["chenint.panels"] == panels
@@ -75,16 +74,17 @@ def test_panel_and_node_counters(tracing):
 
 @pytest.mark.parametrize("ks", [(2,), (3, 2), (2, 2, 3)])
 def test_regularization_counters(tracing, ks):
-    # the regularization transports only the middle piece, on the factors
-    # of its word, with one kernel call per bisection depth
+    # the regularization transports only the middle piece, as its two
+    # halves, on the factors of its word, with one kernel call per panel
+    # depth
     module, tracer = tracing
     p1model.mzv_integral(ks)
     m, _ = module.summarize(tracer.spans, 1.0)
     letters = chenint._p1_word(p1model.MZVIndex(ks).word())
     table = chenint._factor_table(("om0", "om1"), letters)
-    mid = chenint.LineSeg(chenint._DELTA, 1 - chenint._DELTA)
-    st = chenint._SegmentTransport(chenint.P1Model(), [mid], table, 1e-11, 16)
+    halves = [chenint.LineSeg(chenint._DELTA, 0.5), chenint.LineSeg(0.5, 1 - chenint._DELTA)]
+    st = chenint._SegmentTransport(chenint.P1Model(), halves, table, 1e-11, 16)
     st.run()
     assert len(table.words) < len(chenint._word_table(table.letters, len(letters)).words)
-    assert m["kernels.panel_word_nodes"] == len(table.words) * 24 * st.npanels[0]
-    assert m["kernels.panel_calls"] == len(st.panels_by_depth[0])
+    assert m["kernels.panel_word_nodes"] == len(table.words) * 24 * sum(st.npanels)
+    assert m["kernels.panel_calls"] == max(len(d) for d in st.panels_by_depth)
