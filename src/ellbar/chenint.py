@@ -869,9 +869,9 @@ class _SegmentTransport:
                 raise self.failure(p[i], a[i], b[i], worst[i], rounding[i], budget[i], depth)
             for j in self.owner[p[bad]].tolist():
                 self.rejected[j] += 1
-            bad = (~ok).repeat(2)  # the halves of the rejected, in t order
-            self._open(stack, depth + 1, seg[bad], lo[bad], hi[bad], (vals[bad], est[bad]),
-                       leaves)
+            again = (~ok).repeat(2)  # the halves of the rejected intervals, in t order
+            self._open(stack, depth + 1, seg[again], lo[again], hi[again],
+                       (vals[again], est[again]), leaves)
         pairs = [None] * len(self.npanels)
         for leaf, part, j in zip(leaves, self.part, self.owner.tolist()):
             value, e = self._fold_leaves(leaf)
