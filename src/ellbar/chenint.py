@@ -31,19 +31,21 @@ are those of depth-first recursion over each segment alone.
 
 Each series carries an error estimate per word: an interval accepted from
 its one evaluation carries the kernel's estimate, one accepted from its
-halves the composed halves' distance from its panel; every join (panels in
-the bisection tree, a split line's halves, a path's segments, the genus-zero
-end pieces) composes (series, error) pairs by one rule, ``_compose_bounded``.
+halves the composed halves' distance from its panel, a disk piece (below)
+the proven bound of its cut series tails plus an estimate of its rounding;
+every join (panels in the
+bisection tree, a split line's pieces, a path's segments, the genus-zero end
+pieces) composes (series, error) pairs by one rule, ``_compose_bounded``.
 
 A curve-model line that passes a lattice point lam closer than 1/32 of its
-length is split at its closest approach.  Each half runs outward from that
-point, shifted by (z, s) -> (z - lam, s + eta(lam)) (``eta_lambda``), which
-leaves every letter unchanged (quasi-periodicity), so a node near the pole
-is rounded at the scale of the clearance, not of lam.  Each half starts
-from a dyadic spine of roots [0, 2^-K], [2^-K, 2^(1-K)], ..., [1/2, 1] with
-2^-K at most the clearance over its length, instead of reaching the pole
-by bisection, and the half before the closest point enters through the
-antipode I(gamma^-1; w) = (-1)^|w| I(gamma; rev w).
+length is split around it, shifted by (z, s) -> (z - lam, s + eta(lam))
+(``eta_lambda``), which leaves every letter unchanged (quasi-periodicity).
+Its part within half the shortest period of lam, where each letter is a
+simple pole plus a power series (the sigma route's table, as a Laurent
+table), is a disk piece: every word's integral from the tangential base
+point at lam is a sum of log^k times power series, so the part is
+I(lam -> b) I(lam -> a)^-1, two evaluations composed, with no panel.  The
+parts outside the disk are transported as ordinary segments.
 
 A word table need not hold every word up to a length: any word set closed
 under taking factors (contiguous subwords) composes and transports, which is
@@ -65,6 +67,7 @@ from fractions import Fraction
 from functools import cached_property, lru_cache, reduce
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 from . import _kernels
 from .barcx import words_upto
@@ -74,7 +77,7 @@ from .errors import (
     GuardViolation,
     QuadratureFailure,
 )
-from .logforms import ExtLattice, f_batch, letters as form_letters
+from .logforms import _LAURENT_DEGREE, _RHO, ExtLattice, f_batch, letters as form_letters
 from .wlattice import LatticeData, _cell_shift, eta_lambda, reduce_mod_lattice
 
 __all__ = [
@@ -659,51 +662,246 @@ _SPLIT_RATIO = 1 / 32
 # to their largest entry, which no bisection removes.
 _U = 2.0 ** -53
 
+# The letters of a disk piece carry rounding of a few u relative (the table
+# B, eta(lam), and f_n's sum over j, which cancels for n near nmax), and a
+# word compounds it once per letter: its error counts this many u per
+# letter times the magnitudes its sums add.  Against mpmath on lines in the
+# disk (curves (2,3), (5,2), (1,-3), nmax 6, clearances 1e-2 to 1e-5) the
+# letters are off by up to 6.8 and the words w_n w_n by up to 3.4 u per
+# letter times those magnitudes.
+_DISK_ROUNDING = 8
 
-def _spine(ratio):
-    """The dyadic roots [0, 2^-K], [2^-K, 2^(1-K)], ..., [1/2, 1] for the
-    largest 2^-K <= min(ratio, 1)."""
-    K = max(0, 1 - math.frexp(ratio)[1])
-    edges = [0.0] + [math.ldexp(1.0, -k) for k in range(K, -1, -1)]
-    return tuple(zip(edges, edges[1:]))
+
+# --------------------------------------------------------------------------
+# disk pieces: a split line near a lattice point, from the letters' Laurent
+# series there
+#
+# In lam's cell, x = (z - lam) / t (t as in ExtLattice._series) and s affine
+# in x along a line, s = alpha + beta x, each letter is r / x plus a power
+# series in x, per dx: f_n = sum_j (-s)^j / j! g_(n-j) with the t g_m of the
+# table ExtLattice._laurent, nu = beta dx and w0 = t dx.  So the iterated
+# integral of a word w = a.v from the tangential base point at x = 0
+# (tangent 1) is I_w(x) = sum_k log^k(x) / k! sum_p c[k, p] x^p, and
+# prepending a multiplies by the letter and integrates, as for the
+# genus-zero ends: for p >= 1
+#
+#     int_0^x y^(p-1) log^j(y) / j! dy = x^p sum_i (-1)^i log^(j-i)(x) / (j-i)! / p^(i+1),
+#
+# and log^(j+1)(x) / (j+1)! for p = 0.  Powers past D are dropped.  The
+# letters' coefficients obey |phi_p| <= M rho^-p (M bounds their regular
+# part's sum_p |phi_p| rho^p), so with q = X / rho, X the largest |x| at
+# which the series are evaluated, a bound T[k] >= sum_(p>D) |c[k, p]| X^p
+# on what was dropped takes the steps: the integrand's dropped part is at
+# most H[j] = |r| T_v[j] + M X / (1 - q) (T_v[j] + sum_(p<=D) |c_v[j, p]|
+# X^p q^(D-p)), and integrating sends H[j] to T[j - i] with the factor
+# (D+1)^-(i+1).
 
 
-def _pole_halves(model, seg, lam, clearance):
-    """(t, halves): the parameter t of the line's closest approach to the
-    puncture lam, and the line's halves before and after it, each running
-    from that point outward, shifted into lam's cell by ``pole_shift``, with
-    the root spine graded to the clearance over its length.  A half is
-    (segment, roots, part): the line's t is t + part * (the half's t), so
-    part is -t for the half before and 1 - t for the half after; an end at
-    the closest point has no half."""
-    t = float(seg.nearest(lam))
-    dz, ds = model.pole_shift(lam)
-    zc = seg.z0 + t * (seg.z1 - seg.z0) + dz
-    sc = seg.s0 + t * (seg.s1 - seg.s0) + ds
-    halves = []
-    for part, end, s_end in ((-t, seg.z0, seg.s0), (1 - t, seg.z1, seg.s1)):
-        half = LineSeg(zc, end + dz, sc, s_end + ds)
-        if part != 0 and half.speed > 0:
-            halves.append((half, _spine(clearance / half.speed), part))
-    return t, halves
+@lru_cache(maxsize=None)
+def _lower_toeplitz(N):
+    """(k - l clipped at 0, k >= l, the factorials 0!..N!) over the pairs
+    (k, l) of 0..N: the layout of (N+1)-square lower Toeplitz matrices of
+    u^(k-l) / (k-l)!."""
+    k = np.arange(N + 1)
+    d = k[:, None] - k[None, :]
+    return np.maximum(d, 0), d >= 0, np.cumprod(np.r_[1.0, k[1:]])
+
+
+def _disk_letters(ext, letters, alpha, beta):
+    """(phi, M): for each letter along s = alpha + beta x, its coefficients
+    of x^-1 .. x^D per dx (D = _LAURENT_DEGREE), and at each radius of
+    ``ext._laurent`` a bound on its regular part's sum_p |phi_p| rho^p.
+
+    The f_n at s = alpha come from the t g_m through the lower Toeplitz
+    matrix of (-alpha)^j / j!; then e^(-beta x w) adds, for each i >= 1, the
+    i-times shifted rows times (-beta x)^i / i!, which takes the pole of a
+    row into the regular part."""
+    c, rho, bound = ext._laurent
+    N = max((int(a[1:]) for a in letters if a != "nu"), default=0)
+    d, lower, fact = _lower_toeplitz(N)
+    e = (-alpha) ** np.arange(N + 1) / fact
+    phi = (e[d] * lower) @ c[:N + 1]
+    M = (np.abs(e)[d] * lower) @ bound[:N + 1]
+    if beta:
+        shifted, reg, pole = phi.copy(), M.copy(), np.abs(phi[:, 0])
+        for i in range(1, N + 1):
+            b = (-beta) ** i / fact[i]
+            phi[i:, i:] += b * shifted[:N + 1 - i, :-i]
+            M[i:] += abs(b) * (rho ** i * reg[:N + 1 - i] + rho ** (i - 1) * pole[:N + 1 - i, None])
+    if "nu" in letters:  # nu = beta dx (and w0 = t dx is row 0, t g_0)
+        phi = np.vstack([phi, np.eye(1, phi.shape[1], 1) * beta])
+        M = np.vstack([M, np.full((1, len(rho)), abs(beta))])
+    rows = [len(phi) - 1 if a == "nu" else int(a[1:]) for a in letters]
+    return phi[rows], M[rows]
+
+
+def _log_power_series(table, phi, M, X, q, D):
+    """(c, T): c[k, w, p] the coefficient of log^k(x) / k! x^p, p <= D, of
+    every word's integral from the tangential base point at 0, and T[k, w]
+    the bound on what its cut tail moves at |x| <= X (see above), for the
+    letters' coefficients phi and bounds M at the radius X / q; one pass
+    per word length.
+
+    With the integrand's coefficients d (of log^j(y) / j! y^(p-1)), the
+    integration step above is c[k, p] = (d[k, p] - c[k+1, p]) / p for
+    p >= 1 and c[k+1, 0] = d[k, 0]; and T[k] = (H[k] + T[k+1]) / (D+1)."""
+    A, W = len(table.letters), len(table.words)
+    c = np.zeros((table.lmax + 1, W, D + 1), dtype=complex)
+    T = np.zeros((table.lmax + 1, W))
+    c[0, 0, 0] = 1.0
+    # Phi[k, a, p] = phi_a[p - k] (0 for p < k), phi_a = [r, phi_0, ...]: the
+    # coefficients of y^(p-1) in (r / y + sum_i phi_i y^i) y^k, letter a's
+    # product as a matrix; a view of each row after D + 1 zeros, read
+    # backward in k
+    padded = np.zeros((A, 2 * D + 2), dtype=complex)
+    padded[:, D + 1:] = phi
+    s0, s1 = padded.strides
+    Phi = as_strided(padded[:, D + 1:], (D + 1, A, D + 1), (-s1, s0, s1)).reshape(D + 1, -1)
+    r = np.abs(phi[:, 0])
+    MX = M * X / (1 - q)
+    wq = X ** np.arange(D + 1) * q ** np.arange(D, -1, -1)
+    inv = 1.0 / np.arange(1, D + 1)
+    lo, hi = 0, 1
+    for n, size in enumerate(table.sizes, 1):
+        first, suffix = table.first[hi - 1:hi - 1 + size], table.suffix[hi - 1:hi - 1 + size] - lo
+        cv, Tv = c[:n, lo:hi], T[:n, lo:hi]
+        H = r[first] * Tv[:, suffix] + MX[first] * (Tv + np.abs(cv) @ wq)[:, suffix]
+        d = (cv.reshape(-1, D + 1) @ Phi).reshape(n, hi - lo, A, D + 1)[:, suffix, first]
+        lo, hi = hi, hi + size
+        c[1:n + 1, lo:hi, 0] = d[:, :, 0]
+        for k in range(n - 1, -1, -1):
+            c[k, lo:hi, 1:] = (d[k, :, 1:] - c[k + 1, lo:hi, 1:]) * inv
+            T[k, lo:hi] = (H[k] + T[k + 1, lo:hi]) / (D + 1)
+    return c, T
+
+
+def _disk_degree(M, X, rho, target, length=1):
+    """(D, i): the smallest degree D whose letter-level bound L q^D, L = M X
+    / (1 - q) and q = X / rho_i, meets ``target`` at the radius rho_i that
+    needs the fewest, M the letters' bounds there; with ``length`` n > 1,
+    that of L max(1, L)^(n-1) q^D, about what a word of n letters makes of
+    it.  D is not clipped to the Laurent table."""
+    q = X / rho
+    lead = np.maximum(M.max(axis=0) * X / (1 - q), 1e-300)  # 0 for nu alone at constant s
+    degrees = np.ceil(np.log(target / (lead * np.maximum(1, lead) ** (length - 1))) / np.log(q))
+    i = int(np.argmin(degrees))
+    return degrees[i], i
+
+
+def _disk_piece(ext, table, phi, M, za, zb, aim, degree=None):
+    """(series, bound, rounding, degree) of the line za -> zb in a lattice
+    point's cell, shifted to 0, within its disk, with the letters phi and
+    their bounds M along it (``_disk_letters``): I(0 -> b) I(0 -> a)^-1
+    from the tangential base point at 0.
+
+    The log branch at b continues the one at a along the line: log x_b =
+    log x_a + Log(x_b / x_a), the line passing 0 on one side.  The degree D
+    is the smallest whose letter-level bound meets aim / 10
+    (``_disk_degree``); while the composed bound exceeds aim and D is below
+    _LAURENT_DEGREE, D grows by what the excess asks.  A given ``degree``
+    is taken as it is, at the radius that bounds it best.  ``bound`` is the
+    cut tails' bound, carried through the antipode and the composition
+    (``_compose_bounded``); ``rounding`` is _DISK_ROUNDING u times each
+    word's length times the magnitudes its sums add: the terms of both
+    ends' series, composed."""
+    t = ext._series[2]
+    xa, xb = za / t, zb / t
+    X = max(abs(xa), abs(xb))
+    rho = ext._laurent[1]
+    k = np.arange(table.lmax + 1)[:, None]
+    logs = (np.log(xa) + np.array([0.0, np.log(xb / xa)])) ** k / np.cumprod(np.maximum(k, 1), axis=0)
+
+    def at(D, i):
+        c, T = _log_power_series(table, phi[:, :D + 1], M[:, i], X, X / rho[i], D)
+        vals = c.reshape(-1, D + 1) @ (np.array([xa, xb]) ** np.arange(D + 1)[:, None])
+        vals = (vals.reshape(len(k), -1, 2) * logs[:, None]).sum(axis=0)
+        errs = T.T @ np.abs(logs)
+        return (*_compose_bounded((vals[:, 1], errs[:, 1]),
+                                  (table.antipode(vals[:, 0]), errs[table._reversal, 0]), table), c)
+
+    if degree is None:
+        target, D = aim / 10, 0
+        while True:
+            step, i = _disk_degree(M, X, rho, target)
+            step = int(min(max(step, 2), _LAURENT_DEGREE))
+            if step <= D:
+                break
+            D = step
+            series, bound, c = at(D, i)
+            if bound.max() <= aim:
+                break
+            target *= aim / bound.max() / 2
+    else:
+        D = degree
+        series, bound, c = at(D, int(np.argmin(M.max(axis=0) * (X / rho) ** D / (1 - X / rho))))
+    mags = np.abs(c).reshape(-1, D + 1) @ (np.abs([xa, xb]) ** np.arange(D + 1)[:, None])
+    mags = (mags.reshape(len(k), -1, 2) * np.abs(logs)[:, None]).sum(axis=0)
+    sums = compose_series(mags[:, 1], mags[table._reversal, 0], table)
+    return series, bound, _DISK_ROUNDING * _U * table.lengths * sums, D
+
+
+def _disk_span(seg, lam, radius):
+    """(t, t0, t1): the parameter t of the line's closest approach to lam
+    and the interval [t0, t1] of its points within ``radius`` of lam, or
+    None if it has none.  An end of the line less than 1e-9 of it outside
+    the disk is taken into it: the series converge well past its edge."""
+    d = seg.z1 - seg.z0
+    c = ((lam - seg.z0) * np.conj(d)).real / abs(d) ** 2
+    h = radius ** 2 - abs(seg.z0 + c * d - lam) ** 2
+    if h <= 0:
+        return None
+    half = math.sqrt(h) / abs(d)
+    t0 = 0.0 if c - half < 1e-9 else float(c - half)
+    t1 = 1.0 if c + half > 1 - 1e-9 else float(c + half)
+    return (float(seg.nearest(lam)), t0, t1) if t0 < t1 else None
+
+
+def _disk_split(ext, letters, lmax, seg, tol):
+    """(t, t0, t1, phi, M) of the line seg in a lattice point's cell, shifted
+    so that the point is 0: the parameter t of its closest approach, the
+    span [t0, t1] of its part in the disk around 0, and its letters there
+    (``_disk_letters``); None when it stays outside the disk.  The disk's
+    radius is _RHO a (a the shortest period; 0 where the lattice keeps the
+    theta route), halved while the span's bound for words up to lmax
+    letters (``_disk_degree``) cannot meet a thousandth of the span's aim,
+    tol times its width over 100, within the Laurent table: the letters of
+    high order converge slowly near the disk's edge."""
+    t = ext._series[2]
+    radius = _RHO * ext._series[1]
+    x0, x1 = seg.z0 / t, seg.z1 / t
+    phi = None
+    while (span := _disk_span(seg, 0j, radius)) is not None:
+        if phi is None:
+            beta = (seg.s1 - seg.s0) / (x1 - x0)
+            phi, M = _disk_letters(ext, letters, seg.s0 - beta * x0, beta)
+        _, t0, t1 = span
+        X = max(abs(x0 + t0 * (x1 - x0)), abs(x0 + t1 * (x1 - x0)))
+        if _disk_degree(M, X, ext._laurent[1], 1e-5 * tol * (t1 - t0), lmax)[0] <= _LAURENT_DEGREE:
+            return (*span, phi, M)
+        radius /= 2
+    return None
 
 
 class _SegmentTransport:
     """Adaptive panel transport over a list of segments, one bisection depth
     at a time for all of them together.
 
-    A segment is transported from its roots, intervals of its parameter:
-    [0, 1] alone, unless it is a line of a model with a ``pole_shift`` (the
-    curve model) that passes a puncture lam closer than ``_SPLIT_RATIO`` of
-    its length.  Then it is transported as its two halves at the closest
-    point, each running outward from there in lam's cell (``_pole_halves``),
-    so that nodes near the pole keep their relative precision, and each from
-    a dyadic spine of roots whose first is no longer than the clearance, so
-    that no bisection level is spent on reaching the pole.  The half before
-    the closest point enters through the antipode.
+    A segment is transported as pieces in t order: the whole segment from
+    the root [0, 1], unless it is a line of a model with a ``pole_shift``
+    (the curve model) that passes a puncture lam closer than
+    ``_SPLIT_RATIO`` of its length and enters the disk of radius _RHO a
+    around it (a the shortest period: the sigma route's disk, where the
+    letters' Laurent series at lam converge; smaller for letters of high
+    order, ``_disk_split``).  Then it is split: its part in that disk is
+    one disk piece, taken from those series (``_disk_piece``), and each
+    part outside the disk is an ordinary piece from the root [0, 1]; all of
+    them are shifted into lam's cell by ``pole_shift``, which leaves every
+    letter unchanged.  No panel of a split segment comes nearer to lam than
+    the disk's edge.
 
-    An interval is accepted by one of two rules, each against the budget
-    tol ((b - a) + 0.01 max(1, M)), M the largest value of its panel:
+    An interval of an ordinary piece is accepted by one of two rules, each
+    against the budget tol ((b - a) + 0.01 max(1, M)), M the largest value
+    of its panel:
     - from its one evaluation, when the kernel's estimate (the panel's
       Legendre tail, carried through the word recursion) of its worst word
       plus the panel's rounding u M fits; the interval's (series, error) is
@@ -712,16 +910,21 @@ class _SegmentTransport:
       composition's distance from its panel plus u M fits; it is then the
       composed halves and that distance, word by word.
     An interval that fails both is bisected again: each half, already
-    evaluated, is checked from its own evaluation one depth down.
+    evaluated, is checked from its own evaluation one depth down.  A disk
+    piece of width w in the segment's t carries the proven bound of its
+    cut series tails, its degree aimed at tol w / 100, plus an estimate of
+    its rounding (``_DISK_ROUNDING``); it is accepted when that bound plus
+    u M fits tol (w + 0.01 max(1, M)).
 
     ``npanels``, ``panels_by_depth`` (panels of each depth below a root, a
     root's own at depth 0), ``rejected`` (intervals whose halves did not
-    match), ``split_at`` (the closest point's t, or None) and ``roots`` hold
-    one entry per segment, and ``run`` returns one (series, error) pair per
-    segment: the same floats and counts as a run over that segment alone.  A
-    segment closer than the model's guard to a puncture is refused before
-    any is transported; the guard check and the split take one distance
-    pass.
+    match), ``split_at`` (the closest point's t, or None), ``roots`` (the
+    ordinary pieces, one root each) and ``disk`` ((t0, t1, degree) of the
+    disk piece, or None) hold one entry per segment, and ``run`` returns
+    one (series, error) pair per segment: the same floats and counts as a
+    run over that segment alone.  A segment closer than the model's guard
+    to a puncture is refused before any is transported; the guard check
+    and the split take one distance pass.
     """
 
     def __init__(self, model, segs, table, tol, max_depth):
@@ -729,8 +932,10 @@ class _SegmentTransport:
         self.table = table
         self.tol = tol
         self.max_depth = max_depth
-        pieces = []  # (segment, roots, part, owner)
-        self.split_at, self.roots = [], []
+        pieces = []  # (segment, (t0, t1) in its owner's t, owner)
+        self.parts = []  # per segment: its pieces' indices in t order, None for the disk
+        self.disks = []  # (segment, t0, t1, letters, bounds, za, zb) of each disk piece
+        self.split_at, self.disk, self.roots = [], [], []
         for j, seg in enumerate(segs):
             pts = np.asarray(model.punctures(seg.corners))
             dist = seg.distance(pts)
@@ -741,16 +946,37 @@ class _SegmentTransport:
                     f"segment passes within {dmin:.3e} of a puncture "
                     f"(guard {model.guard:.3e})"
                 )
+            split = None
             if (hasattr(model, "pole_shift") and isinstance(seg, LineSeg)
                     and dmin < _SPLIT_RATIO * seg.speed):
-                t, halves = _pole_halves(model, seg, pts[k], dmin)
+                shifted = seg.shifted(*model.pole_shift(pts[k]))
+                split = _disk_split(model.ext, table.letters, table.lmax, shifted, tol)
+            if split is None:
+                self.split_at.append(None)
+                self.parts.append([len(pieces)])
+                pieces.append((seg, (0.0, 1.0), j))
             else:
-                t, halves = None, [(seg, ((0.0, 1.0),), 1.0)]
-            self.split_at.append(t)
-            self.roots.append(sum(len(roots) for _, roots, _ in halves))
-            pieces += [(*half, j) for half in halves]
-        self.segs, self.piece_roots, self.part, owner = zip(*pieces)
-        self.owner = np.asarray(owner)
+                t, t0, t1, phi, M = split
+                seg = shifted
+                a, b = ((seg.z0 + u * (seg.z1 - seg.z0), seg.s0 + u * (seg.s1 - seg.s0))
+                        for u in (t0, t1))
+                a, b = seg.start if t0 == 0 else a, seg.end if t1 == 1 else b
+                self.split_at.append(t)
+                self.parts.append([])
+                if t0 > 0:
+                    self.parts[j].append(len(pieces))
+                    pieces.append((LineSeg(seg.z0, a[0], seg.s0, a[1]), (0.0, t0), j))
+                self.parts[j].append(None)
+                self.disks.append((j, t0, t1, phi, M, a[0], b[0]))
+                if t1 < 1:
+                    self.parts[j].append(len(pieces))
+                    pieces.append((LineSeg(b[0], seg.z1, b[1], seg.s1), (t1, 1.0), j))
+            self.roots.append(sum(part is not None for part in self.parts[j]))
+            self.disk.append(None)
+        self.segs = tuple(piece[0] for piece in pieces)
+        self.span = tuple(piece[1] for piece in pieces)
+        self.owner = np.asarray([piece[2] for piece in pieces], dtype=np.int64)
+        self.piece_roots = (((0.0, 1.0),),) * len(pieces)
         self.x, self.w, self.Q, self.tail = _ref_quad(_ORDER)
         m = len(segs)
         self.npanels = [0] * m
@@ -806,32 +1032,56 @@ class _SegmentTransport:
         if not ok.all():
             stack.append((depth, p[~ok], a[~ok], b[~ok], vals[~ok]))
 
+    def _disk_pieces(self):
+        """(series, error) of every disk piece, by segment, the error its
+        tails' bound plus its rounding estimate: each checked against its
+        budget, as a panel is (its bound in place of the panel's estimate),
+        before any panel is evaluated."""
+        out = {}
+        for j, t0, t1, *line in self.disks:
+            w = t1 - t0
+            series, bound, own, D = _disk_piece(self.model.ext, self.table, *line,
+                                                0.01 * self.tol * w)
+            top = float(np.abs(series).max())
+            worst, rounding = float(bound.max()), _U * top
+            budget = self.tol * (w + 0.01 * max(1.0, top))
+            if worst + rounding > budget:
+                raise QuadratureFailure(
+                    f"segment {j}: disk [{t0:.6f}, {t1:.6f}] around its split at "
+                    f"{self.split_at[j]:.6f} bounded by {worst:.3e} with rounding "
+                    f"{rounding:.3e} (budget {budget:.3e}) at degree {D}"
+                )
+            self.disk[j] = (t0, t1, D)
+            out[j] = (series, bound + own)
+        return out
+
     def run(self):
         """(series, error) of every segment.
 
-        The roots are evaluated in one batch and checked from their one
-        evaluation (``_open``).  Every interval open at a depth, in any
+        The disk pieces come first (``_disk_pieces``).  The roots of the
+        ordinary pieces are evaluated in one batch and checked from their
+        one evaluation (``_open``).  Every interval open at a depth, in any
         piece, has its halves evaluated in one batch, and the batch's halves
         are composed in blocks of ``_COMPOSE_ENTRIES`` and matched against
         the intervals' panels; the halves of an interval that fails are
         checked from their own evaluation and, failing that, open at the
-        next depth.  Intervals are ordered by (piece, t), so by segment, and
-        within a split segment the half before the closest point first, each
-        outward from there; a failure is the first in that order, named in
-        the segment's own t (``failure``).  Once the bisection ends, each
-        piece's accepted intervals are folded in t order (``_fold_leaves``),
-        so values, errors and panel counts are those of depth-first
-        recursion from each root of each piece alone; the two halves of a
-        split segment are joined, errors too (``_compose_bounded``).
+        next depth.  Intervals are ordered by (piece, t), so by segment and
+        within a split segment in t order; a failure is the first in that
+        order, named in the segment's own t (``failure``).  Once the
+        bisection ends, each piece's accepted intervals are folded in t
+        order (``_fold_leaves``), so values, errors and panel counts are
+        those of depth-first recursion from each root of each piece alone;
+        the pieces of a split segment are joined in t order, errors too
+        (``_compose_bounded``).
         """
         table = self.table
         W = len(table.words)
+        disks = self._disk_pieces()
         leaves = [[] for _ in self.segs]  # (t0, t1, (series, err)) of accepted intervals
-        p, a, b = (np.array(c) for c in zip(*(
-            (q, t0, t1) for q, roots in enumerate(self.piece_roots) for t0, t1 in roots)))
         # groups (depth, piece, t0, t1, whole panels, or None for roots not
         # yet evaluated)
-        stack = [(0, p, a, b, None)]
+        roots = [(q, t0, t1) for q, spans in enumerate(self.piece_roots) for t0, t1 in spans]
+        stack = [(0, *map(np.array, zip(*roots)), None)] if roots else []
         while stack:
             depth, p, a, b, whole = stack.pop()
             if len(p) > self.cap:
@@ -872,27 +1122,25 @@ class _SegmentTransport:
             again = (~ok).repeat(2)  # the halves of the rejected intervals, in t order
             self._open(stack, depth + 1, seg[again], lo[again], hi[again],
                        (vals[again], est[again]), leaves)
-        pairs = [None] * len(self.npanels)
-        for leaf, part, j in zip(leaves, self.part, self.owner.tolist()):
-            value, e = self._fold_leaves(leaf)
-            if part < 0:  # the half before the closest point, run outward
-                value, e = table.antipode(value), e[table._reversal]
-            if pairs[j] is not None:  # the half after the closest point
-                value, e = _compose_bounded((value, e), pairs[j], table)
-            pairs[j] = (value, e)
-        return pairs
+        pairs = [self._fold_leaves(leaf) for leaf in leaves]
+        out = []
+        for j, parts in enumerate(self.parts):
+            pair = None
+            for q in parts:
+                later = disks[j] if q is None else pairs[q]
+                pair = later if pair is None else _compose_bounded(later, pair, table)
+            out.append(pair)
+        return out
 
     def failure(self, q, a, b, worst, rounding, budget, depth):
         """The QuadratureFailure of piece q's interval [a, b], which names
-        the interval in its segment's own t and the half it lies in."""
+        the interval in its segment's own t, and the disk beside it."""
         j = int(self.owner[q])
-        t = self.split_at[j]
         where = f"segment {j}"
-        if t is None:
-            t = 0.0
-        else:
-            where += f", half {'before' if self.part[q] < 0 else 'after'} its split at {t:.6f}"
-        lo, hi = sorted((t + self.part[q] * a, t + self.part[q] * b))
+        if self.split_at[j] is not None:
+            where += f", outside the disk around its split at {self.split_at[j]:.6f}"
+        t0, t1 = self.span[q]
+        lo, hi = t0 + (t1 - t0) * a, t0 + (t1 - t0) * b
         return QuadratureFailure(
             f"{where}: panel [{lo:.6f}, {hi:.6f}] still off by {worst:.3e} "
             f"with rounding {rounding:.3e} (budget {budget:.3e}) at depth {depth}"
@@ -906,8 +1154,7 @@ class _SegmentTransport:
         of its width, exact for dyadic t) is composed onto the finished
         subtree before it, its left sibling (``_compose_bounded``).  So the
         pairs compose in the bisection tree's shape, and the floats are
-        those of a bottom-up fold; a dyadic spine of roots folds as the left
-        edge of one tree.
+        those of a bottom-up fold.
         """
         done = []  # finished subtrees (t0, (series, error)), left to right
         for t0, t1, pair in sorted(leaves, key=lambda leaf: leaf[0]):
@@ -931,8 +1178,9 @@ class TransportResult:
     panels_by_segment: tuple
     panels_by_depth: tuple  # per segment: panels of each depth below a root (a root's at 0)
     rejected_bisections: tuple  # per segment: intervals whose halves did not match, bisected again
-    split_at: tuple  # per segment: t of the split at a near puncture, or None
-    roots: tuple  # per segment: intervals the bisection starts from
+    split_at: tuple  # per segment: t of the closest approach to the puncture it is split at, or None
+    roots: tuple  # per segment: intervals the bisection starts from, one per ordinary piece
+    disk: tuple  # per segment: (t0, t1, series degree) of its disk piece, or None
 
     def coeff(self, word) -> complex:
         word = tuple(word)
@@ -953,7 +1201,7 @@ def chen_transport(
 
     Words are filled to length lmax over the given letters (default: the
     model's full alphabet).  Panels are 24-node Gauss-Legendre.  A panel
-    [a, b] of a segment's parameter (or of a split half's), with largest
+    [a, b] of a segment's parameter (or of a split line's piece), with largest
     value M, is accepted by one of two rules, each when its error plus the
     panel's own rounding, u = 2^-53 times M, is at most
     tol * ((b - a) + 0.01 max(1, M)):
@@ -970,16 +1218,25 @@ def chen_transport(
     table holds the empty word, so M >= 1, and at tol below 100u (about
     1.1e-14) no panel narrower than (u / tol - 0.01) M is accepted: at tol
     1e-14 that is about 1.1e-3 M, so bisection gains nothing beyond depth 9
-    below a root, and a split line whose first root is shorter than that
-    fails at any ``max_depth``.  From tol 2e-14 up the width is free.
-    ``err_by_length`` is the largest composed error of each word length.
+    below a root.  From tol 2e-14 up the width is free.
 
     A curve-model line that passes a lattice point closer than 1/32 of its
-    length is split at its closest approach: each half is transported
-    outward from there, in the lattice point's cell, from roots graded to
-    the clearance, and the two are joined by the antipode (see
-    ``_SegmentTransport``).  A segment within the model's guard of a
-    puncture raises GuardViolation.
+    length is split around it: its part within half the shortest period of
+    the lattice point is one disk piece, from the letters' Laurent series
+    there, and each part outside is transported as above (see
+    ``_SegmentTransport``).  The disk piece's degree is aimed at a hundredth
+    of tol times its width; its error is the proven bound on the cut tails
+    plus an estimate of its rounding (8u per letter times the magnitudes
+    its sums add), and the bound plus u M must fit tol (width + 0.01
+    max(1, M)), else it raises QuadratureFailure.  So split lines converge
+    at tol 1e-14, where panels near their pole could not.  A segment within
+    the model's guard of a puncture raises GuardViolation.
+
+    ``err_by_length`` is the largest composed error of each word length.  It
+    is not held to tol: every accepted panel may carry an error up to its
+    budget, and those budgets sum past tol over a path's panels, so a run
+    that succeeds may report an error above tol (``err_est_over_tol_max``
+    of the traced benchmark reads up to about 1.8; ROADMAP item 5).
     """
     if path.model != model.name:
         raise ValueError(f"path has model {path.model!r}, transport {model.name!r}")
@@ -1001,6 +1258,7 @@ def chen_transport(
         rejected_bisections=tuple(st.rejected),
         split_at=tuple(st.split_at),
         roots=tuple(st.roots),
+        disk=tuple(st.disk),
     )
 
 

@@ -258,6 +258,7 @@ def cmd_integrate(args):
         "rejected_bisections": list(r.rejected_bisections),
         "split_at": list(r.split_at),
         "roots": list(r.roots),
+        "disk": [None if d is None else list(d) for d in r.disk],
     }
     human = [
         f"word {'|'.join(word) or '(empty)'} along {len(path.segments)} segment(s)",
@@ -266,6 +267,7 @@ def cmd_integrate(args):
         f"panels per segment = {list(r.panels_by_segment)}",
         f"split at per segment = {list(r.split_at)}",
         f"roots per segment = {list(r.roots)}",
+        f"disk per segment = {[None if d is None else list(d) for d in r.disk]}",
     ]
     return report, human, True
 

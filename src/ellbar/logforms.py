@@ -122,6 +122,50 @@ class ExtLattice:
         instance."""
         return self._series[0]
 
+    @cached_property
+    def _laurent(self):
+        """(c, rho, M): the letters' g_m, as the sigma-product route evaluates
+        them (its table B), as series at the lattice point in x = z0 / t, t as
+        in ``_series``, and bounds on their coefficients.
+
+        Row m of c holds the coefficients of x^-1, x^0, ..., x^D of t g_m,
+        m = 0..nmax, D = _LAURENT_DEGREE: t^(1-m) times those of t^m g_m, the
+        form coefficient per dx.  R_m, the coefficients of t^m r_m in x, are
+        B's row m at the powers m mod 2 + 2i; E = exp R is formed as series
+        in x, by the recursion of ``_exp_series`` with its products cut
+        after x^(D+1); then t^m g_m = E_m + E_{m-1} / x.  Only g_1 has a
+        pole, 1 / x.
+
+        M[m, i] >= sum_p |c_p| rho_i^p over the regular part of row m, at the
+        radii rho = _LAURENT_RADII a / t (a the shortest period, the
+        distance to the nearest other lattice point).  The coefficients of E
+        are polynomials with positive coefficients in those of R, so they
+        are at most those of exp(R^) for R^ with the coefficients |B|, whose
+        value at rho follows from ``_exp_series`` on the finite sums
+        R^_m(rho).  E_0 = 1 and E_m(0) = 0 for m >= 1, so the regular part
+        of E_{m-1} / x is at most E^_{m-1}(rho) / rho for m >= 2, 0 for m = 1.
+        """
+        _, a, t, B = self._series
+        N, D = self.nmax, _LAURENT_DEGREE
+        R = np.zeros((N + 1, D + 2), dtype=complex)
+        for m in range(1, N + 1):
+            p = m % 2 + 2 * np.arange(B.shape[1])
+            R[m, p[p <= D + 1]] = B[m, p <= D + 1]
+        E = np.zeros((N + 1, D + 2), dtype=complex)
+        E[0, 0] = 1.0
+        for m in range(1, N + 1):
+            E[m] = sum(j * np.convolve(R[j], E[m - j])[:D + 2] for j in range(1, m + 1)) / m
+        c = np.zeros((N + 1, D + 2), dtype=complex)
+        c[:, 1:] = E[:, :-1]
+        c[1:] += E[:-1]
+        rho = np.asarray(_LAURENT_RADII) * (a / t)
+        Rh = np.abs(B) @ rho[None, :] ** (2 * np.arange(B.shape[1]))[:, None]
+        Rh[1::2] *= rho
+        M = _exp_series(Rh).real
+        M[2:] += M[1:-1] / rho
+        scale = t ** (1.0 - np.arange(N + 1))[:, None]
+        return c * scale, rho, M * scale
+
 
 def letters(nmax: int):
     """Degree-1 letter names: nu, w0, ..., w{nmax}."""
@@ -145,6 +189,12 @@ def _ldexp(v, e):
 # The sigma-product branch takes reduced points within _RHO shortest periods
 # of the lattice point 0, and drops terms that sum to at most _U.
 _RHO = 0.5
+
+# The Laurent table of the g_m at the lattice point (ExtLattice._laurent)
+# keeps the powers of x up to this degree, and bounds the coefficients at
+# these fractions of their radius of convergence.
+_LAURENT_DEGREE = 128
+_LAURENT_RADII = (0.6, 0.7, 0.8, 0.9)
 
 
 def _sigma_order(N, c):

@@ -26,8 +26,8 @@ from .barcx import (
     words_upto,
 )
 from .chenint import (
+    ArcSeg,
     EdaggerModel,
-    LineSeg,
     PathSpec,
     _word_table,
     chen_transport,
@@ -552,23 +552,24 @@ CRITERIA = (
 
 
 def _steep_path(L):
-    """A legal but steep approach: the line clears the puncture at omega1 by
-    3e-3 periods.  Transport splits it there and starts each half from
-    roots graded to the clearance, the first about 2^-12 of the half long."""
-    d = 3e-3 * L.min_period()
-    c = L.omega1 + 1j * d * L.omega1 / abs(L.omega1)
-    return PathSpec(
-        model="edagger", segments=(LineSeg(c - 0.4 * L.omega1, c + 0.4 * L.omega1),)
-    )
+    """A legal but steep approach: an arc of radius 0.4 |omega1| bulging
+    toward omega1 and clearing it by 3e-3 periods.  Transport does not split
+    arcs (a split line's part near the lattice point comes from the series
+    there, with no panel), so it reaches the pole by bisection."""
+    R = 0.4 * abs(L.omega1)
+    u = 1j * L.omega1 / abs(L.omega1)
+    a = float(np.angle(-u))
+    center = L.omega1 + (R + 3e-3 * L.min_period()) * u
+    return PathSpec(model="edagger", segments=(ArcSeg(center, R, a - 0.25, a + 0.25),))
 
 
 def _quadrature_stress(cfg):
     """Run the steep path at the configured tolerance with a bounded panel
     budget.  At tolerances below the accepted range this must end in
-    QuadratureFailure: a short root's budget, tol times its length plus a
-    hundredth of its scale, falls below its panel's own rounding, u times
-    its largest value, at any depth.  The entry records the honest outcome
-    either way."""
+    QuadratureFailure: the budget of a panel next to the pole, tol times its
+    width plus a hundredth of its scale, falls below its own rounding, u
+    times its largest value (at tol 1e-15, for any panel narrower than a
+    tenth of the arc).  The entry records the honest outcome either way."""
     L = _curve_lattice(cfg)
     model = EdaggerModel(ExtLattice(L, nmax=4))
     tol = cfg["tol"]

@@ -65,31 +65,37 @@ class SigmaReference:
             return [mp.fsum((-s) ** j / mp.factorial(j) * g[n - j] for j in range(n + 1))
                     for n in range(nmax + 1)]
 
-    def line_integrals(self, za, zb, lam, eta, nmax):
-        """[int f_n(z, 0) dz for n = 1..nmax] along the line za -> zb at
-        s = 0, which passes the lattice point lam with eta(lam) = eta.
+    def line_integrals(self, za, zb, lam, eta, nmax, sa=0, sb=0):
+        """[int f_n(z, s) dz for n = 1..nmax] along the line (za, sa) ->
+        (zb, sb), s carried linearly, which passes the lattice point lam
+        with eta(lam) = eta.
 
-        f_n has the simple pole eta^(n-1) / (n-1)! / (z - lam) there; its
-        integral is taken exactly, and the smooth rest by mpmath's
+        f_n has the simple pole (eta - s_lam)^(n-1) / (n-1)! / (z - lam)
+        there, s_lam the value at z = lam of s as an affine function of z;
+        its integral is taken exactly, and the smooth rest by mpmath's
         Gauss-Legendre quadrature to 20 digits.  Returns (values,
         quadrature error).
         """
         cache = {}
         with mp.workdps(self.dps):
-            za, zb, lam, eta = (mp.mpc(v) for v in (za, zb, lam, eta))
+            za, zb, sa, sb, lam, eta = (mp.mpc(v) for v in (za, zb, sa, sb, lam, eta))
+            s_lam = sa + (lam - za) / (zb - za) * (sb - sa)
+
+            def residue(n):
+                return (eta - s_lam) ** (n - 1) / mp.factorial(n - 1)
 
             def rest(t, n):
                 if t not in cache:
                     z = za + t * (zb - za)
-                    cache[t] = (z, self.f(z, 0, nmax))
+                    cache[t] = (z, self.f(z, sa + t * (sb - sa), nmax))
                 z, f = cache[t]
-                return (f[n] - eta ** (n - 1) / mp.factorial(n - 1) / (z - lam)) * (zb - za)
+                return (f[n] - residue(n) / (z - lam)) * (zb - za)
 
             vals, err = [], mp.mpf(0)
             for n in range(1, nmax + 1):
                 with mp.workdps(20):
                     v, e = mp.quad(lambda t: rest(t, n), [0, 1], method="gauss-legendre", error=True)
-                pole = eta ** (n - 1) / mp.factorial(n - 1) * mp.log((zb - lam) / (za - lam))
+                pole = residue(n) * mp.log((zb - lam) / (za - lam))
                 vals.append(complex(v + pole))
                 err = max(err, e)
             return vals, float(err)

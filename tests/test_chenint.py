@@ -1,6 +1,7 @@
 """Transport contract: path algebra, word series, homotopy, regularization."""
 
 import cmath
+import functools
 import importlib.util
 import json
 import math
@@ -396,13 +397,14 @@ class TestGuardsAndFailure:
 class _Recursive:
     """The depth-first recursion over one segment that the level-synchronous
     run replaced: the oracle for its values, error estimates, panel counts
-    and failures.  It recurses from each root of each piece of the segment
-    in turn (one piece and root [0, 1] unless the segment is split), folds
-    a piece's roots left to right, and joins a split segment's halves, the
-    one before its closest point through the antipode; every join composes
-    (series, error) pairs by ``_compose_bounded``.  Pieces, roots and panels
-    come from the run's own split and panel evaluation, one panel at a time,
-    and a failure is worded by the run's ``failure``.
+    and failures.  It recurses from each root of each ordinary piece of the
+    segment in turn (the segment itself, with the root [0, 1], unless it is
+    split), folds a piece's roots left to right, and joins a split
+    segment's pieces in t order, its disk piece as the run takes it
+    (``_disk_pieces``); every join composes (series, error) pairs by
+    ``_compose_bounded``.  Pieces, roots and panels come from the run's own
+    split and panel evaluation, one panel at a time, and a failure is
+    worded by the run's ``failure``.
 
     The rule: an interval [a, b] whose panel has largest value M is
     accepted from its one evaluation when the kernel's estimate of its
@@ -427,14 +429,16 @@ class _Recursive:
 
     def run(self):
         """The segment's (series, error)."""
+        disks = self.st._disk_pieces()
         pair = None
-        for self.q, roots in enumerate(self.st.piece_roots):
-            acc = None
-            for t0, t1 in roots:
-                root = self.interval(t0, t1)
-                acc = root if acc is None else _compose_bounded(root, acc, self.table)
-            if self.st.part[self.q] < 0:
-                acc = self.table.antipode(acc[0]), acc[1][self.table._reversal]
+        for self.q in self.st.parts[0]:
+            if self.q is None:
+                acc = disks[0]
+            else:
+                acc = None
+                for t0, t1 in self.st.piece_roots[self.q]:
+                    root = self.interval(t0, t1)
+                    acc = root if acc is None else _compose_bounded(root, acc, self.table)
             pair = acc if pair is None else _compose_bounded(acc, pair, self.table)
         return pair
 
@@ -485,7 +489,8 @@ def _check_depth_counts(by_depth, npanels, roots, rejected):
     halves of every interval that its one evaluation did not accept; an
     interval whose halves did not match has its halves checked again."""
     assert sum(by_depth) == npanels
-    assert by_depth[0] == roots and all(n % 2 == 0 for n in by_depth[1:])
+    assert list(by_depth[:1]) == ([roots] if roots else [])
+    assert all(n % 2 == 0 for n in by_depth[1:])
     assert npanels >= roots + 2 * rejected
 
 
@@ -501,12 +506,15 @@ class TestHalfPanelReuse:
         # reuse saves one panel per child call, that is per call but a root's
         assert old.calls > new.roots[0]
         assert new.npanels[0] == old.npanels - (old.calls - new.roots[0])
+        return new
 
     def test_steep_edagger_line(self, ext, model):
-        # split at omega1 into two spines of 10 roots, one of which bisects
-        # at tol 2e-14
-        seg = _steep_line(ext.lattice, 1e-3)
-        self._both(model, seg, ("w1", "w2"), 2, 2e-14, 14)
+        # a line past omega1 at 1/25 of its length, which transport does not
+        # split, bisected near the lattice point at tol 2e-14
+        L = ext.lattice
+        seg = _steep_line(L, 0.04 * 0.8 * abs(L.omega1) / L.min_period())
+        st = self._both(model, seg, ("w1", "w2"), 2, 2e-14, 14)
+        assert st.split_at == [None] and len(st.panels_by_depth[0]) > 4
 
     def test_steep_edagger_arc(self, ext, model):
         self._both(model, _steep_arc(ext.lattice, 3e-3), ("w1", "w2"), 2, 1e-10, 14)
@@ -617,10 +625,15 @@ class TestLevelSynchronous:
     @pytest.mark.parametrize("clearance", [1e-2, 3e-3, 1e-3])
     @pytest.mark.parametrize("letters", [("w1",), ("w2",), ("w3",), ("w1", "w3"), ("w2", "w3")])
     def test_steep_lines(self, model4, letters, clearance):
-        # split at the closest point, each half from a spine of roots
-        seg = _steep_line(model4.ext.lattice, clearance)
-        st = self._against_oracle(model4, seg, letters, 2)
-        assert st.split_at == [0.5] and st.roots[0] >= 12
+        # split at the closest point: along omega1 the line lies in the disk
+        # and is one disk piece; along omega2, 1.49 times longer on this
+        # curve, its ends are ordinary pieces from one root each
+        L = model4.ext.lattice
+        st = self._against_oracle(model4, _steep_line(L, clearance), letters, 2)
+        assert st.split_at == [0.5] and st.roots == [0] and st.npanels == [0]
+        assert st.disk[0][:2] == (0.0, 1.0)
+        st = self._against_oracle(model4, _steep_line(L, clearance, 0, 1), letters, 2)
+        assert st.split_at == [0.5] and st.roots == [2] and 0 < st.disk[0][0] < 0.5 < st.disk[0][1]
 
     @pytest.mark.parametrize("clearance", [3e-3, 1e-3, 1e-4])
     @pytest.mark.parametrize("letters", [("w1",), ("w2",), ("w1", "w3")])
@@ -736,10 +749,9 @@ class TestLevelSynchronous:
         assert st.npanels[0] <= 3 + 14 * 2 * st.cap
 
     def test_depth_counts_sum_to_panels(self, model4):
-        # a plain line and a steep one, which is split into two halves of
-        # 10 roots each: one panel per root, two per interval that its one
-        # evaluation does not accept; every root of the steep line is
-        # accepted from its one evaluation
+        # a plain line and a steep one, which lies in the disk around the
+        # lattice point it passes: one panel per root, two per interval that
+        # its one evaluation does not accept; the steep line takes none
         L = model4.ext.lattice
         seg = _steep_line(L, 1e-3)
         path = PathSpec("edagger", (LineSeg(seg.z0 - 0.3, seg.z0), seg))
@@ -749,8 +761,8 @@ class TestLevelSynchronous:
             r.panels_by_depth, r.panels_by_segment, r.rejected_bisections, r.roots
         ):
             _check_depth_counts(by_depth, n, roots, rejected)
-        assert r.split_at == (None, 0.5) and r.roots == (1, 20)
-        assert r.panels_by_depth[1] == (20,)
+        assert r.split_at == (None, 0.5) and r.roots == (1, 0)
+        assert r.panels_by_depth[1] == () and r.disk[0] is None and r.disk[1][:2] == (0.0, 1.0)
 
 
 def _two_line_path(L):
@@ -796,8 +808,9 @@ class TestManySegments:
         assert r.rejected_bisections == tuple(st.rejected)
         assert r.split_at == tuple(st.split_at)
         assert r.roots == tuple(st.roots)
+        assert r.disk == tuple(st.disk)
         if which == "two-line":
-            assert r.split_at == (None, 0.5) and r.roots == (1, 20)
+            assert r.split_at == (None, 0.5) and r.roots == (1, 0)
 
     def test_p1_deep_ends_match_per_segment_runs(self):
         # bisection trees deep at the left end, at the right end and at both
@@ -871,39 +884,69 @@ class TestManySegments:
             assert np.array_equal(got, per_corner(seg.corners)), seg
 
 
+@functools.lru_cache(maxsize=None)
+def _split_line_references(curve):
+    """Lines past omega1, omega2 and omega1 + omega2, along the shortest
+    period (and omega2 along itself), at clearances of 1e-2 to 1e-5 of it,
+    each clearance on two curves at least, with each letter's integral by
+    mpmath: (model, [(point, clearance, line, values)])."""
+    L = lattice_from_curve(CurveSpec(*((2, 3), (5, 2), (1, -3))[curve]))
+    model = EdaggerModel(ExtLattice(L, nmax=6))
+    ref = SigmaReference(L, dps=30, nodes=24)
+    lines = []
+    for point in range(3):
+        clearance = (1e-2, 1e-3, 1e-4, 1e-5)[(curve + point) % 4]
+        lam = (L._w1r, L._w2r, L._w1r + L._w2r)[point]
+        along = (L._w1r, L._w2r, L._w1r)[point]
+        c = lam + 1j * clearance * abs(L._w1r) * along / abs(along)
+        seg = LineSeg(c - 0.4 * along, c + 0.4 * along)
+        want, quad_err = ref.line_integrals(seg.z0, seg.z1, lam, ref.eta(lam), 6)
+        assert quad_err < 1e-15
+        lines.append((point, clearance, seg, want))
+    return model, lines
+
+
 class TestPoleSplit:
     @pytest.mark.parametrize("curve", [0, 1, 2])
     def test_split_lines_match_reference(self, curve):
-        # lines past omega1, omega2 and omega1 + omega2, along the shortest
-        # period (and omega2 along itself), at clearances of 1e-2 to 1e-5 of
-        # it, each clearance on two curves at least: each letter against an
-        # mpmath quadrature of sigma quotients, at the default max_depth
-        L = lattice_from_curve(CurveSpec(*((2, 3), (5, 2), (1, -3))[curve]))
-        model = EdaggerModel(ExtLattice(L, nmax=6))
-        ref = SigmaReference(L, dps=30, nodes=24)
+        # each letter against an mpmath quadrature of sigma quotients, at
+        # the default max_depth
+        model, lines = _split_line_references(curve)
         letters = tuple(f"w{n}" for n in range(1, 7))
-        for point in range(3):
-            clearance = (1e-2, 1e-3, 1e-4, 1e-5)[(curve + point) % 4]
-            lam = (L._w1r, L._w2r, L._w1r + L._w2r)[point]
-            along = (L._w1r, L._w2r, L._w1r)[point]
-            c = lam + 1j * clearance * abs(L._w1r) * along / abs(along)
-            seg = LineSeg(c - 0.4 * along, c + 0.4 * along)
-            path = PathSpec("edagger", (seg,))
-            r = chen_transport(model, path, letters=letters, lmax=2, tol=1e-12)
+        for point, clearance, seg, want in lines:
+            r = chen_transport(model, PathSpec("edagger", (seg,)), letters=letters, lmax=2, tol=1e-12)
             assert r.split_at[0] == pytest.approx(0.5) and r.rejected_bisections == (0,)
-            want, quad_err = ref.line_integrals(seg.z0, seg.z1, lam, ref.eta(lam), 6)
-            assert quad_err < 1e-15
+            for n in range(1, 7):
+                got = r.values[(f"w{n}",)]
+                assert abs(got - want[n - 1]) <= r.err_by_length[1] + 1e-13, (point, clearance, n)
+
+    @pytest.mark.parametrize("tol", [1e-10, 1e-14])
+    @pytest.mark.parametrize("curve", [0, 1, 2])
+    def test_split_lines_match_reference_at_tol(self, curve, tol):
+        # the lines of test_split_lines_match_reference at the loosest and
+        # the tightest tolerance: the part of each within half a period of
+        # the lattice point is one disk piece, whose degree follows tol, so
+        # no panel comes nearer than that; only the line along omega2 on
+        # (5, 2), 1.49 times the shortest period, leaves the disk, its ends
+        # from one root each
+        model, lines = _split_line_references(curve)
+        letters = tuple(f"w{n}" for n in range(1, 7))
+        for point, clearance, seg, want in lines:
+            r = chen_transport(model, PathSpec("edagger", (seg,)), letters=letters, lmax=2, tol=tol)
+            t0, t1, _ = r.disk[0]
+            assert t0 < r.split_at[0] < t1 and r.roots[0] == (t0 > 0) + (t1 < 1)
+            assert (t0, t1) == (0.0, 1.0) or (curve, point) == (1, 1)
             for n in range(1, 7):
                 got = r.values[(f"w{n}",)]
                 assert abs(got - want[n - 1]) <= r.err_by_length[1] + 1e-13, (point, clearance, n)
 
     @pytest.mark.parametrize("curve", [(2, 3), (5, 2), (1, -3)])
     def test_composed_estimate_covers_split_lines(self, curve):
-        # lines past omega1 at clearances 1e-2 to 1e-4 of it: the estimate
-        # of the words w_n w_n, carried through the spines' folds and the
-        # halves' join, covers their distance from I(w_n)^2 / 2 (shuffle),
-        # I(w_n) by mpmath.  Every root is accepted at depth 0, so the
-        # estimate is the same at any tol that accepts them.
+        # lines past omega1 at clearances 1e-2 to 1e-4 of it, each one disk
+        # piece: the error of the words w_n w_n, the disk's tail bound and
+        # rounding estimate carried through the antipode and the
+        # composition, covers their distance from I(w_n)^2 / 2 (shuffle),
+        # I(w_n) by mpmath.  At this tol the rounding dominates.
         L = lattice_from_curve(CurveSpec(*curve))
         model = EdaggerModel(ExtLattice(L, nmax=3))
         ref = SigmaReference(L, dps=30, nodes=24)
@@ -974,11 +1017,17 @@ class TestPoleSplit:
                     assert actual <= err[i] + rounding, (z0, z1, tol, w)
 
     @pytest.mark.parametrize("clearance", [1e-2, 1e-3])
-    def test_steep_lines_take_one_evaluation_per_root(self, clearance):
+    def test_steep_lines_take_one_evaluation_per_root(self, clearance, monkeypatch):
         # the benchmark's steep lines on the curve (2, 3): past each of three
         # lattice points along either period, one or two letters of w1..w3
-        # to length 2 at tol 1e-10; every root is accepted from its one
-        # evaluation
+        # to length 2 at tol 1e-10.  Either period is shorter than 1.25
+        # times the other, so each line lies in the disk around its lattice
+        # point: it has no root, and neither the letters nor the panel
+        # kernel are evaluated; its error stays far below tol
+        calls = []
+        kernel, f_batch = _kernels.panel_transport, chenint.f_batch
+        monkeypatch.setattr(_kernels, "panel_transport", lambda *a: calls.append(1) or kernel(*a))
+        monkeypatch.setattr(chenint, "f_batch", lambda *a: calls.append(1) or f_batch(*a))
         L = lattice_from_curve(CurveSpec(2, 3))
         model = EdaggerModel(ExtLattice(L, nmax=4))
         sets = [(f"w{n}",) for n in (1, 2, 3)] + [("w1", "w2"), ("w1", "w3"), ("w2", "w3")]
@@ -988,8 +1037,10 @@ class TestPoleSplit:
                 for letters in sets:
                     r = chen_transport(model, PathSpec("edagger", (seg,)), letters=letters,
                                        lmax=2, tol=1e-10)
-                    assert r.split_at[0] is not None
-                    assert r.panels_by_segment == r.roots, (point, direction, letters)
+                    assert r.split_at[0] is not None and r.disk[0][:2] == (0.0, 1.0)
+                    assert r.panels_by_segment == r.roots == (0,), (point, direction, letters)
+                    assert max(r.err_by_length.values()) <= 0.01 * 1e-10
+        assert calls == []
 
     def test_antipode_on_random_lines(self, model4):
         # reversing a line, split or not, gives the antipode of its series;
@@ -1017,23 +1068,30 @@ class TestPoleSplit:
         assert splits == {False, True}
 
     def test_split_at_an_end(self, model4):
-        # a line that starts at its closest approach has only the half after
-        # it, and its reverse only the half before it
+        # a line that starts at its closest approach, and its reverse, which
+        # ends there: each one disk piece, from and to a point at 1e-3 of a
+        # period from omega1, against mpmath; and each other's antipode
         L = model4.ext.lattice
         u = 1j * L.omega1 / abs(L.omega1)
         seg = LineSeg(L.omega1 + 1e-3 * L.min_period() * u, L.omega1 + 0.5 * abs(L.omega1) * u)
         table = _word_table(("w1", "w2"), 2)
         ref = SigmaReference(L, dps=30, nodes=24)
         want, _ = ref.line_integrals(seg.z0, seg.z1, L.omega1, ref.eta(L.omega1), 2)
+        pairs = []
         for g, t in ((seg, 0.0), (seg.reversed(), 1.0)):
             st = _SegmentTransport(model4, [g], table, 1e-12, 14)
             ((got, err),) = st.run()
-            assert st.split_at == [t] and len(st.segs) == 1 and st.roots[0] > 8
+            assert st.split_at == [t] and st.segs == () and st.roots == [0]
+            assert st.disk[0][:2] == (0.0, 1.0)
+            pairs.append((got, err))
             if t:
                 got = table.antipode(got)
             for n in (1, 2):
                 i = table.index[(f"w{n}",)]
                 assert abs(got[i] - want[n - 1]) <= err[i] + 1e-13
+        (fwd, e_fwd), (bwd, e_bwd) = pairs
+        rounding = 8 * chenint._U * np.maximum(1, np.abs(bwd))
+        assert np.all(np.abs(table.antipode(fwd) - bwd) <= e_fwd[table._reversal] + e_bwd + rounding)
 
     def test_unsplit_paths_are_plain_runs(self, model4):
         # paths that pass no puncture closer than 1/32 of a line's length,
@@ -1066,24 +1124,33 @@ class TestPoleSplit:
                 n: float(np.max(err[table.lengths == n])) for n in range(lmax + 1)}
             assert r.panels_by_segment == tuple(npanels)
 
-    def test_split_failure_is_named_in_the_segment_t(self, model4):
-        # below the attainable tolerance a split line fails in the half
-        # before its closest point first, at the root next to that point,
-        # named in the line's own t; as the depth-first oracle fails
+    def test_split_failure_is_named_in_the_segment_t(self, model4, monkeypatch):
+        # below the attainable tolerance a split line's disk piece fails,
+        # its rounding u M above its budget, named in the line's own t, and
+        # before any panel of the path is evaluated, as the depth-first
+        # oracle fails
+        calls = []
+        kernel = _kernels.panel_transport
+        monkeypatch.setattr(_kernels, "panel_transport", lambda *a: calls.append(1) or kernel(*a))
         L = model4.ext.lattice
         seg = _steep_line(L, 3e-3)
         path = PathSpec("edagger", (LineSeg(seg.z0 - 0.3, seg.z0), seg))
         table = _word_table(("w1",), 1)
         for max_depth in range(5):
-            args = (table, 1e-15, max_depth)
+            args = (table, 1e-16, max_depth)
             with pytest.raises(QuadratureFailure) as ref:
                 _Recursive(model4, seg, *args).run()
             with pytest.raises(QuadratureFailure) as got:
                 _SegmentTransport(model4, path.segments, *args).run()
             assert str(got.value) == str(ref.value).replace("segment 0", "segment 1")
             msg = str(got.value)
-            assert msg.startswith("segment 1, half before its split at 0.500000: panel [0.49")
-            assert "0.500000] still off by" in msg
+            assert msg.startswith("segment 1: disk [0.000000, 1.000000] around its split at "
+                                  "0.500000 bounded by ")
+            assert "(budget 1.0" in msg and "at degree" in msg
+        assert calls == []
+        # at 1e-15 the same line converges
+        r = chen_transport(model4, path, letters=("w1",), lmax=1, tol=1e-15)
+        assert r.split_at == (None, 0.5) and r.roots == (1, 0)
 
     @pytest.mark.parametrize("tol,fails", [(1e-14, True), (2e-14, False)])
     def test_rounding_limits_depth_near_1e_14(self, model4, tol, fails):
@@ -1107,12 +1174,86 @@ class TestPoleSplit:
             r = chen_transport(model, path, letters=letters, lmax=2, tol=tol)
             assert len(r.panels_by_depth[0]) <= 10
 
-    def test_spine(self):
-        assert chenint._spine(1.5) == ((0.0, 1.0),)
-        assert chenint._spine(0.5) == ((0.0, 0.5), (0.5, 1.0))
-        assert chenint._spine(0.3) == ((0.0, 0.25), (0.25, 0.5), (0.5, 1.0))
-        roots = chenint._spine(1e-3)
-        assert roots[0] == (0.0, 2.0 ** -10) and len(roots) == 11
+    @pytest.mark.parametrize("curve", [(2, 3), (5, 2), (1, -3)])
+    def test_disk_bound_covers_a_run_at_twice_the_degree(self, curve):
+        # the disk's bound on its cut tails covers its distance from the same
+        # disk taken at twice its degree, word by word, beyond the two runs'
+        # rounding: lines past omega1 and omega2 with s varying, over the
+        # full four-letter alphabet; the degree grows as tol falls
+        L = lattice_from_curve(CurveSpec(*curve))
+        model = EdaggerModel(ExtLattice(L, nmax=4))
+        table = _word_table(tuple(model.letters()), 3)
+        degrees = {}
+        for tol in (1e-4, 1e-8, 1e-12):
+            for point, clearance in ((0, 1e-2), (1, 1e-4)):
+                seg = _steep_line(L, clearance, point)
+                st = _SegmentTransport(model, [seg.shifted(0, 0.3 - 0.2j)], table, tol, 14)
+                ((j, t0, t1, *line),) = st.disks
+                series, bound, own, D = chenint._disk_piece(model.ext, table, *line, 0.01 * tol)
+                twice, _, own2, _ = chenint._disk_piece(model.ext, table, *line, 0, 2 * D)
+                assert np.all(np.abs(series - twice) <= bound + own + own2), (tol, point)
+                assert bound.max() <= 0.01 * tol
+                degrees.setdefault(point, []).append(D)
+        assert all(a < b < c for a, b, c in degrees.values())
+
+    @pytest.mark.parametrize("curve", [(2, 3), (5, 2), (1, -3)])
+    def test_split_lines_with_varying_s_match_reference(self, curve):
+        # s carried linearly along the line, so s = alpha + beta x in the
+        # disk with beta != 0: each letter against mpmath, past omega1 along
+        # omega1, and past omega2 along omega2, which leaves the disk on
+        # (5, 2), whose omega2 is 1.49 times its omega1
+        L = lattice_from_curve(CurveSpec(*curve))
+        model = EdaggerModel(ExtLattice(L, nmax=4))
+        ref = SigmaReference(L, dps=30, nodes=24)
+        letters = tuple(f"w{n}" for n in range(1, 5))
+        for point, clearance, (sa, sb) in ((0, 1e-3, (0.4 - 0.1j, -0.3 + 0.5j)),
+                                            (1, 1e-5, (1.1j, 0.6))):
+            lam = (L.omega1, L.omega2)[point]
+            seg = _steep_line(L, clearance, point, point)
+            seg = LineSeg(seg.z0, seg.z1, sa, sb)
+            r = chen_transport(model, PathSpec("edagger", (seg,)), letters=letters, lmax=1,
+                               tol=1e-12)
+            t0, t1, _ = r.disk[0]
+            assert (t0 > 0) == (t1 < 1) == (curve == (5, 2) and point == 1)
+            want, quad_err = ref.line_integrals(seg.z0, seg.z1, lam, ref.eta(lam), 4, sa, sb)
+            assert quad_err < 1e-15
+            for n in range(1, 5):
+                got = r.values[(f"w{n}",)]
+                assert abs(got - want[n - 1]) <= r.err_by_length[1] + 1e-13, (point, n)
+
+    def test_split_lines_and_their_reverse(self, model4):
+        # a split line's series and its reverse's are each other's antipode,
+        # up to both errors and the rounding: lines in the disk and leaving
+        # it, s varying, the full alphabet to length 3
+        L = model4.ext.lattice
+        table = _word_table(tuple(model4.letters()), 3)
+        disks = set()
+        for point, direction, clearance in ((0, 0, 1e-3), (1, 1, 1e-2), (2, 0, 1e-5)):
+            seg = _steep_line(L, clearance, point, direction)
+            g = line_path("edagger", seg.z0, seg.z1, 0.2 + 0.1j, -0.4j)
+            pairs = []
+            for path in (g, reverse_path(g)):
+                r = chen_transport(model4, path, letters=table.letters, lmax=3, tol=1e-12)
+                e = np.array([r.err_by_length[len(w)] for w in table.words])
+                pairs.append((np.array([r.values[w] for w in table.words]), e))
+                disks.add(r.disk[0][:2] == (0.0, 1.0))
+            (fwd, e_fwd), (bwd, e_bwd) = pairs
+            rounding = 8 * chenint._U * np.maximum(1, np.abs(bwd))
+            assert np.all(np.abs(table.antipode(fwd) - bwd) <= e_fwd + e_bwd + rounding)
+        assert disks == {False, True}
+
+    def test_disk_span(self):
+        # the part of a line within a radius of a point: the closest
+        # approach's t and the span, clipped to the line; None when the line
+        # stays outside
+        span = chenint._disk_span
+        seg = LineSeg(-2 + 0.6j, 2 + 0.6j)
+        assert span(seg, 0j, 0.5) is None
+        t, t0, t1 = span(seg, 0j, 1.0)
+        assert t == 0.5 and t0 == pytest.approx(0.3) and t1 == pytest.approx(0.7)
+        assert span(LineSeg(0.6j, 2 + 0.6j), 0j, 1.0) == (0.0, 0.0, pytest.approx(0.4))
+        assert span(LineSeg(-0.4 + 0.1j, 0.3 + 0.1j), 0j, 1.0) == (pytest.approx(4 / 7), 0.0, 1.0)
+        assert span(LineSeg(1 + 0.6j, 2 + 0.6j), 0j, 1.0) is None
 
 
 class TestBarPairing:

@@ -313,6 +313,7 @@ class TestIntegrate:
             assert sum(by_depth) >= 1 + 2 * k
         # genus-zero lines are never split
         assert rep["split_at"] == [None, None] and rep["roots"] == [1, 1]
+        assert rep["disk"] == [None, None]
 
     def test_split_near_a_lattice_point(self, paths, tmp_path):
         out = tmp_path / "i.json"
@@ -322,9 +323,13 @@ class TestIntegrate:
         assert "split at per segment = [0.5, None]" in p.stdout
         rep = load_json(out)["report"]
         assert rep["split_at"] == [0.5, None]
-        assert rep["roots"][0] == 20 and rep["roots"][1] == 1
+        # the steep line lies in the disk around the lattice point: no root,
+        # no panel, one disk piece over all of it
+        assert rep["roots"] == [0, 1] and rep["panels_by_depth"][0] == []
+        assert rep["disk"][0][:2] == [0.0, 1.0] and rep["disk"][1] is None
+        assert "disk per segment = [[0.0, 1.0, " in p.stdout
         assert [sum(d) for d in rep["panels_by_depth"]] == rep["panels_by_segment"]
-        assert [d[0] for d in rep["panels_by_depth"]] == rep["roots"]
+        assert [d[0] for d in rep["panels_by_depth"][1:]] == rep["roots"][1:]
 
     def test_guard_violation_exits_1(self, paths):
         p = run_cli("integrate", "--path", str(paths["bad"]), "--word", "0")

@@ -48,17 +48,20 @@ def test_panel_and_node_counters(tracing):
         splits.append(r.split_at)
         words = len(chenint._word_table(r.letters, lmax).words)
         panels += sum(r.panels_by_segment)
+        depths = max((len(d) for d in r.panels_by_depth), default=0)
         word_nodes += words * 24 * sum(r.panels_by_segment)
         # per segment: its accepted intervals (one per root, one more per
-        # rejected interval) and its halves, if split, fold into one; then
-        # one per join of segments
-        composes += sum(n + k - 1 for n, k in zip(r.roots, r.rejected_bisections))
+        # rejected interval) fold into one per ordinary piece, and its
+        # pieces, a disk piece too, into one; a disk piece composes its two
+        # ends' series and their magnitudes; then one per join of segments
+        for n, k, disk in zip(r.roots, r.rejected_bisections, r.disk):
+            composes += k + n + 3 * (disk is not None) - 1
         composes += len(path.segments) - 1
         # and the intervals whose halves were evaluated, two panels each
         # past the roots' one, the 1555-word table's composed one at a time;
-        # the steep line's roots are all accepted from their one evaluation
+        # the steep line lies in the disk around omega1: no root, no panel
         if path is steep:
-            assert r.panels_by_segment == r.roots
+            assert r.panels_by_segment == r.roots == (0,) and r.disk[0][:2] == (0.0, 1.0)
         else:
             composes += sum((p - n) // 2 for p, n in zip(r.panels_by_segment, r.roots))
     assert splits == [(0.5,), (None, None)]  # only the steep line is split
@@ -68,8 +71,9 @@ def test_panel_and_node_counters(tracing):
     assert m["logforms.f_batch_nodes"] == 24 * panels
     assert m["chenint.compose_splits"] > 0
     assert sum(1 for s in tracer.spans if s[0] == "chenint.compose") == composes
-    # one kernel call per bisection depth, not one per panel
-    assert m["kernels.panel_calls"] < panels / 3
+    # one kernel call per bisection depth of the deep path's two segments
+    # together, not one per panel
+    assert m["kernels.panel_calls"] == depths < panels
 
 
 @pytest.mark.parametrize("ks", [(2,), (3, 2), (2, 2, 3)])

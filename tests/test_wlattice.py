@@ -185,7 +185,7 @@ def test_theta_block_matches_two_pass_series(lattices, nodes):
         u = _reduce(z, L._w1r, L._w2r, L._red_inv)[0] / L._w1r
         for got, want in zip(_theta1_block(u, L._cache), _theta1_block_two_passes(u, L._cache)):
             assert np.array_equal(got, want)
-        # a lone point (a 0-d u, as eta_lambda passes) too
+        # a lone point, as a 0-d u (eta_lambda passes its probes as one array)
         for got, want in zip(_theta1_block(u[7], L._cache), _theta1_block_two_passes(u[7], L._cache)):
             assert got == want
 
