@@ -840,20 +840,20 @@ def _disk_piece(ext, table, phi, M, za, zb, aim, degree=None):
     return series, bound, _DISK_ROUNDING * _U * table.lengths * sums, D
 
 
-def _disk_span(seg, lam, radius):
-    """(t, t0, t1): the parameter t of the line's closest approach to lam
-    and the interval [t0, t1] of its points within ``radius`` of lam, or
-    None if it has none.  An end of the line less than 1e-9 of it outside
-    the disk is taken into it: the series converge well past its edge."""
+def _disk_span(seg, radius):
+    """(t, t0, t1): the parameter t of the line's closest approach to 0 and
+    the interval [t0, t1] of its points within ``radius`` of 0, or None if
+    it has none.  An end of the line less than 1e-9 of it outside the disk
+    is taken into it: the series converge well past its edge."""
     d = seg.z1 - seg.z0
-    c = ((lam - seg.z0) * np.conj(d)).real / abs(d) ** 2
-    h = radius ** 2 - abs(seg.z0 + c * d - lam) ** 2
+    c = -(seg.z0 * np.conj(d)).real / abs(d) ** 2
+    h = radius ** 2 - abs(seg.z0 + c * d) ** 2
     if h <= 0:
         return None
     half = math.sqrt(h) / abs(d)
     t0 = 0.0 if c - half < 1e-9 else float(c - half)
     t1 = 1.0 if c + half > 1 - 1e-9 else float(c + half)
-    return (float(seg.nearest(lam)), t0, t1) if t0 < t1 else None
+    return (float(seg.nearest(0j)), t0, t1) if t0 < t1 else None
 
 
 def _disk_split(ext, letters, lmax, seg, tol):
@@ -870,7 +870,7 @@ def _disk_split(ext, letters, lmax, seg, tol):
     radius = _RHO * ext._series[1]
     x0, x1 = seg.z0 / t, seg.z1 / t
     phi = None
-    while (span := _disk_span(seg, 0j, radius)) is not None:
+    while (span := _disk_span(seg, radius)) is not None:
         if phi is None:
             beta = (seg.s1 - seg.s0) / (x1 - x0)
             phi, M = _disk_letters(ext, letters, seg.s0 - beta * x0, beta)

@@ -1243,17 +1243,16 @@ class TestPoleSplit:
         assert disks == {False, True}
 
     def test_disk_span(self):
-        # the part of a line within a radius of a point: the closest
-        # approach's t and the span, clipped to the line; None when the line
-        # stays outside
+        # the part of a line within a radius of 0: the closest approach's t
+        # and the span, clipped to the line; None when the line stays outside
         span = chenint._disk_span
         seg = LineSeg(-2 + 0.6j, 2 + 0.6j)
-        assert span(seg, 0j, 0.5) is None
-        t, t0, t1 = span(seg, 0j, 1.0)
+        assert span(seg, 0.5) is None
+        t, t0, t1 = span(seg, 1.0)
         assert t == 0.5 and t0 == pytest.approx(0.3) and t1 == pytest.approx(0.7)
-        assert span(LineSeg(0.6j, 2 + 0.6j), 0j, 1.0) == (0.0, 0.0, pytest.approx(0.4))
-        assert span(LineSeg(-0.4 + 0.1j, 0.3 + 0.1j), 0j, 1.0) == (pytest.approx(4 / 7), 0.0, 1.0)
-        assert span(LineSeg(1 + 0.6j, 2 + 0.6j), 0j, 1.0) is None
+        assert span(LineSeg(0.6j, 2 + 0.6j), 1.0) == (0.0, 0.0, pytest.approx(0.4))
+        assert span(LineSeg(-0.4 + 0.1j, 0.3 + 0.1j), 1.0) == (pytest.approx(4 / 7), 0.0, 1.0)
+        assert span(LineSeg(1 + 0.6j, 2 + 0.6j), 1.0) is None
 
 
 class TestBarPairing:
