@@ -934,7 +934,7 @@ class _SegmentTransport:
         self.max_depth = max_depth
         pieces = []  # (segment, (t0, t1) in its owner's t, owner)
         self.parts = []  # per segment: its pieces' indices in t order, None for the disk
-        self.disks = []  # (segment, t0, t1, letters, bounds, za, zb) of each disk piece
+        self.disks = []  # (segment index, t0, t1, letters, bounds, za, zb) of each disk piece
         self.split_at, self.disk, self.roots = [], [], []
         for j, seg in enumerate(segs):
             pts = np.asarray(model.punctures(seg.corners))

@@ -267,7 +267,7 @@ def cmd_integrate(args):
         f"panels per segment = {list(r.panels_by_segment)}",
         f"split at per segment = {list(r.split_at)}",
         f"roots per segment = {list(r.roots)}",
-        f"disk per segment = {[None if d is None else list(d) for d in r.disk]}",
+        f"disk per segment = {report['disk']}",
     ]
     return report, human, True
 
