@@ -853,7 +853,7 @@ def _disk_span(seg, radius):
     half = math.sqrt(h) / abs(d)
     t0 = 0.0 if c - half < 1e-9 else float(c - half)
     t1 = 1.0 if c + half > 1 - 1e-9 else float(c + half)
-    return (float(seg.nearest(0j)), t0, t1) if t0 < t1 else None
+    return (0.0 if c <= 0 else min(float(c), 1.0), t0, t1) if t0 < t1 else None
 
 
 def _disk_split(ext, letters, lmax, seg, tol):
@@ -1246,7 +1246,7 @@ def chen_transport(
     table = _word_table(letters, lmax)
     st = _SegmentTransport(model, path.segments, table, tol, max_depth)
     acc, err = reduce(lambda earlier, later: _compose_bounded(later, earlier, table), st.run())
-    ebl = {n: float(np.max(err[table.lengths == n])) for n in range(lmax + 1)}
+    ebl = dict(enumerate(np.maximum.reduceat(err, np.searchsorted(table.lengths, np.arange(lmax + 1))).tolist()))
     return TransportResult(
         model=model.name,
         letters=letters,
