@@ -1246,7 +1246,8 @@ def chen_transport(
     table = _word_table(letters, lmax)
     st = _SegmentTransport(model, path.segments, table, tol, max_depth)
     acc, err = reduce(lambda earlier, later: _compose_bounded(later, earlier, table), st.run())
-    ebl = dict(enumerate(np.maximum.reduceat(err, np.searchsorted(table.lengths, np.arange(lmax + 1))).tolist()))
+    starts = np.searchsorted(table.lengths, np.arange(lmax + 1))  # the words sorted by length
+    ebl = dict(enumerate(np.maximum.reduceat(err, starts).tolist()))
     return TransportResult(
         model=model.name,
         letters=letters,
