@@ -67,7 +67,6 @@ from fractions import Fraction
 from functools import cached_property, lru_cache, reduce
 
 import numpy as np
-from numpy.lib.stride_tricks import as_strided
 
 from . import _kernels
 from .barcx import words_upto
@@ -756,7 +755,7 @@ def _log_power_series(table, phi, M, X, q, D):
     padded = np.zeros((A, 2 * D + 2), dtype=complex)
     padded[:, D + 1:] = phi
     s0, s1 = padded.strides
-    Phi = as_strided(padded[:, D + 1:], (D + 1, A, D + 1), (-s1, s0, s1)).reshape(D + 1, -1)
+    Phi = np.ndarray((D + 1, A, D + 1), complex, padded, (D + 1) * s1, (-s1, s0, s1)).reshape(D + 1, -1)
     r = np.abs(phi[:, 0])
     MX = M * X / (1 - q)
     wq = X ** np.arange(D + 1) * q ** np.arange(D, -1, -1)
