@@ -33,9 +33,9 @@ Each series carries an error estimate per word: an interval accepted from
 its one evaluation carries the kernel's estimate, one accepted from its
 halves the composed halves' distance from its panel, a disk piece (below)
 the proven bound of its cut series tails plus an estimate of its rounding;
-every join (panels in the
-bisection tree, a split line's pieces, a path's segments, the genus-zero end
-pieces) composes (series, error) pairs by one rule, ``_compose_bounded``.
+every join (panels in the bisection tree, a split line's pieces, a path's
+segments, the genus-zero end pieces) composes (series, error) pairs by one
+rule, ``_compose_bounded``.
 
 A curve-model line that passes a lattice point lam closer than 1/32 of its
 length is split around it, shifted by (z, s) -> (z - lam, s + eta(lam))

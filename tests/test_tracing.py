@@ -48,7 +48,6 @@ def test_panel_and_node_counters(tracing):
         splits.append(r.split_at)
         words = len(chenint._word_table(r.letters, lmax).words)
         panels += sum(r.panels_by_segment)
-        depths = max((len(d) for d in r.panels_by_depth), default=0)
         word_nodes += words * 24 * sum(r.panels_by_segment)
         # per segment: its accepted intervals (one per root, one more per
         # rejected interval) fold into one per ordinary piece, and its
@@ -64,6 +63,7 @@ def test_panel_and_node_counters(tracing):
             assert r.panels_by_segment == r.roots == (0,) and r.disk[0][:2] == (0.0, 1.0)
         else:
             composes += sum((p - n) // 2 for p, n in zip(r.panels_by_segment, r.roots))
+            depths = max(len(d) for d in r.panels_by_depth)
     assert splits == [(0.5,), (None, None)]  # only the steep line is split
     m, _ = module.summarize(tracer.spans, 1.0)
     assert m["chenint.panels"] == panels
