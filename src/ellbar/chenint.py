@@ -37,15 +37,15 @@ every join (panels in the bisection tree, a split line's pieces, a path's
 segments, the genus-zero end pieces) composes (series, error) pairs by one
 rule, ``_compose_bounded``.
 
-A curve-model line that passes a lattice point lam closer than 1/32 of its
-length is split around it, shifted by (z, s) -> (z - lam, s + eta(lam))
-(``eta_lambda``), which leaves every letter unchanged (quasi-periodicity).
-Its part within half the shortest period of lam, where each letter is a
-simple pole plus a power series (the sigma route's table, as a Laurent
-table), is a disk piece: every word's integral from the tangential base
-point at lam is a sum of log^k times power series, so the part is
-I(lam -> b) I(lam -> a)^-1, two evaluations composed, with no panel.  The
-parts outside the disk are transported as ordinary segments.
+A curve-model line is split around each lattice point lam that it passes
+closer than 1/32 of its length, shifted by (z, s) -> (z - lam, s +
+eta(lam)) (``eta_lambda``), which leaves every letter unchanged
+(quasi-periodicity).  Its part within half the shortest period of lam,
+where each letter is a simple pole plus a power series (the sigma route's
+table, as a Laurent table), is a disk piece: every word's integral from the
+tangential base point at lam is a sum of log^k times power series, so the
+part is I(lam -> b) I(lam -> a)^-1, two evaluations composed, with no
+panel.  The parts outside the disks are transported as ordinary segments.
 
 A word table need not hold every word up to a length: any word set closed
 under taking factors (contiguous subwords) composes and transports, which is
@@ -855,6 +855,15 @@ def _disk_span(seg, radius):
     return (0.0 if c <= 0 else min(float(c), 1.0), t0, t1) if t0 < t1 else None
 
 
+def _line_point(line, u):
+    """(z, s) at the parameter u of the line, its own end where u is 0 or 1."""
+    if u == 0:
+        return line.start
+    if u == 1:
+        return line.end
+    return line.z0 + u * (line.z1 - line.z0), line.s0 + u * (line.s1 - line.s0)
+
+
 def _disk_split(ext, letters, lmax, seg, tol):
     """(t, t0, t1, phi, M) of the line seg in a lattice point's cell, shifted
     so that the point is 0: the parameter t of its closest approach, the
@@ -887,16 +896,17 @@ class _SegmentTransport:
 
     A segment is transported as pieces in t order: the whole segment from
     the root [0, 1], unless it is a line of a model with a ``pole_shift``
-    (the curve model) that passes a puncture lam closer than
-    ``_SPLIT_RATIO`` of its length and enters the disk of radius _RHO a
-    around it (a the shortest period: the sigma route's disk, where the
+    (the curve model) that passes punctures closer than ``_SPLIT_RATIO``
+    of its length and enters the disk of radius _RHO a around such a
+    puncture lam (a the shortest period: the sigma route's disk, where the
     letters' Laurent series at lam converge; smaller for letters of high
-    order, ``_disk_split``).  Then it is split: its part in that disk is
-    one disk piece, taken from those series (``_disk_piece``), and each
-    part outside the disk is an ordinary piece from the root [0, 1]; all of
-    them are shifted into lam's cell by ``pole_shift``, which leaves every
-    letter unchanged.  No panel of a split segment comes nearer to lam than
-    the disk's edge.
+    order, ``_disk_split``).  Then it is split: its part in each such disk
+    is one disk piece, taken from those series (``_disk_piece``) in lam's
+    cell, and each part outside the disks is an ordinary piece from the
+    root [0, 1], in the cell of the nearest such puncture; ``pole_shift``
+    takes a piece into a cell and leaves every letter unchanged.  Disks of
+    distinct lattice points do not meet, and no panel of a split segment
+    comes nearer to their points than their edges.
 
     An interval of an ordinary piece is accepted by one of two rules, each
     against the budget tol ((b - a) + 0.01 max(1, M)), M the largest value
@@ -917,13 +927,14 @@ class _SegmentTransport:
 
     ``npanels``, ``panels_by_depth`` (panels of each depth below a root, a
     root's own at depth 0), ``rejected`` (intervals whose halves did not
-    match), ``split_at`` (the closest point's t, or None), ``roots`` (the
-    ordinary pieces, one root each) and ``disk`` ((t0, t1, degree) of the
-    disk piece, or None) hold one entry per segment, and ``run`` returns
-    one (series, error) pair per segment: the same floats and counts as a
-    run over that segment alone.  A segment closer than the model's guard
-    to a puncture is refused before any is transported; the guard check
-    and the split take one distance pass.
+    match), ``split_at`` (the t of the closest approach to the nearest
+    disk's point, or None), ``roots`` (the ordinary pieces, one root each)
+    and ``disk`` ((t0, t1, degree) of each disk piece in t order, or None)
+    hold one entry per segment, and ``run`` returns one (series, error) pair
+    per segment: the same floats and counts as a run over that segment
+    alone.  A segment closer than the model's guard to a puncture is refused
+    before any is transported; the guard check and the split take one
+    distance pass.
     """
 
     def __init__(self, model, segs, table, tol, max_depth):
@@ -932,8 +943,10 @@ class _SegmentTransport:
         self.tol = tol
         self.max_depth = max_depth
         pieces = []  # (segment, (t0, t1) in its owner's t, owner)
-        self.parts = []  # per segment: its pieces' indices in t order, None for the disk
-        self.disks = []  # (segment index, t0, t1, letters, bounds, za, zb) of each disk piece
+        # per segment: its pieces in t order, ("piece", index into pieces) or
+        # ("disk", index into disks)
+        self.parts = []
+        self.disks = []  # (segment index, t, t0, t1, letters, bounds, za, zb) of each disk piece
         self.split_at, self.disk, self.roots = [], [], []
         for j, seg in enumerate(segs):
             pts = np.asarray(model.punctures(seg.corners))
@@ -945,33 +958,42 @@ class _SegmentTransport:
                     f"segment passes within {dmin:.3e} of a puncture "
                     f"(guard {model.guard:.3e})"
                 )
-            split = None
+            splits = []  # (t, t0, t1, letters, bounds, line in lam's cell), nearest lam first
             if (hasattr(model, "pole_shift") and isinstance(seg, LineSeg)
                     and dmin < _SPLIT_RATIO * seg.speed):
-                shifted = seg.shifted(*model.pole_shift(pts[k]))
-                split = _disk_split(model.ext, table.letters, table.lmax, shifted, tol)
-            if split is None:
-                self.split_at.append(None)
-                self.parts.append([len(pieces)])
-                pieces.append((seg, (0.0, 1.0), j))
-            else:
-                t, t0, t1, phi, M = split
-                seg = shifted
-                a, b = ((seg.z0 + u * (seg.z1 - seg.z0), seg.s0 + u * (seg.s1 - seg.s0))
-                        for u in (t0, t1))
-                a, b = seg.start if t0 == 0 else a, seg.end if t1 == 1 else b
-                self.split_at.append(t)
-                self.parts.append([])
-                if t0 > 0:
-                    self.parts[j].append(len(pieces))
-                    pieces.append((LineSeg(seg.z0, a[0], seg.s0, a[1]), (0.0, t0), j))
-                self.parts[j].append(None)
-                self.disks.append((j, t0, t1, phi, M, a[0], b[0]))
-                if t1 < 1:
-                    self.parts[j].append(len(pieces))
-                    pieces.append((LineSeg(b[0], seg.z1, b[1], seg.s1), (t1, 1.0), j))
-            self.roots.append(sum(part is not None for part in self.parts[j]))
+                near = np.flatnonzero(dist < _SPLIT_RATIO * seg.speed).tolist()
+                for i in sorted(near, key=dist.__getitem__):
+                    shifted = seg.shifted(*model.pole_shift(pts[i]))
+                    split = _disk_split(model.ext, table.letters, table.lmax, shifted, tol)
+                    if split is not None:
+                        splits.append((*split, shifted))
             self.disk.append(None)
+            if not splits:
+                self.split_at.append(None)
+                self.parts.append([("piece", len(pieces))])
+                pieces.append((seg, (0.0, 1.0), j))
+                self.roots.append(1)
+                continue
+            # the ordinary pieces run in the nearest lattice point's cell, each
+            # disk piece in its own point's; disks of distinct lattice points
+            # are disjoint (radius at most half the shortest period)
+            self.split_at.append(splits[0][0])
+            self.parts.append([])
+            base = splits[0][-1]
+            done, start = 0.0, base.start
+            for t, t0, t1, phi, M, line in sorted(splits, key=lambda split: split[1]):
+                if t0 > done:
+                    self.parts[j].append(("piece", len(pieces)))
+                    end = _line_point(base, t0)
+                    pieces.append((LineSeg(start[0], end[0], start[1], end[1]), (done, t0), j))
+                self.parts[j].append(("disk", len(self.disks)))
+                self.disks.append((j, t, t0, t1, phi, M, _line_point(line, t0)[0],
+                                   _line_point(line, t1)[0]))
+                done, start = t1, _line_point(base, t1)
+            if done < 1:
+                self.parts[j].append(("piece", len(pieces)))
+                pieces.append((LineSeg(start[0], base.z1, start[1], base.s1), (done, 1.0), j))
+            self.roots.append(sum(kind == "piece" for kind, _ in self.parts[j]))
         self.segs = tuple(piece[0] for piece in pieces)
         self.span = tuple(piece[1] for piece in pieces)
         self.owner = np.asarray([piece[2] for piece in pieces], dtype=np.int64)
@@ -1032,12 +1054,12 @@ class _SegmentTransport:
             stack.append((depth, p[~ok], a[~ok], b[~ok], vals[~ok]))
 
     def _disk_pieces(self):
-        """(series, error) of every disk piece, by segment, the error its
-        tails' bound plus its rounding estimate: each checked against its
-        budget, as a panel is (its bound in place of the panel's estimate),
-        before any panel is evaluated."""
-        out = {}
-        for j, t0, t1, *line in self.disks:
+        """(series, error) of every disk piece, in the order of ``disks``,
+        the error its tails' bound plus its rounding estimate: each checked
+        against its budget, as a panel is (its bound in place of the panel's
+        estimate), before any panel is evaluated."""
+        out, spans = [], {}
+        for j, t, t0, t1, *line in self.disks:
             w = t1 - t0
             series, bound, own, D = _disk_piece(self.model.ext, self.table, *line,
                                                 0.01 * self.tol * w)
@@ -1047,11 +1069,12 @@ class _SegmentTransport:
             if worst + rounding > budget:
                 raise QuadratureFailure(
                     f"segment {j}: disk [{t0:.6f}, {t1:.6f}] around its split at "
-                    f"{self.split_at[j]:.6f} bounded by {worst:.3e} with rounding "
+                    f"{t:.6f} bounded by {worst:.3e} with rounding "
                     f"{rounding:.3e} (budget {budget:.3e}) at degree {D}"
                 )
-            self.disk[j] = (t0, t1, D)
-            out[j] = (series, bound + own)
+            spans.setdefault(j, []).append((t0, t1, D))
+            out.append((series, bound + own))
+        self.disk = [tuple(spans[j]) if j in spans else None for j in range(len(self.disk))]
         return out
 
     def run(self):
@@ -1121,23 +1144,26 @@ class _SegmentTransport:
             again = (~ok).repeat(2)  # the halves of the rejected intervals, in t order
             self._open(stack, depth + 1, seg[again], lo[again], hi[again],
                        (vals[again], est[again]), leaves)
-        pairs = [self._fold_leaves(leaf) for leaf in leaves]
+        pairs = {"piece": [self._fold_leaves(leaf) for leaf in leaves], "disk": disks}
         out = []
-        for j, parts in enumerate(self.parts):
+        for parts in self.parts:
             pair = None
-            for q in parts:
-                later = disks[j] if q is None else pairs[q]
+            for kind, i in parts:
+                later = pairs[kind][i]
                 pair = later if pair is None else _compose_bounded(later, pair, table)
             out.append(pair)
         return out
 
     def failure(self, q, a, b, worst, rounding, budget, depth):
         """The QuadratureFailure of piece q's interval [a, b], which names
-        the interval in its segment's own t, and the disk beside it."""
+        the interval in its segment's own t, and the segment's disks."""
         j = int(self.owner[q])
         where = f"segment {j}"
-        if self.split_at[j] is not None:
-            where += f", outside the disk around its split at {self.split_at[j]:.6f}"
+        ts = [f"{disk[1]:.6f}" for disk in self.disks if disk[0] == j]
+        if len(ts) == 1:
+            where += f", outside the disk around its split at {ts[0]}"
+        elif ts:
+            where += f", outside the disks around its splits at {', '.join(ts)}"
         t0, t1 = self.span[q]
         lo, hi = t0 + (t1 - t0) * a, t0 + (t1 - t0) * b
         return QuadratureFailure(
@@ -1177,9 +1203,9 @@ class TransportResult:
     panels_by_segment: tuple
     panels_by_depth: tuple  # per segment: panels of each depth below a root (a root's at 0)
     rejected_bisections: tuple  # per segment: intervals whose halves did not match, bisected again
-    split_at: tuple  # per segment: t of the closest approach to the puncture it is split at, or None
+    split_at: tuple  # per segment: t of its closest approach to the nearest split puncture, or None
     roots: tuple  # per segment: intervals the bisection starts from, one per ordinary piece
-    disk: tuple  # per segment: (t0, t1, series degree) of its disk piece, or None
+    disk: tuple  # per segment: (t0, t1, series degree) of each disk piece in t order, or None
 
     def coeff(self, word) -> complex:
         word = tuple(word)
@@ -1219,11 +1245,11 @@ def chen_transport(
     1e-14 that is about 1.1e-3 M, so bisection gains nothing beyond depth 9
     below a root.  From tol 2e-14 up the width is free.
 
-    A curve-model line that passes a lattice point closer than 1/32 of its
-    length is split around it: its part within half the shortest period of
-    the lattice point is one disk piece, from the letters' Laurent series
-    there, and each part outside is transported as above (see
-    ``_SegmentTransport``).  The disk piece's degree is aimed at a hundredth
+    A curve-model line is split around each lattice point that it passes
+    closer than 1/32 of its length: its part within half the shortest
+    period of the lattice point is one disk piece, from the letters'
+    Laurent series there, and each part outside the disks is transported
+    as above (see ``_SegmentTransport``).  The disk piece's degree is aimed at a hundredth
     of tol times its width; its error is the proven bound on the cut tails
     plus an estimate of its rounding (8u per letter times the magnitudes
     its sums add), and the bound plus u M must fit tol (width + 0.01

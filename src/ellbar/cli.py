@@ -258,7 +258,7 @@ def cmd_integrate(args):
         "rejected_bisections": list(r.rejected_bisections),
         "split_at": list(r.split_at),
         "roots": list(r.roots),
-        "disk": [None if d is None else list(d) for d in r.disk],
+        "disk": [None if d is None else [list(span) for span in d] for d in r.disk],
     }
     human = [
         f"word {'|'.join(word) or '(empty)'} along {len(path.segments)} segment(s)",

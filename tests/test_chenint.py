@@ -431,9 +431,9 @@ class _Recursive:
         """The segment's (series, error)."""
         disks = self.st._disk_pieces()
         pair = None
-        for self.q in self.st.parts[0]:
-            if self.q is None:
-                acc = disks[0]
+        for kind, self.q in self.st.parts[0]:
+            if kind == "disk":
+                acc = disks[self.q]
             else:
                 acc = None
                 for t0, t1 in self.st.piece_roots[self.q]:
@@ -631,9 +631,10 @@ class TestLevelSynchronous:
         L = model4.ext.lattice
         st = self._against_oracle(model4, _steep_line(L, clearance), letters, 2)
         assert st.split_at == [0.5] and st.roots == [0] and st.npanels == [0]
-        assert st.disk[0][:2] == (0.0, 1.0)
+        assert [d[:2] for d in st.disk[0]] == [(0.0, 1.0)]
         st = self._against_oracle(model4, _steep_line(L, clearance, 0, 1), letters, 2)
-        assert st.split_at == [0.5] and st.roots == [2] and 0 < st.disk[0][0] < 0.5 < st.disk[0][1]
+        ((t0, t1, _),) = st.disk[0]
+        assert st.split_at == [0.5] and st.roots == [2] and 0 < t0 < 0.5 < t1
 
     @pytest.mark.parametrize("clearance", [3e-3, 1e-3, 1e-4])
     @pytest.mark.parametrize("letters", [("w1",), ("w2",), ("w1", "w3")])
@@ -762,7 +763,8 @@ class TestLevelSynchronous:
         ):
             _check_depth_counts(by_depth, n, roots, rejected)
         assert r.split_at == (None, 0.5) and r.roots == (1, 0)
-        assert r.panels_by_depth[1] == () and r.disk[0] is None and r.disk[1][:2] == (0.0, 1.0)
+        assert r.panels_by_depth[1] == () and r.disk[0] is None
+        assert [d[:2] for d in r.disk[1]] == [(0.0, 1.0)]
 
 
 def _two_line_path(L):
@@ -933,7 +935,7 @@ class TestPoleSplit:
         letters = tuple(f"w{n}" for n in range(1, 7))
         for point, clearance, seg, want in lines:
             r = chen_transport(model, PathSpec("edagger", (seg,)), letters=letters, lmax=2, tol=tol)
-            t0, t1, _ = r.disk[0]
+            ((t0, t1, _),) = r.disk[0]
             assert t0 < r.split_at[0] < t1 and r.roots[0] == (t0 > 0) + (t1 < 1)
             assert (t0, t1) == (0.0, 1.0) or (curve, point) == (1, 1)
             for n in range(1, 7):
@@ -1037,7 +1039,8 @@ class TestPoleSplit:
                 for letters in sets:
                     r = chen_transport(model, PathSpec("edagger", (seg,)), letters=letters,
                                        lmax=2, tol=1e-10)
-                    assert r.split_at[0] is not None and r.disk[0][:2] == (0.0, 1.0)
+                    assert r.split_at[0] is not None
+                    assert [d[:2] for d in r.disk[0]] == [(0.0, 1.0)]
                     assert r.panels_by_segment == r.roots == (0,), (point, direction, letters)
                     assert max(r.err_by_length.values()) <= 0.01 * 1e-10
         assert calls == []
@@ -1082,7 +1085,7 @@ class TestPoleSplit:
             st = _SegmentTransport(model4, [g], table, 1e-12, 14)
             ((got, err),) = st.run()
             assert st.split_at == [t] and st.segs == () and st.roots == [0]
-            assert st.disk[0][:2] == (0.0, 1.0)
+            assert [d[:2] for d in st.disk[0]] == [(0.0, 1.0)]
             pairs.append((got, err))
             if t:
                 got = table.antipode(got)
@@ -1188,7 +1191,7 @@ class TestPoleSplit:
             for point, clearance in ((0, 1e-2), (1, 1e-4)):
                 seg = _steep_line(L, clearance, point)
                 st = _SegmentTransport(model, [seg.shifted(0, 0.3 - 0.2j)], table, tol, 14)
-                ((j, t0, t1, *line),) = st.disks
+                ((j, t, t0, t1, *line),) = st.disks
                 series, bound, own, D = chenint._disk_piece(model.ext, table, *line, 0.01 * tol)
                 twice, _, own2, _ = chenint._disk_piece(model.ext, table, *line, 0, 2 * D)
                 assert np.all(np.abs(series - twice) <= bound + own + own2), (tol, point)
@@ -1213,7 +1216,7 @@ class TestPoleSplit:
             seg = LineSeg(seg.z0, seg.z1, sa, sb)
             r = chen_transport(model, PathSpec("edagger", (seg,)), letters=letters, lmax=1,
                                tol=1e-12)
-            t0, t1, _ = r.disk[0]
+            ((t0, t1, _),) = r.disk[0]
             assert (t0 > 0) == (t1 < 1) == (curve == (5, 2) and point == 1)
             want, quad_err = ref.line_integrals(seg.z0, seg.z1, lam, ref.eta(lam), 4, sa, sb)
             assert quad_err < 1e-15
@@ -1236,11 +1239,37 @@ class TestPoleSplit:
                 r = chen_transport(model4, path, letters=table.letters, lmax=3, tol=1e-12)
                 e = np.array([r.err_by_length[len(w)] for w in table.words])
                 pairs.append((np.array([r.values[w] for w in table.words]), e))
-                disks.add(r.disk[0][:2] == (0.0, 1.0))
+                disks.add([d[:2] for d in r.disk[0]] == [(0.0, 1.0)])
             (fwd, e_fwd), (bwd, e_bwd) = pairs
             rounding = 8 * chenint._U * np.maximum(1, np.abs(bwd))
             assert np.all(np.abs(table.antipode(fwd) - bwd) <= e_fwd + e_bwd + rounding)
         assert disks == {False, True}
+
+    @pytest.mark.parametrize("curve", [(2, 3), (5, 2), (1, -3)])
+    def test_translate_paths_past_two_lattice_points(self, curve):
+        # z0 + t omega1 from just above the lattice point 0 to just above
+        # omega1: a disk piece at each end, each in its own lattice point's
+        # cell, and one ordinary piece between them; every letter against
+        # the closed form, words w_n w_n against I(w_n)^2 / 2 (shuffle).
+        # Down to clearance 1e-4 at tol 1e-12 the far end, reached by
+        # bisection, failed when only the nearest lattice point was split
+        L = lattice_from_curve(CurveSpec(*curve))
+        model = EdaggerModel(ExtLattice(L, nmax=4))
+        letters = tuple(f"w{n}" for n in range(5))
+        for clearance in (1e-3, 1e-5):
+            z0 = 1j * clearance * L.min_period() * L.omega1 / abs(L.omega1)
+            want = _translate_closed_form(L, z0, 0.3 - 0.2j, 4)
+            for tol in (1e-10, 1e-12):
+                r = chen_transport(model, translate_path(L, (1, 0), z0, 0.3 - 0.2j),
+                                   letters=letters, lmax=2, tol=tol)
+                (t0, _, _), (_, t1, _) = r.disk[0]
+                assert r.split_at[0] in (0.0, 1.0) and (t0, t1) == (0.0, 1.0)
+                assert r.roots == (1,) and r.rejected_bisections == (0,)
+                for n, a in enumerate(letters):
+                    rounding = 8 * chenint._U * max(1.0, abs(want[n]))
+                    assert abs(r.values[(a,)] - want[n]) <= r.err_by_length[1] + rounding
+                    actual = abs(r.values[(a, a)] - want[n] ** 2 / 2)
+                    assert actual <= r.err_by_length[2] + rounding * max(1.0, abs(want[n]))
 
     def test_disk_span(self):
         # the part of a line within a radius of 0: the closest approach's t

@@ -326,8 +326,8 @@ class TestIntegrate:
         # the steep line lies in the disk around the lattice point: no root,
         # no panel, one disk piece over all of it
         assert rep["roots"] == [0, 1] and rep["panels_by_depth"][0] == []
-        assert rep["disk"][0][:2] == [0.0, 1.0] and rep["disk"][1] is None
-        assert "disk per segment = [[0.0, 1.0, " in p.stdout
+        assert [d[:2] for d in rep["disk"][0]] == [[0.0, 1.0]] and rep["disk"][1] is None
+        assert "disk per segment = [[[0.0, 1.0, " in p.stdout
         assert [sum(d) for d in rep["panels_by_depth"]] == rep["panels_by_segment"]
         assert [d[0] for d in rep["panels_by_depth"][1:]] == rep["roots"][1:]
 

@@ -51,16 +51,17 @@ def test_panel_and_node_counters(tracing):
         word_nodes += words * 24 * sum(r.panels_by_segment)
         # per segment: its accepted intervals (one per root, one more per
         # rejected interval) fold into one per ordinary piece, and its
-        # pieces, a disk piece too, into one; a disk piece composes its two
+        # pieces, disk pieces too, into one; a disk piece composes its two
         # ends' series and their magnitudes; then one per join of segments
         for n, k, disk in zip(r.roots, r.rejected_bisections, r.disk):
-            composes += k + n + 3 * (disk is not None) - 1
+            composes += k + n + 3 * len(disk or ()) - 1
         composes += len(path.segments) - 1
         # and the intervals whose halves were evaluated, two panels each
         # past the roots' one, the 1555-word table's composed one at a time;
         # the steep line lies in the disk around omega1: no root, no panel
         if path is steep:
-            assert r.panels_by_segment == r.roots == (0,) and r.disk[0][:2] == (0.0, 1.0)
+            assert r.panels_by_segment == r.roots == (0,)
+            assert [d[:2] for d in r.disk[0]] == [(0.0, 1.0)]
         else:
             composes += sum((p - n) // 2 for p, n in zip(r.panels_by_segment, r.roots))
             depths = max(len(d) for d in r.panels_by_depth)
