@@ -947,7 +947,7 @@ class _SegmentTransport:
         # ("disk", index into disks)
         self.parts = []
         self.disks = []  # (segment index, t, t0, t1, letters, bounds, za, zb) of each disk piece
-        self.split_at, self.disk, self.roots = [], [], []
+        self.split_at, self.roots = [], []
         for j, seg in enumerate(segs):
             pts = np.asarray(model.punctures(seg.corners))
             dist = seg.distance(pts)
@@ -967,7 +967,6 @@ class _SegmentTransport:
                     split = _disk_split(model.ext, table.letters, table.lmax, shifted, tol)
                     if split is not None:
                         splits.append((*split, shifted))
-            self.disk.append(None)
             if not splits:
                 self.split_at.append(None)
                 self.parts.append([("piece", len(pieces))])
@@ -994,6 +993,7 @@ class _SegmentTransport:
                 self.parts[j].append(("piece", len(pieces)))
                 pieces.append((LineSeg(start[0], base.z1, start[1], base.s1), (done, 1.0), j))
             self.roots.append(sum(kind == "piece" for kind, _ in self.parts[j]))
+        self.disk = [None] * len(segs)  # filled by _disk_pieces
         self.segs = tuple(piece[0] for piece in pieces)
         self.span = tuple(piece[1] for piece in pieces)
         self.owner = np.asarray([piece[2] for piece in pieces], dtype=np.int64)
@@ -1074,7 +1074,7 @@ class _SegmentTransport:
                 )
             spans.setdefault(j, []).append((t0, t1, D))
             out.append((series, bound + own))
-        self.disk = [tuple(spans[j]) if j in spans else None for j in range(len(self.disk))]
+        self.disk = [tuple(spans[j]) if j in spans else None for j in range(len(self.split_at))]
         return out
 
     def run(self):
@@ -1249,13 +1249,13 @@ def chen_transport(
     closer than 1/32 of its length: its part within half the shortest
     period of the lattice point is one disk piece, from the letters'
     Laurent series there, and each part outside the disks is transported
-    as above (see ``_SegmentTransport``).  The disk piece's degree is aimed at a hundredth
-    of tol times its width; its error is the proven bound on the cut tails
-    plus an estimate of its rounding (8u per letter times the magnitudes
-    its sums add), and the bound plus u M must fit tol (width + 0.01
-    max(1, M)), else it raises QuadratureFailure.  So split lines converge
-    at tol 1e-14, where panels near their pole could not.  A segment within
-    the model's guard of a puncture raises GuardViolation.
+    as above (see ``_SegmentTransport``).  A disk piece's degree is aimed
+    at a hundredth of tol times its width; its error is the proven bound on
+    the cut tails plus an estimate of its rounding (8u per letter times the
+    magnitudes its sums add), and the bound plus u M must fit tol (width +
+    0.01 max(1, M)), else it raises QuadratureFailure.  So split lines
+    converge at tol 1e-14, where panels near their pole could not.  A
+    segment within the model's guard of a puncture raises GuardViolation.
 
     ``err_by_length`` is the largest composed error of each word length.  It
     is not held to tol: every accepted panel may carry an error up to its
