@@ -52,10 +52,10 @@ under taking factors (contiguous subwords) composes and transports, which is
 all that one word's series needs.
 
 The genus-zero regularized integrals run between the tangential base
-points at 0 and 1.  Their end pieces, [0, 1/4] and [3/4, 1], come from the
-local series in z and log z at those points, with a proven bound on the cut
-tails; only the middle piece is transported, on the factors of the word,
-as its two halves.
+points at 0 and 1.  Their end pieces, [0, 1/4] and [3/4, 1], are the same
+log-power series at those points, taken by the disk pieces' recursion
+(``_log_power_series``), with a proven bound on the cut tails; only the
+middle piece is transported, on the factors of the word, as its two halves.
 """
 
 from __future__ import annotations
@@ -672,28 +672,31 @@ _DISK_ROUNDING = 8
 
 
 # --------------------------------------------------------------------------
-# disk pieces: a split line near a lattice point, from the letters' Laurent
-# series there
+# log-power series at a tangential base point: disk pieces and the genus-zero
+# ends
 #
-# In lam's cell, x = (z - lam) / t (t as in ExtLattice._series) and s affine
-# in x along a line, s = alpha + beta x, each letter is r / x plus a power
-# series in x, per dx: f_n = sum_j (-s)^j / j! g_(n-j) with the t g_m of the
-# table ExtLattice._laurent, nu = beta dx and w0 = t dx.  So the iterated
-# integral of a word w = a.v from the tangential base point at x = 0
-# (tangent 1) is I_w(x) = sum_k log^k(x) / k! sum_p c[k, p] x^p, and
-# prepending a multiplies by the letter and integrates, as for the
-# genus-zero ends: for p >= 1
+# In a coordinate x in which each letter is r / x plus a power series in x,
+# per dx, the iterated integral of a word w = a.v from the tangential base
+# point at x = 0 (tangent 1) is I_w(x) = sum_k log^k(x) / k! sum_p c[k, p]
+# x^p (Borwein, Bradley, Broadhurst and Lisonek, arXiv:math/9910045), and
+# prepending a multiplies by the letter and integrates: for p >= 1
 #
 #     int_0^x y^(p-1) log^j(y) / j! dy = x^p sum_i (-1)^i log^(j-i)(x) / (j-i)! / p^(i+1),
 #
 # and log^(j+1)(x) / (j+1)! for p = 0.  Powers past D are dropped.  The
-# letters' coefficients obey |phi_p| <= M rho^-p (M bounds their regular
-# part's sum_p |phi_p| rho^p), so with q = X / rho, X the largest |x| at
-# which the series are evaluated, a bound T[k] >= sum_(p>D) |c[k, p]| X^p
-# on what was dropped takes the steps: the integrand's dropped part is at
-# most H[j] = |r| T_v[j] + M X / (1 - q) (T_v[j] + sum_(p<=D) |c_v[j, p]|
-# X^p q^(D-p)), and integrating sends H[j] to T[j - i] with the factor
-# (D+1)^-(i+1).
+# letters' coefficients obey |phi_p| <= M rho^-p, so with q = X / rho, X the
+# largest |x| at which the series are evaluated, a bound T[k] >= sum_(p>D)
+# |c[k, p]| X^p on what was dropped takes the steps: the integrand's dropped
+# part is at most H[j] = |r| T_v[j] + M X / (1 - q) (T_v[j] + sum_(p<=D)
+# |c_v[j, p]| X^p q^(D-p)), and integrating sends H[j] to T[j - i] with the
+# factor (D+1)^-(i+1).
+#
+# A disk piece is a split line near a lattice point lam: in lam's cell, x =
+# (z - lam) / t (t as in ExtLattice._series) and s affine in x along the
+# line, s = alpha + beta x, f_n = sum_j (-s)^j / j! g_(n-j) with the t g_m of
+# the table ExtLattice._laurent, nu = beta dx and w0 = t dx, and M bounds a
+# letter's regular part's sum_p |phi_p| rho^p.  The genus-zero ends take x =
+# z at 0 (see _DELTA).
 
 
 @lru_cache(maxsize=None)
@@ -774,6 +777,17 @@ def _log_power_series(table, phi, M, X, q, D):
     return c, T
 
 
+def _log_power_at(c, T, x, logs):
+    """(values, bounds) of every word at the points x from its log-power
+    series (c, T) of ``_log_power_series``: sum_k logs[k] sum_p c[k, w, p]
+    x^p and sum_k |logs[k]| T[k, w], one column per point, with logs[k, i] =
+    log^k(x_i) / k! on the branch taken at x_i."""
+    D = c.shape[-1] - 1
+    vals = c.reshape(-1, D + 1) @ (x ** np.arange(D + 1)[:, None])
+    vals = (vals.reshape(len(logs), -1, len(x)) * logs[:, None]).sum(axis=0)
+    return vals, T.T @ np.abs(logs)
+
+
 def _disk_degree(M, X, rho, target, length=1):
     """(D, i): the smallest degree D whose letter-level bound L q^D, L = M X
     / (1 - q) and q = X / rho_i, meets ``target`` at the radius rho_i that
@@ -805,6 +819,7 @@ def _disk_piece(ext, table, phi, M, za, zb, aim, degree=None):
     ends' series, composed."""
     t = ext._series[2]
     xa, xb = za / t, zb / t
+    x = np.array([xa, xb])
     X = max(abs(xa), abs(xb))
     rho = ext._laurent[1]
     k = np.arange(table.lmax + 1)[:, None]
@@ -812,11 +827,9 @@ def _disk_piece(ext, table, phi, M, za, zb, aim, degree=None):
 
     def at(D, i):
         c, T = _log_power_series(table, phi[:, :D + 1], M[:, i], X, X / rho[i], D)
-        vals = c.reshape(-1, D + 1) @ (np.array([xa, xb]) ** np.arange(D + 1)[:, None])
-        vals = (vals.reshape(len(k), -1, 2) * logs[:, None]).sum(axis=0)
-        errs = T.T @ np.abs(logs)
+        vals, errs = _log_power_at(c, T, x, logs)
         return (*_compose_bounded((vals[:, 1], errs[:, 1]),
-                                  (table.antipode(vals[:, 0]), errs[table._reversal, 0]), table), c)
+                                  (table.antipode(vals[:, 0]), errs[table._reversal, 0]), table), c, T)
 
     if degree is None:
         target, D = aim / 10, 0
@@ -826,15 +839,14 @@ def _disk_piece(ext, table, phi, M, za, zb, aim, degree=None):
             if step <= D:
                 break
             D = step
-            series, bound, c = at(D, i)
+            series, bound, c, T = at(D, i)
             if bound.max() <= aim:
                 break
             target *= aim / bound.max() / 2
     else:
         D = degree
-        series, bound, c = at(D, int(np.argmin(M.max(axis=0) * (X / rho) ** D / (1 - X / rho))))
-    mags = np.abs(c).reshape(-1, D + 1) @ (np.abs([xa, xb]) ** np.arange(D + 1)[:, None])
-    mags = (mags.reshape(len(k), -1, 2) * np.abs(logs)[:, None]).sum(axis=0)
+        series, bound, c, T = at(D, int(np.argmin(M.max(axis=0) * (X / rho) ** D / (1 - X / rho))))
+    mags, _ = _log_power_at(np.abs(c), T, np.abs(x), np.abs(logs))
     sums = compose_series(mags[:, 1], mags[table._reversal, 0], table)
     return series, bound, _DISK_ROUNDING * _U * table.lengths * sums, D
 
@@ -997,7 +1009,6 @@ class _SegmentTransport:
         self.segs = tuple(piece[0] for piece in pieces)
         self.span = tuple(piece[1] for piece in pieces)
         self.owner = np.asarray([piece[2] for piece in pieces], dtype=np.int64)
-        self.piece_roots = (((0.0, 1.0),),) * len(pieces)
         self.x, self.w, self.Q, self.tail = _ref_quad(_ORDER)
         m = len(segs)
         self.npanels = [0] * m
@@ -1102,8 +1113,8 @@ class _SegmentTransport:
         leaves = [[] for _ in self.segs]  # (t0, t1, (series, err)) of accepted intervals
         # groups (depth, piece, t0, t1, whole panels, or None for roots not
         # yet evaluated)
-        roots = [(q, t0, t1) for q, spans in enumerate(self.piece_roots) for t0, t1 in spans]
-        stack = [(0, *map(np.array, zip(*roots)), None)] if roots else []
+        n = len(self.segs)
+        stack = [(0, np.arange(n), np.zeros(n), np.ones(n), None)] if n else []
         while stack:
             depth, p, a, b, whole = stack.pop()
             if len(p) > self.cap:
@@ -1515,63 +1526,43 @@ def _p1_word(word) -> tuple:
     return tuple(out)
 
 
-# Near the tangential base point at 0 (tangent 1), an iterated integral from
-# it is a finite sum of log^j z times power series in z (Borwein, Bradley,
-# Broadhurst and Lisonek, arXiv:math/9910045; Vollinga and Weinzierl,
-# arXiv:hep-ph/0410259).  A word's coefficients c[j, p] follow from its
-# suffix's.  Prepending om0 integrates against dt/t:
-#
-#     int_0^z t^(p-1) log^j t dt = z^p sum_i (-1)^i j!/(j-i)! log^(j-i) z / p^(i+1)
-#
-# for p >= 1, and log^(j+1) z / (j+1) for p = 0.  Prepending om1 first
-# multiplies by t/(t - 1) = -sum_{m>=1} t^m, then does the same.  Powers
-# past K are dropped, and a bound T_j >= sum_{p>K} |c[j, p]| delta^p takes
-# the same steps: om1 maps T to (delta^(K+1) sum_{p<=K} |c_p| + delta T) /
-# (1 - delta), and om0 sends T_j to T_(j-i) with the factor
-# j!/(j-i)!/(K+1)^(i+1).
-
-# The end pieces are [0, _DELTA] and [1 - _DELTA, 1]; their local series
-# keep the powers up to _K, which leaves tails below 1e-19.
+# The end pieces are [0, _DELTA] and [1 - _DELTA, 1], each from the
+# log-power series at its tangential base point (``_log_power_series``), the
+# one at 1 through z -> 1 - z (``_p1_ends``).  In x = z at 0, om0 = dx / x
+# is the row (1, 0, ..., 0) and om1 = dx / (x - 1) = -sum_m x^m dx the row
+# (0, -1, ..., -1), so |phi_p| <= 1 at rho = 1 (M = 0 and 1), and X = q =
+# _DELTA.  Cut after the power _K, the tails stay below 1e-19.
 _DELTA = 0.25
 _K = 32
 
 
-def _tangential_series(table, K, right):
-    """Values and proven truncation bounds of I(0+; f; delta) for every word
-    f of the table, the local series cut after the power K.
+@lru_cache(maxsize=128)
+def _p1_ends(word):
+    """(table, left, right): the factors of the word and of rev swap word,
+    swap exchanging om0 and om1, in one table, and for each factor f of the
+    word (in its factor table's order) the index of f (left) and of rev
+    swap f (right) in it."""
+    def mirror(w):
+        return tuple("om1" if a == "om0" else "om0" for a in reversed(w))
 
-    With ``right``, those of I(1 - delta; f; 1-) = (-1)^|f| I(0+; rev swap f;
-    delta) instead, swap exchanging om0 and om1: z -> 1 - z swaps the
-    letters and reverses the path.  The suffixes of rev swap f are the rev
-    swap of f's prefixes, so the one factor table serves both ends.
-    """
-    p = np.arange(1, K + 1)
-    powers = _DELTA ** np.arange(K + 1)
-    coeffs, tails = [np.eye(1, K + 1)], [np.zeros(1)]
-    for w in table.words[1:]:
-        if right:  # rev swap w = swap(w[-1]) . rev swap w[:-1]
-            i, om1 = table.index[w[:-1]], w[-1] == "om0"
-        else:
-            i, om1 = table.index[w[1:]], w[0] == "om1"
-        c, T = coeffs[i], tails[i]
-        if om1:
-            T = (powers[-1] * _DELTA * np.abs(c).sum(axis=1) + _DELTA * T) / (1 - _DELTA)
-            c = np.concatenate([np.zeros((len(c), 1)), -np.cumsum(c[:, :-1], axis=1)], axis=1)
-        n = len(c)
-        c1, T1 = np.zeros((n + 1, K + 1)), np.zeros(n + 1)
-        c1[1:, 0] = c[:, 0] / np.arange(1, n + 1)
-        e = f = 0.0
-        for j in range(n - 1, -1, -1):
-            e = c[j, 1:] - (j + 1) * e / p
-            f = T[j] + (j + 1) * f / (K + 1)
-            c1[j, 1:] = e / p
-            T1[j] = f / (K + 1)
-        coeffs.append(c1)
-        tails.append(T1)
-    logd = math.log(_DELTA)
-    values = np.array([logd ** np.arange(len(c)) @ (c @ powers) for c in coeffs])
-    bounds = np.array([abs(logd) ** np.arange(len(T)) @ T for T in tails])
-    return (-1.0) ** table.lengths * values if right else values, bounds
+    words = _factor_table(("om0", "om1"), word).words
+    table = WordTable(("om0", "om1"), sorted({*words, *map(mirror, words)}, key=lambda w: (len(w), w)))
+    left = np.asarray([table.index[f] for f in words])
+    right = np.asarray([table.index[mirror(f)] for f in words])
+    return table, left, right
+
+
+def _p1_end(table, D=_K):
+    """(values, bounds) of I(0+; f; _DELTA) for every word f of the
+    genus-zero table, from the log-power series cut after the power D: the
+    values and proven bounds on what the cut tails move."""
+    phi = np.zeros((2, D + 1))
+    phi[0, 0], phi[1, 1:] = 1.0, -1.0
+    c, T = _log_power_series(table, phi, np.array([0.0, 1.0]), _DELTA, _DELTA, D)
+    k = np.arange(table.lmax + 1)[:, None]
+    logs = math.log(_DELTA) ** k / np.cumprod(np.maximum(k, 1), axis=0)
+    values, bounds = _log_power_at(c, T, np.array([_DELTA]), logs)
+    return values[:, 0], bounds[:, 0]
 
 
 def regularized_integral_p1(word, tol: float = 1e-9, full: bool = False):
@@ -1579,8 +1570,9 @@ def regularized_integral_p1(word, tol: float = 1e-9, full: bool = False):
     tangential base at 1.
 
     The path is cut at delta = 1/4 and 1 - delta.  The end pieces come from
-    the local series at each tangential base point (``_tangential_series``),
-    for every factor (contiguous subword) of the word; the middle piece is
+    the log-power series at each tangential base point (``_p1_end``, the
+    disk pieces' recursion), for every factor (contiguous subword) of the
+    word, with a proven bound on their cut tails; the middle piece is
     transported on the same factor table, as its two halves [1/4, 1/2] and
     [1/2, 3/4].  Each half is accepted from its one evaluation where the
     whole middle piece, as one panel, mostly is not (its estimate exceeds
@@ -1603,8 +1595,12 @@ def regularized_integral_p1(word, tol: float = 1e-9, full: bool = False):
     if not letters:
         raise ValueError("word must be nonempty")
     table = _factor_table(("om0", "om1"), letters)
-    left, e_left = _tangential_series(table, _K, right=False)
-    right, e_right = _tangential_series(table, _K, right=True)
+    ends, left, right = _p1_ends(letters)
+    values, bounds = _p1_end(ends)
+    left, e_left = values[left], bounds[left]
+    # z -> 1 - z swaps the letters and reverses the path:
+    # I(1 - delta; f; 1-) = (-1)^|f| I(0+; rev swap f; delta)
+    right, e_right = np.where(table.lengths % 2, -values[right], values[right]), bounds[right]
     halves = [LineSeg(_DELTA, 0.5), LineSeg(0.5, 1 - _DELTA)]
     st = _SegmentTransport(P1Model(), halves, table, min(tol, 1e-11), 16)
     (first, _), (second, _) = st.run()

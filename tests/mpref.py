@@ -65,37 +65,39 @@ class SigmaReference:
             return [mp.fsum((-s) ** j / mp.factorial(j) * g[n - j] for j in range(n + 1))
                     for n in range(nmax + 1)]
 
-    def line_integrals(self, za, zb, lam, eta, nmax, sa=0, sb=0):
+    def line_integrals(self, za, zb, poles, nmax, sa=0, sb=0):
         """[int f_n(z, s) dz for n = 1..nmax] along the line (za, sa) ->
-        (zb, sb), s carried linearly, which passes the lattice point lam
-        with eta(lam) = eta.
+        (zb, sb), s carried linearly, which passes the lattice points lam of
+        ``poles``, a list of (lam, eta(lam)).
 
-        f_n has the simple pole (eta - s_lam)^(n-1) / (n-1)! / (z - lam)
-        there, s_lam the value at z = lam of s as an affine function of z;
-        its integral is taken exactly, and the smooth rest by mpmath's
-        Gauss-Legendre quadrature to 20 digits.  Returns (values,
-        quadrature error).
+        f_n has the simple pole (eta - s_lam)^(n-1) / (n-1)! / (z - lam) at
+        each of them, s_lam the value at z = lam of s as an affine function
+        of z; each pole's integral is taken exactly, and the smooth rest by
+        mpmath's Gauss-Legendre quadrature to 20 digits, the interval broken
+        at each lam's closest approach.  Returns (values, quadrature error).
         """
         cache = {}
         with mp.workdps(self.dps):
-            za, zb, sa, sb, lam, eta = (mp.mpc(v) for v in (za, zb, sa, sb, lam, eta))
-            s_lam = sa + (lam - za) / (zb - za) * (sb - sa)
+            za, zb, sa, sb = (mp.mpc(v) for v in (za, zb, sa, sb))
+            poles = [(mp.mpc(lam), mp.mpc(eta)) for lam, eta in poles]
+            dz = zb - za
+            s_lam = [sa + (lam - za) / dz * (sb - sa) for lam, _ in poles]
+            closest = (mp.re((lam - za) * mp.conj(dz)) / abs(dz) ** 2 for lam, _ in poles)
+            cuts = [0, *sorted(t for t in closest if 0 < t < 1), 1]
 
-            def residue(n):
-                return (eta - s_lam) ** (n - 1) / mp.factorial(n - 1)
-
-            def rest(t, n):
+            def rest(t, n, res):
                 if t not in cache:
-                    z = za + t * (zb - za)
+                    z = za + t * dz
                     cache[t] = (z, self.f(z, sa + t * (sb - sa), nmax))
                 z, f = cache[t]
-                return (f[n] - residue(n) / (z - lam)) * (zb - za)
+                return (f[n] - sum(r / (z - lam) for r, (lam, _) in zip(res, poles))) * dz
 
             vals, err = [], mp.mpf(0)
             for n in range(1, nmax + 1):
+                res = [(eta - s) ** (n - 1) / mp.factorial(n - 1) for (_, eta), s in zip(poles, s_lam)]
                 with mp.workdps(20):
-                    v, e = mp.quad(lambda t: rest(t, n), [0, 1], method="gauss-legendre", error=True)
-                pole = residue(n) * mp.log((zb - lam) / (za - lam))
+                    v, e = mp.quad(lambda t: rest(t, n, res), cuts, method="gauss-legendre", error=True)
+                pole = sum(r * mp.log((zb - lam) / (za - lam)) for r, (lam, _) in zip(res, poles))
                 vals.append(complex(v + pole))
                 err = max(err, e)
             return vals, float(err)

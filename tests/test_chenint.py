@@ -397,13 +397,12 @@ class TestGuardsAndFailure:
 class _Recursive:
     """The depth-first recursion over one segment that the level-synchronous
     run replaced: the oracle for its values, error estimates, panel counts
-    and failures.  It recurses from each root of each ordinary piece of the
-    segment in turn (the segment itself, with the root [0, 1], unless it is
-    split), folds a piece's roots left to right, and joins a split
-    segment's pieces in t order, its disk piece as the run takes it
-    (``_disk_pieces``); every join composes (series, error) pairs by
-    ``_compose_bounded``.  Pieces, roots and panels come from the run's own
-    split and panel evaluation, one panel at a time, and a failure is
+    and failures.  It recurses from the root [0, 1] of each ordinary piece
+    of the segment in turn (the segment itself, unless it is split), and
+    joins a split segment's pieces in t order, its disk pieces as the run
+    takes them (``_disk_pieces``); every join composes (series, error)
+    pairs by ``_compose_bounded``.  Pieces and panels come from the run's
+    own split and panel evaluation, one panel at a time, and a failure is
     worded by the run's ``failure``.
 
     The rule: an interval [a, b] whose panel has largest value M is
@@ -435,10 +434,7 @@ class _Recursive:
             if kind == "disk":
                 acc = disks[self.q]
             else:
-                acc = None
-                for t0, t1 in self.st.piece_roots[self.q]:
-                    root = self.interval(t0, t1)
-                    acc = root if acc is None else _compose_bounded(root, acc, self.table)
+                acc = self.interval(0.0, 1.0)
             pair = acc if pair is None else _compose_bounded(acc, pair, self.table)
         return pair
 
@@ -667,7 +663,7 @@ class TestLevelSynchronous:
             seg = _steep_line(L, clearance)
             r = chen_transport(model, PathSpec(model="edagger", segments=(seg,)), letters=letters,
                                lmax=2, tol=1e-12)
-            want, quad_err = ref.line_integrals(seg.z0, seg.z1, L.omega1, ref.eta1(), 6)
+            want, quad_err = ref.line_integrals(seg.z0, seg.z1, [(L.omega1, ref.eta1())], 6)
             assert quad_err < 1e-15
             for n in range(2, 7):
                 got = r.values[(f"w{n}",)]
@@ -902,7 +898,7 @@ def _split_line_references(curve):
         along = (L._w1r, L._w2r, L._w1r)[point]
         c = lam + 1j * clearance * abs(L._w1r) * along / abs(along)
         seg = LineSeg(c - 0.4 * along, c + 0.4 * along)
-        want, quad_err = ref.line_integrals(seg.z0, seg.z1, lam, ref.eta(lam), 6)
+        want, quad_err = ref.line_integrals(seg.z0, seg.z1, [(lam, ref.eta(lam))], 6)
         assert quad_err < 1e-15
         lines.append((point, clearance, seg, want))
     return model, lines
@@ -960,7 +956,7 @@ class TestPoleSplit:
             r = chen_transport(model, PathSpec("edagger", (seg,)), letters=letters, lmax=2,
                                tol=1e-12)
             assert r.split_at[0] == pytest.approx(0.5) and r.rejected_bisections == (0,)
-            want, quad_err = ref.line_integrals(seg.z0, seg.z1, lam, eta, 3)
+            want, quad_err = ref.line_integrals(seg.z0, seg.z1, [(lam, eta)], 3)
             assert quad_err < 1e-15
             for n, a in enumerate(letters):
                 actual = abs(r.values[(a, a)] - want[n] ** 2 / 2)
@@ -1079,7 +1075,7 @@ class TestPoleSplit:
         seg = LineSeg(L.omega1 + 1e-3 * L.min_period() * u, L.omega1 + 0.5 * abs(L.omega1) * u)
         table = _word_table(("w1", "w2"), 2)
         ref = SigmaReference(L, dps=30, nodes=24)
-        want, _ = ref.line_integrals(seg.z0, seg.z1, L.omega1, ref.eta(L.omega1), 2)
+        want, _ = ref.line_integrals(seg.z0, seg.z1, [(L.omega1, ref.eta(L.omega1))], 2)
         pairs = []
         for g, t in ((seg, 0.0), (seg.reversed(), 1.0)):
             st = _SegmentTransport(model4, [g], table, 1e-12, 14)
@@ -1118,7 +1114,7 @@ class TestPoleSplit:
             for seg in path.segments:
                 ref = _Recursive(model, seg, table, 1e-10, 14)
                 pair = ref.run()
-                assert ref.st.piece_roots == (((0.0, 1.0),),)
+                assert ref.st.span == ((0.0, 1.0),)
                 acc = pair if acc is None else _compose_bounded(pair, acc, table)
                 npanels.append(ref.npanels)
             acc, err = acc
@@ -1218,11 +1214,33 @@ class TestPoleSplit:
                                tol=1e-12)
             ((t0, t1, _),) = r.disk[0]
             assert (t0 > 0) == (t1 < 1) == (curve == (5, 2) and point == 1)
-            want, quad_err = ref.line_integrals(seg.z0, seg.z1, lam, ref.eta(lam), 4, sa, sb)
+            want, quad_err = ref.line_integrals(seg.z0, seg.z1, [(lam, ref.eta(lam))], 4, sa, sb)
             assert quad_err < 1e-15
             for n in range(1, 5):
                 got = r.values[(f"w{n}",)]
                 assert abs(got - want[n - 1]) <= r.err_by_length[1] + 1e-13, (point, n)
+
+    @pytest.mark.parametrize("curve", [(2, 3), (5, 2), (1, -3)])
+    def test_line_past_two_lattice_points_matches_reference(self, curve):
+        # a line along omega1 from -0.3 to 1.3 periods, 1e-3 of a period
+        # above the lattice points 0 and omega1, s varying: a disk piece
+        # around each point (with a sliver of ordinary piece between them),
+        # each letter against mpmath with both poles subtracted, within the
+        # transport estimate plus the reference's quadrature error
+        L = lattice_from_curve(CurveSpec(*curve))
+        model = EdaggerModel(ExtLattice(L, nmax=4))
+        ref = SigmaReference(L, dps=30, nodes=24)
+        c = 1j * 1e-3 * L.min_period() * L.omega1 / abs(L.omega1)
+        seg = LineSeg(c - 0.3 * L.omega1, c + 1.3 * L.omega1, 0.3 - 0.2j, -0.1 + 0.4j)
+        letters = tuple(f"w{n}" for n in range(1, 5))
+        r = chen_transport(model, PathSpec("edagger", (seg,)), letters=letters, lmax=1, tol=1e-12)
+        (t0, t1, _), (t2, t3, _) = r.disk[0]
+        assert (t0, t3) == (0.0, 1.0) and t1 < t2 and r.roots == (1,)
+        want, quad_err = ref.line_integrals(seg.z0, seg.z1, [(0, 0), (L.omega1, ref.eta(L.omega1))],
+                                            4, seg.s0, seg.s1)
+        for n in range(1, 5):
+            got = r.values[(f"w{n}",)]
+            assert abs(got - want[n - 1]) <= r.err_by_length[1] + quad_err, n
 
     def test_split_lines_and_their_reverse(self, model4):
         # a split line's series and its reverse's are each other's antipode,
@@ -1471,17 +1489,73 @@ def test_regularized_matches_series_on_supported_indices():
 
 
 def test_tangential_tail_bound():
-    # per factor and at both ends, the propagated bound covers the tail that
-    # doubling K adds and is within 2x of it; at K = 8 the tails stand far
-    # above rounding.  Words of om0 alone have no tail.  At the K used the
-    # bound is below 1e-19
+    # per factor and at both ends (one table holds the factors of the word
+    # and of its mirror image), the propagated bound at degree 8 covers the
+    # tail that doubling the degree adds and is within 2x of it; at degree 8
+    # the tails stand far above rounding.  Words of om0 alone have no tail.
+    # At the degree used the bound is below 1e-19
     for ks in _perfbench_workloads().supported_indices():
-        table = chenint._factor_table(("om0", "om1"), chenint._p1_word(MZVIndex(ks).word()))
-        for right in (False, True):
-            value, bound = chenint._tangential_series(table, 8, right)
-            diff = np.abs(value - chenint._tangential_series(table, 16, right)[0])
-            assert np.all(diff <= bound) and np.all(bound <= 2 * diff), (ks, right)
-            assert np.all(chenint._tangential_series(table, chenint._K, right)[1] < 1e-19)
+        table = chenint._p1_ends(chenint._p1_word(MZVIndex(ks).word()))[0]
+        value, bound = chenint._p1_end(table, 8)
+        diff = np.abs(value - chenint._p1_end(table, 16)[0])
+        assert np.all(diff <= bound) and np.all(bound <= 2 * diff), ks
+        om0 = np.array([set(w) <= {"om0"} for w in table.words])
+        assert np.all(bound[om0] == 0), ks
+        assert np.all(chenint._p1_end(table)[1] < 1e-19)
+
+
+def _tangential_reference(table, right):
+    """Values and tail bounds of I(0+; f; delta) for every word f of the
+    genus-zero factor table, or with ``right`` of I(1 - delta; f; 1-) =
+    (-1)^|f| I(0+; rev swap f; delta), by the per-word recursion in powers
+    of log z (not log^k / k!): prepending om0 integrates against dt / t,
+    om1 first multiplies by t / (t - 1) = -sum_(m>=1) t^m; a bound T_j on
+    the tail past the power K follows the same steps."""
+    K, delta = chenint._K, chenint._DELTA
+    p = np.arange(1, K + 1)
+    powers = delta ** np.arange(K + 1)
+    coeffs, tails = [np.eye(1, K + 1)], [np.zeros(1)]
+    for w in table.words[1:]:
+        if right:  # rev swap w = swap(w[-1]) . rev swap w[:-1]
+            i, om1 = table.index[w[:-1]], w[-1] == "om0"
+        else:
+            i, om1 = table.index[w[1:]], w[0] == "om1"
+        c, T = coeffs[i], tails[i]
+        if om1:
+            T = (powers[-1] * delta * np.abs(c).sum(axis=1) + delta * T) / (1 - delta)
+            c = np.concatenate([np.zeros((len(c), 1)), -np.cumsum(c[:, :-1], axis=1)], axis=1)
+        n = len(c)
+        c1, T1 = np.zeros((n + 1, K + 1)), np.zeros(n + 1)
+        c1[1:, 0] = c[:, 0] / np.arange(1, n + 1)
+        e = f = 0.0
+        for j in range(n - 1, -1, -1):
+            e = c[j, 1:] - (j + 1) * e / p
+            f = T[j] + (j + 1) * f / (K + 1)
+            c1[j, 1:] = e / p
+            T1[j] = f / (K + 1)
+        coeffs.append(c1)
+        tails.append(T1)
+    logd = math.log(delta)
+    values = np.array([logd ** np.arange(len(c)) @ (c @ powers) for c in coeffs])
+    bounds = np.array([abs(logd) ** np.arange(len(T)) @ T for T in tails])
+    return (-1.0) ** table.lengths * values if right else values, bounds
+
+
+def test_tangential_ends_match_per_word_recursion():
+    # both ends of every factor of the supported indices, from the one
+    # log-power recursion on the table of the word's and its mirror's
+    # factors, against the per-word recursion in powers of log: the same
+    # series and bounds summed in another order, within 8u relative
+    u = 2.0 ** -53
+    for ks in _perfbench_workloads().supported_indices():
+        letters = chenint._p1_word(MZVIndex(ks).word())
+        table = chenint._factor_table(("om0", "om1"), letters)
+        ends, left, right = chenint._p1_ends(letters)
+        values, bounds = chenint._p1_end(ends)
+        for index, sign, is_right in ((left, 1.0, False), (right, (-1.0) ** table.lengths, True)):
+            want, want_bound = _tangential_reference(table, is_right)
+            assert np.all(np.abs(sign * values[index] - want) <= 8 * u * np.abs(want)), ks
+            assert np.all(np.abs(bounds[index] - want_bound) <= 8 * u * want_bound), ks
 
 
 def test_regularized_run_statistics():
