@@ -41,11 +41,13 @@ A curve-model line is split around each lattice point lam that it passes
 closer than 1/32 of its length, shifted by (z, s) -> (z - lam, s +
 eta(lam)) (``eta_lambda``), which leaves every letter unchanged
 (quasi-periodicity).  Its part within half the shortest period of lam,
-where each letter is a simple pole plus a power series (the sigma route's
-table, as a Laurent table), is a disk piece: every word's integral from the
-tangential base point at lam is a sum of log^k times power series, so the
-part is I(lam -> b) I(lam -> a)^-1, two evaluations composed, with no
-panel.  The parts outside the disks are transported as ordinary segments.
+where each letter is a simple pole plus a power series, is a disk piece:
+``ExtLattice.disk_rows`` gives the letters' series along the line, from the
+sigma route's table, with bounds on their coefficients; every word's
+integral from the tangential base point at lam is a sum of log^k times
+power series, so the part is I(lam -> b) I(lam -> a)^-1, two evaluations
+composed, with no panel.  The parts outside the disks are transported as
+ordinary segments.
 
 A word table need not hold every word up to a length: any word set closed
 under taking factors (contiguous subwords) composes and transports, which is
@@ -75,8 +77,9 @@ from .errors import (
     EndpointMismatch,
     GuardViolation,
     QuadratureFailure,
+    UnknownSymbol,
 )
-from .logforms import _LAURENT_DEGREE, _RHO, ExtLattice, f_batch, letters as form_letters
+from .logforms import ExtLattice, f_batch, letters as form_letters
 from .wlattice import LatticeData, _cell_shift, eta_lambda, reduce_mod_lattice
 
 __all__ = [
@@ -453,18 +456,8 @@ class P1Model:
     def phi_rows(self, letters, z, s, dz, ds):
         rows = np.empty((len(letters), z.shape[0]), dtype=complex)
         for i, letter in enumerate(letters):
-            if letter == "om0":
-                rows[i] = dz / z
-            elif letter == "om1":
-                rows[i] = dz / (z - 1.0)
-            else:
-                raise ValueError(f"unknown genus-zero letter {letter!r}")
+            rows[i] = dz / z if letter == "om0" else dz / (z - 1.0)
         return rows
-
-    def congruence_offset(self, p, q, tol=1e-10):
-        if abs(q[0] - p[0]) <= tol and abs(q[1] - p[1]) <= tol:
-            return (0j, 0j, (0, 0))
-        return None
 
 
 # --------------------------------------------------------------------------
@@ -692,49 +685,9 @@ _DISK_ROUNDING = 8
 # factor (D+1)^-(i+1).
 #
 # A disk piece is a split line near a lattice point lam: in lam's cell, x =
-# (z - lam) / t (t as in ExtLattice._series) and s affine in x along the
-# line, s = alpha + beta x, f_n = sum_j (-s)^j / j! g_(n-j) with the t g_m of
-# the table ExtLattice._laurent, nu = beta dx and w0 = t dx, and M bounds a
-# letter's regular part's sum_p |phi_p| rho^p.  The genus-zero ends take x =
-# z at 0 (see _DELTA).
-
-
-@lru_cache(maxsize=None)
-def _lower_toeplitz(N):
-    """(k - l clipped at 0, k >= l, the factorials 0!..N!) over the pairs
-    (k, l) of 0..N: the layout of (N+1)-square lower Toeplitz matrices of
-    u^(k-l) / (k-l)!."""
-    k = np.arange(N + 1)
-    d = k[:, None] - k[None, :]
-    return np.maximum(d, 0), d >= 0, np.cumprod(np.r_[1.0, k[1:]])
-
-
-def _disk_letters(ext, letters, alpha, beta):
-    """(phi, M): for each letter along s = alpha + beta x, its coefficients
-    of x^-1 .. x^D per dx (D = _LAURENT_DEGREE), and at each radius of
-    ``ext._laurent`` a bound on its regular part's sum_p |phi_p| rho^p.
-
-    The f_n at s = alpha come from the t g_m through the lower Toeplitz
-    matrix of (-alpha)^j / j!; then e^(-beta x w) adds, for each i >= 1, the
-    i-times shifted rows times (-beta x)^i / i!, which takes the pole of a
-    row into the regular part."""
-    c, rho, bound = ext._laurent
-    N = max((int(a[1:]) for a in letters if a != "nu"), default=0)
-    d, lower, fact = _lower_toeplitz(N)
-    e = (-alpha) ** np.arange(N + 1) / fact
-    phi = (e[d] * lower) @ c[:N + 1]
-    M = (np.abs(e)[d] * lower) @ bound[:N + 1]
-    if beta:
-        shifted, reg, pole = phi.copy(), M.copy(), np.abs(phi[:, 0])
-        for i in range(1, N + 1):
-            b = (-beta) ** i / fact[i]
-            phi[i:, i:] += b * shifted[:N + 1 - i, :-i]
-            M[i:] += abs(b) * (rho ** i * reg[:N + 1 - i] + rho ** (i - 1) * pole[:N + 1 - i, None])
-    if "nu" in letters:  # nu = beta dx (and w0 = t dx is row 0, t g_0)
-        phi = np.vstack([phi, np.eye(1, phi.shape[1], 1) * beta])
-        M = np.vstack([M, np.full((1, len(rho)), abs(beta))])
-    rows = [len(phi) - 1 if a == "nu" else int(a[1:]) for a in letters]
-    return phi[rows], M[rows]
+# (z - lam) / t, t a power of 2 near the shortest period, with the letters'
+# rows and their bounds M at the radii rho from ExtLattice.disk_rows.  The
+# genus-zero ends take x = z at 0 (see _DELTA).
 
 
 def _log_power_series(table, phi, M, X, q, D):
@@ -801,27 +754,24 @@ def _disk_degree(M, X, rho, target, length=1):
     return degrees[i], i
 
 
-def _disk_piece(ext, table, phi, M, za, zb, aim, degree=None):
-    """(series, bound, rounding, degree) of the line za -> zb in a lattice
-    point's cell, shifted to 0, within its disk, with the letters phi and
-    their bounds M along it (``_disk_letters``): I(0 -> b) I(0 -> a)^-1
-    from the tangential base point at 0.
+def _disk_piece(table, phi, M, rho, xa, xb, aim, degree=None):
+    """(series, bound, rounding, degree) of the line xa -> xb in x, within a
+    lattice point's disk, with the letters' rows phi, of x^-1 .. x^D per
+    dx, and their bounds M at the radii rho (``ExtLattice.disk_rows``):
+    I(0 -> b) I(0 -> a)^-1 from the tangential base point at 0.
 
     The log branch at b continues the one at a along the line: log x_b =
     log x_a + Log(x_b / x_a), the line passing 0 on one side.  The degree D
     is the smallest whose letter-level bound meets aim / 10
     (``_disk_degree``); while the composed bound exceeds aim and D is below
-    _LAURENT_DEGREE, D grows by what the excess asks.  A given ``degree``
-    is taken as it is, at the radius that bounds it best.  ``bound`` is the
+    the rows', D grows by what the excess asks.  A given ``degree`` is
+    taken as it is, at the radius that bounds it best.  ``bound`` is the
     cut tails' bound, carried through the antipode and the composition
     (``_compose_bounded``); ``rounding`` is _DISK_ROUNDING u times each
     word's length times the magnitudes its sums add: the terms of both
     ends' series, composed."""
-    t = ext._series[2]
-    xa, xb = za / t, zb / t
     x = np.array([xa, xb])
     X = max(abs(xa), abs(xb))
-    rho = ext._laurent[1]
     k = np.arange(table.lmax + 1)[:, None]
     logs = (np.log(xa) + np.array([0.0, np.log(xb / xa)])) ** k / np.cumprod(np.maximum(k, 1), axis=0)
 
@@ -835,7 +785,7 @@ def _disk_piece(ext, table, phi, M, za, zb, aim, degree=None):
         target, D = aim / 10, 0
         while True:
             step, i = _disk_degree(M, X, rho, target)
-            step = int(min(max(step, 2), _LAURENT_DEGREE))
+            step = int(min(max(step, 2), phi.shape[1] - 2))
             if step <= D:
                 break
             D = step
@@ -877,27 +827,24 @@ def _line_point(line, u):
 
 
 def _disk_split(ext, letters, lmax, seg, tol):
-    """(t, t0, t1, phi, M) of the line seg in a lattice point's cell, shifted
+    """(t, t0, t1, disk) of the line seg in a lattice point's cell, shifted
     so that the point is 0: the parameter t of its closest approach, the
-    span [t0, t1] of its part in the disk around 0, and its letters there
-    (``_disk_letters``); None when it stays outside the disk.  The disk's
-    radius is _RHO a (a the shortest period; 0 where the lattice keeps the
-    theta route), halved while the span's bound for words up to lmax
-    letters (``_disk_degree``) cannot meet a thousandth of the span's aim,
-    tol times its width over 100, within the Laurent table: the letters of
-    high order converge slowly near the disk's edge."""
-    t = ext._series[2]
-    radius = _RHO * ext._series[1]
-    x0, x1 = seg.z0 / t, seg.z1 / t
-    phi = None
-    while (span := _disk_span(seg, radius)) is not None:
-        if phi is None:
-            beta = (seg.s1 - seg.s0) / (x1 - x0)
-            phi, M = _disk_letters(ext, letters, seg.s0 - beta * x0, beta)
+    span [t0, t1] of its part in the disk around 0, and ``_disk_piece``'s
+    arguments there: the rows, bounds and radii of ``ExtLattice.disk_rows``
+    and the span's ends in x; None when it stays outside the disk.  The
+    disk's radius, the rows' (0 where the lattice keeps the theta route), is
+    halved while the span's bound for words up to lmax letters
+    (``_disk_degree``) cannot meet a thousandth of the span's aim, tol times
+    its width over 100, within the rows' degree: the letters of high order
+    converge slowly near the disk's edge."""
+    x0, x1, radius, rho, phi, M = ext.disk_rows(letters, seg.z0, seg.z1, seg.s0, seg.s1)
+    line = LineSeg(x0, x1)
+    while (span := _disk_span(line, radius)) is not None:
         _, t0, t1 = span
-        X = max(abs(x0 + t0 * (x1 - x0)), abs(x0 + t1 * (x1 - x0)))
-        if _disk_degree(M, X, ext._laurent[1], 1e-5 * tol * (t1 - t0), lmax)[0] <= _LAURENT_DEGREE:
-            return (*span, phi, M)
+        xa, xb = _line_point(line, t0)[0], _line_point(line, t1)[0]
+        X = max(abs(xa), abs(xb))
+        if _disk_degree(M, X, rho, 1e-5 * tol * (t1 - t0), lmax)[0] <= phi.shape[1] - 2:
+            return (*span, (phi, M, rho, xa, xb))
         radius /= 2
     return None
 
@@ -909,16 +856,17 @@ class _SegmentTransport:
     A segment is transported as pieces in t order: the whole segment from
     the root [0, 1], unless it is a line of a model with a ``pole_shift``
     (the curve model) that passes punctures closer than ``_SPLIT_RATIO``
-    of its length and enters the disk of radius _RHO a around such a
-    puncture lam (a the shortest period: the sigma route's disk, where the
-    letters' Laurent series at lam converge; smaller for letters of high
-    order, ``_disk_split``).  Then it is split: its part in each such disk
-    is one disk piece, taken from those series (``_disk_piece``) in lam's
-    cell, and each part outside the disks is an ordinary piece from the
-    root [0, 1], in the cell of the nearest such puncture; ``pole_shift``
-    takes a piece into a cell and leaves every letter unchanged.  Disks of
-    distinct lattice points do not meet, and no panel of a split segment
-    comes nearer to their points than their edges.
+    of its length and enters the disk of half the shortest period around
+    such a puncture lam (the sigma route's disk, where the letters' Laurent
+    series at lam converge; smaller for letters of high order,
+    ``_disk_split``).  Then it is split: its part in each such disk is one
+    disk piece in lam's cell, from the rows of those series along the line
+    that ``ExtLattice.disk_rows`` gives (``_disk_piece``), and each part
+    outside the disks is an ordinary piece from the root [0, 1], in the
+    cell of the nearest such puncture; ``pole_shift`` takes a piece into a
+    cell and leaves every letter unchanged.  Disks of distinct lattice
+    points do not meet, and no panel of a split segment comes nearer to
+    their points than their edges.
 
     An interval of an ordinary piece is accepted by one of two rules, each
     against the budget tol ((b - a) + 0.01 max(1, M)), M the largest value
@@ -958,7 +906,7 @@ class _SegmentTransport:
         # per segment: its pieces in t order, ("piece", index into pieces) or
         # ("disk", index into disks)
         self.parts = []
-        self.disks = []  # (segment index, t, t0, t1, letters, bounds, za, zb) of each disk piece
+        self.disks = []  # (segment index, t, t0, t1, *_disk_piece's arguments) of each disk piece
         self.split_at, self.roots = [], []
         for j, seg in enumerate(segs):
             pts = np.asarray(model.punctures(seg.corners))
@@ -970,7 +918,7 @@ class _SegmentTransport:
                     f"segment passes within {dmin:.3e} of a puncture "
                     f"(guard {model.guard:.3e})"
                 )
-            splits = []  # (t, t0, t1, letters, bounds, line in lam's cell), nearest lam first
+            splits = []  # (t, t0, t1, disk, line in lam's cell), nearest lam first
             if (hasattr(model, "pole_shift") and isinstance(seg, LineSeg)
                     and dmin < _SPLIT_RATIO * seg.speed):
                 near = np.flatnonzero(dist < _SPLIT_RATIO * seg.speed).tolist()
@@ -992,14 +940,13 @@ class _SegmentTransport:
             self.parts.append([])
             base = splits[0][-1]
             done, start = 0.0, base.start
-            for t, t0, t1, phi, M, line in sorted(splits, key=lambda split: split[1]):
+            for t, t0, t1, disk, _ in sorted(splits, key=lambda split: split[1]):
                 if t0 > done:
                     self.parts[j].append(("piece", len(pieces)))
                     end = _line_point(base, t0)
                     pieces.append((LineSeg(start[0], end[0], start[1], end[1]), (done, t0), j))
                 self.parts[j].append(("disk", len(self.disks)))
-                self.disks.append((j, t, t0, t1, phi, M, _line_point(line, t0)[0],
-                                   _line_point(line, t1)[0]))
+                self.disks.append((j, t, t0, t1, *disk))
                 done, start = t1, _line_point(base, t1)
             if done < 1:
                 self.parts[j].append(("piece", len(pieces)))
@@ -1070,13 +1017,11 @@ class _SegmentTransport:
         against its budget, as a panel is (its bound in place of the panel's
         estimate), before any panel is evaluated."""
         out, spans = [], {}
-        for j, t, t0, t1, *line in self.disks:
-            w = t1 - t0
-            series, bound, own, D = _disk_piece(self.model.ext, self.table, *line,
-                                                0.01 * self.tol * w)
+        for j, t, t0, t1, *disk in self.disks:
+            series, bound, own, D = _disk_piece(self.table, *disk, 0.01 * self.tol * (t1 - t0))
             top = float(np.abs(series).max())
             worst, rounding = float(bound.max()), _U * top
-            budget = self.tol * (w + 0.01 * max(1.0, top))
+            budget = self._budget(t0, t1, top)
             if worst + rounding > budget:
                 raise QuadratureFailure(
                     f"segment {j}: disk [{t0:.6f}, {t1:.6f}] around its split at "
@@ -1236,10 +1181,11 @@ def chen_transport(
     """All iterated integrals of the letter alphabet along the path.
 
     Words are filled to length lmax over the given letters (default: the
-    model's full alphabet).  Panels are 24-node Gauss-Legendre.  A panel
-    [a, b] of a segment's parameter (or of a split line's piece), with largest
-    value M, is accepted by one of two rules, each when its error plus the
-    panel's own rounding, u = 2^-53 times M, is at most
+    model's full alphabet); a letter outside the model's alphabet raises
+    UnknownSymbol before any work.  Panels are 24-node Gauss-Legendre.  A
+    panel [a, b] of a segment's parameter (or of a split line's piece), with
+    largest value M, is accepted by one of two rules, each when its error
+    plus the panel's own rounding, u = 2^-53 times M, is at most
     tol * ((b - a) + 0.01 max(1, M)):
     - from its one evaluation, the error being the kernel's estimate of
       the worst word: twice its integrand's last two Legendre coefficients
@@ -1278,7 +1224,11 @@ def chen_transport(
         raise ValueError(f"path has model {path.model!r}, transport {model.name!r}")
     if lmax < 0 or lmax > 8:
         raise ValueError("lmax must lie in [0, 8]")
-    letters = tuple(letters) if letters is not None else tuple(model.letters())
+    alphabet = tuple(model.letters())
+    letters = tuple(letters) if letters is not None else alphabet
+    for letter in letters:
+        if letter not in alphabet:
+            raise UnknownSymbol(f"letter {letter!r} not in the model alphabet")
     table = _word_table(letters, lmax)
     st = _SegmentTransport(model, path.segments, table, tol, max_depth)
     acc, err = reduce(lambda earlier, later: _compose_bounded(later, earlier, table), st.run())

@@ -240,10 +240,6 @@ def cmd_integrate(args):
         L, ab = _lattice_from_args(args)
         model = EdaggerModel(ExtLattice(L, nmax=args.N))
         word = tuple(t for t in args.word.split(",") if t)
-        known = set(model.letters())
-        for t in word:
-            if t not in known:
-                raise UnknownSymbol(f"letter {t!r} not in the model alphabet")
     letters = tuple(dict.fromkeys(word)) or tuple(model.letters())[:1]
     r = chen_transport(model, path, letters=letters, lmax=len(word), tol=tol)
     val = r.coeff(word)

@@ -26,6 +26,11 @@ g_m at z0 come from one of two series in w, never from dividing sigmas:
   K whose dropped terms, bounded through |G_2k| <= sum |lam|^-2k, sum to
   at most the unit roundoff.
 
+The same table, taken as Laurent series at the lattice point 0 with bounds
+on their coefficients (``ExtLattice._laurent``), gives the letters along a
+line through the disk as rows of series in x = z / t with bounds M(rho)
+(``ExtLattice.disk_rows``): the rows of a transport's disk pieces.
+
 The direct sigma quotient ``kernel_F`` is kept separate so the routes can be
 played against each other.
 
@@ -165,6 +170,43 @@ class ExtLattice:
         M[2:] += M[1:-1] / rho
         scale = t ** (1.0 - np.arange(N + 1))[:, None]
         return c * scale, rho, M * scale
+
+    def disk_rows(self, letters, z0, z1, s0, s1):
+        """(x0, x1, radius, rho, phi, M): the letters along the line (z0, s0)
+        -> (z1, s1) in the cell of the lattice point 0, as series in x = z / t
+        (t as in ``_series``, a power of 2, so x0 and x1, the line's ends,
+        are exact) from the table ``_laurent``: radius = _RHO a / t is the
+        sigma route's disk (0 where the lattice keeps the theta route), row
+        i of phi letter i's coefficients of x^-1 .. x^D per dx (D =
+        _LAURENT_DEGREE; nu = beta dx and w0 = t dx along s = alpha + beta
+        x), and M[i, k] >= sum_p |phi_p| rho_k^p over its regular part.
+
+        f_n = sum_j (-s)^j / j! g_(n-j) at s = alpha is the lower Toeplitz
+        matrix of (-alpha)^j / j! times the t g_m (under half the time of
+        ``f_batch``'s convolution on these rows); e^(-beta x w) then adds,
+        for each i >= 1, the i-times shifted rows times (-beta x)^i / i!,
+        which takes the pole of a row into the regular part."""
+        _, a, t, _ = self._series
+        c, rho, bound = self._laurent
+        x0, x1 = z0 / t, z1 / t
+        beta = (s1 - s0) / (x1 - x0)
+        alpha = s0 - beta * x0
+        N = max((int(name[1:]) for name in letters if name != "nu"), default=0)
+        d, lower, fact = _lower_toeplitz(N)
+        e = (-alpha) ** np.arange(N + 1) / fact
+        phi = (e[d] * lower) @ c[:N + 1]
+        M = (np.abs(e)[d] * lower) @ bound[:N + 1]
+        if beta:
+            shifted, reg, pole = phi.copy(), M.copy(), np.abs(phi[:, 0])
+            for i in range(1, N + 1):
+                b = (-beta) ** i / fact[i]
+                phi[i:, i:] += b * shifted[:N + 1 - i, :-i]
+                M[i:] += abs(b) * (rho ** i * reg[:N + 1 - i] + rho ** (i - 1) * pole[:N + 1 - i, None])
+        if "nu" in letters:
+            phi = np.vstack([phi, np.eye(1, phi.shape[1], 1) * beta])
+            M = np.vstack([M, np.full((1, len(rho)), abs(beta))])
+        rows = [len(phi) - 1 if name == "nu" else int(name[1:]) for name in letters]
+        return x0, x1, _RHO * a / t, rho, phi[rows], M[rows]
 
 
 def letters(nmax: int):
@@ -329,6 +371,16 @@ def _convolution_plan(N):
     this N, which only reads them."""
     j, n = np.triu_indices(N + 1)
     return j, n - j, np.cumprod(np.arange(1.0, N + 1))[:, None]
+
+
+@functools.lru_cache(maxsize=None)
+def _lower_toeplitz(N):
+    """(k - l clipped at 0, k >= l, the factorials 0!..N!) over the pairs
+    (k, l) of 0..N: the layout of (N+1)-square lower Toeplitz matrices of
+    u^(k-l) / (k-l)!."""
+    k = np.arange(N + 1)
+    d = k[:, None] - k[None, :]
+    return np.maximum(d, 0), d >= 0, np.cumprod(np.r_[1.0, k[1:]])
 
 
 def f_batch(E: ExtLattice, z, s):

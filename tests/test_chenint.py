@@ -43,6 +43,7 @@ from ellbar.errors import (
     EndpointMismatch,
     GuardViolation,
     QuadratureFailure,
+    UnknownSymbol,
 )
 from ellbar.kzbword import c_w, canonical_series
 from ellbar.logforms import ExtLattice
@@ -392,6 +393,28 @@ class TestGuardsAndFailure:
         r = chen_transport(model, g, letters=("w1",), lmax=1, tol=1e-13, max_depth=10)
         assert len(r.panels_by_depth[0]) > 6
         assert r.split_at == (None,) and r.roots == (1,)
+
+    def test_unknown_letter_raises_before_any_work(self, ext, model, monkeypatch):
+        # a letter outside the model's alphabet raises UnknownSymbol, for
+        # both models, on plain and on split lines, and on a line inside the
+        # guard: nothing is built or evaluated first
+        def no_work(*args):
+            raise AssertionError("transport started")
+
+        monkeypatch.setattr(chenint, "_word_table", no_work)
+        L = ext.lattice
+        model4 = EdaggerModel(ExtLattice(L, nmax=4))
+        plain = line_path("edagger", _base(ext), _base(ext) + 0.4)
+        split = PathSpec("edagger", (_steep_line(L, 1e-3),))
+        inside = line_path("edagger", -0.5 * L.omega1, 0.5 * L.omega1)
+        for letters in (("w9",), ("w1", "w9"), ("x",), ("om0",)):
+            for path in (plain, split, inside):
+                with pytest.raises(UnknownSymbol, match="not in the model alphabet"):
+                    chen_transport(model4, path, letters=letters, lmax=2)
+        for letters in (("om2",), ("om0", "w1"), ("x",)):
+            for path in (line_path("p1", 0.2, 0.8), line_path("p1", -0.5, 1e-3j), line_path("p1", -0.5, 0.5)):
+                with pytest.raises(UnknownSymbol, match="not in the model alphabet"):
+                    chen_transport(P1Model(), path, letters=letters, lmax=2)
 
 
 class _Recursive:
@@ -1188,8 +1211,8 @@ class TestPoleSplit:
                 seg = _steep_line(L, clearance, point)
                 st = _SegmentTransport(model, [seg.shifted(0, 0.3 - 0.2j)], table, tol, 14)
                 ((j, t, t0, t1, *line),) = st.disks
-                series, bound, own, D = chenint._disk_piece(model.ext, table, *line, 0.01 * tol)
-                twice, _, own2, _ = chenint._disk_piece(model.ext, table, *line, 0, 2 * D)
+                series, bound, own, D = chenint._disk_piece(table, *line, 0.01 * tol)
+                twice, _, own2, _ = chenint._disk_piece(table, *line, 0, 2 * D)
                 assert np.all(np.abs(series - twice) <= bound + own + own2), (tol, point)
                 assert bound.max() <= 0.01 * tol
                 degrees.setdefault(point, []).append(D)
@@ -1288,6 +1311,28 @@ class TestPoleSplit:
                     assert abs(r.values[(a,)] - want[n]) <= r.err_by_length[1] + rounding
                     actual = abs(r.values[(a, a)] - want[n] ** 2 / 2)
                     assert actual <= r.err_by_length[2] + rounding * max(1.0, abs(want[n]))
+
+    def test_disk_radius_halves_for_high_order_letters(self):
+        # w30 to length 8 at tol 1e-14 cannot meet the span's aim within the
+        # Laurent table's degree at half a period: the disk's radius halves
+        # to a quarter of it, an ordinary piece takes each side, and the
+        # words agree with a run at tol 1e-4, whose disk keeps the full
+        # radius, within both runs' errors
+        L = lattice_from_curve(CurveSpec(1, -3))
+        model = EdaggerModel(ExtLattice(L, nmax=30))
+        a, w1 = L.min_period(), L.omega1
+        c = w1 + 1j * 1e-3 * a * w1 / abs(w1)
+        path = line_path("edagger", c - 0.4 * w1, c + 0.4 * w1)
+        r = chen_transport(model, path, letters=("w30",), lmax=8, tol=1e-14)
+        ((t0, t1, degree),) = r.disk[0]
+        half = math.sqrt((a / 4) ** 2 - (1e-3 * a) ** 2) / (0.8 * abs(w1))
+        assert (t0, t1) == (pytest.approx(0.5 - half, abs=1e-12), pytest.approx(0.5 + half, abs=1e-12))
+        assert degree == 47 and r.roots == (2,) and r.split_at == (0.5,)
+        assert max(r.err_by_length.values()) <= 1e-14
+        loose = chen_transport(model, path, letters=("w30",), lmax=8, tol=1e-4)
+        assert [d[:2] for d in loose.disk[0]] == [(0.0, 1.0)] and loose.roots == (0,)
+        for w, v in r.values.items():
+            assert abs(v - loose.values[w]) <= r.err_by_length[len(w)] + loose.err_by_length[len(w)]
 
     def test_disk_span(self):
         # the part of a line within a radius of 0: the closest approach's t

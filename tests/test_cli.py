@@ -340,6 +340,7 @@ class TestIntegrate:
         p = run_cli("integrate", "--curve", "5", "2",
                     "--path", str(paths["translate"]), "--word", "w9")
         assert p.returncode == 2
+        assert "UnknownSymbol: letter 'w9' not in the model alphabet" in p.stderr
 
     def test_missing_path_file_exits_2(self):
         p = run_cli("integrate", "--path", "/nonexistent.json", "--word", "0")

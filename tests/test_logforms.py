@@ -418,3 +418,62 @@ class TestNearLattice:
         assert all(tail(K, m) <= logforms._U for m in range(1, nmax + 1))
         if K > max(2, (nmax + 2) // 2):
             assert any(tail(K - 1, m) > logforms._U for m in range(1, nmax + 1))
+
+
+# --------------------------------------------------------------------------
+# a line's letters as series at the lattice point: ExtLattice.disk_rows
+
+
+def _disk_lines(L):
+    """Lines through the disk around 0 along omega1, omega2 and their sum,
+    passing 0 at clearances from 1e-5 to 0.2 periods, s varying on three."""
+    a = L.min_period()
+    out = []
+    for along, clearance, sa, sb in ((L.omega1, 1e-3, 0.4 - 0.1j, -0.3 + 0.5j),
+                                     (L.omega2, 1e-2, 1.1j, 0.6),
+                                     (L.omega1 + L.omega2, 0.2, 0.0, 0.0),
+                                     (L.omega1, 1e-5, 2.0, -1.5 + 1j)):
+        c = 1j * clearance * a * along / abs(along)
+        out.append((c - 0.4 * along, c + 0.4 * along, sa, sb))
+    return out
+
+
+class TestDiskRows:
+    @pytest.mark.parametrize("nmax", [4, 8])
+    def test_rows_match_f_batch_inside_the_disk(self, near_ext, nmax):
+        # each row summed at points of the line inside the disk is its
+        # letter per dx: t f_n, (s1 - s0) / (x1 - x0) for nu, within 32 u of
+        # the sum of the series' terms' magnitudes.  The points lie within
+        # 3/4 of the disk's radius: nearer f_batch's switch to the theta
+        # route its exp series rounds worse (up to 144 u of those
+        # magnitudes from the rows at 0.93 of the radius, curve (1, -3),
+        # w7), while the rows stay within 28 u of mpmath on that line
+        E = ExtLattice(near_ext.lattice, nmax=nmax)
+        names = letters(nmax)
+        for z0, z1, s0, s1 in _disk_lines(E.lattice):
+            x0, x1, radius, rho, phi, M = E.disk_rows(names, z0, z1, s0, s1)
+            t = ((z1 - z0) / (x1 - x0)).real
+            assert math.frexp(t)[0] == 0.5 and (x0, x1) == (z0 / t, z1 / t)
+            assert radius == logforms._RHO * E.lattice.min_period() / t
+            u = np.linspace(0.0, 1.0, 41)
+            u = u[np.abs(x0 + u * (x1 - x0)) <= 0.75 * radius]
+            assert len(u) >= 10
+            x = x0 + u * (x1 - x0)
+            powers = x ** np.arange(phi.shape[1] - 1)[:, None]
+            rows = phi[:, 1:] @ powers + phi[:, :1] / x
+            mags = np.abs(phi[:, 1:]) @ np.abs(powers) + np.abs(phi[:, :1] / x)
+            want = np.vstack([np.full(len(x), (s1 - s0) / (x1 - x0)),
+                              t * f_batch(E, z0 + u * (z1 - z0), s0 + u * (s1 - s0))])
+            assert np.all(np.abs(rows - want) <= 32 * logforms._U * mags), (z0, s0)
+
+    @pytest.mark.parametrize("nmax", [4, 8])
+    def test_bounds_cover_the_rows(self, near_ext, nmax):
+        # M(rho) >= sum_p |phi_p| rho^p over each row's regular part, at each
+        # radius, for each letter alone and for the whole alphabet at once
+        E = ExtLattice(near_ext.lattice, nmax=nmax)
+        for names in (letters(nmax), ("w3", "nu"), (f"w{nmax}",)):
+            for z0, z1, s0, s1 in _disk_lines(E.lattice):
+                *_, rho, phi, M = E.disk_rows(names, z0, z1, s0, s1)
+                assert phi.shape == (len(names), 130) and M.shape == (len(names), len(rho))
+                sums = np.abs(phi[:, 1:]) @ rho[None, :] ** np.arange(phi.shape[1] - 1)[:, None]
+                assert np.all(sums <= M * (1 + 1e-13)), (names, z0)
